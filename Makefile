@@ -13,8 +13,11 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt required on:"; echo "$$out"; exit 1; fi
 
+# The nested perfbench module is not part of the root ./..., so vet it
+# explicitly: an API change that breaks the benchmark fails here.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 # Full suite, including the slow experiment reproductions and torture tests.
 test:
@@ -113,8 +116,8 @@ bench-obs:
 	@echo "merged tracing-overhead suite into BENCH_shard.json"
 
 # Storage-tier benchmarks (cold vs spilled-warm vs recompute block
-# materialization, bit-sliced vs flat accumulate kernels) ->
-# BENCH_store.json, merged in place.
+# materialization, the bit-sliced accumulate kernel at full and depth-2
+# reach) -> BENCH_store.json, merged in place.
 bench-store:
 	$(GO) test -bench='BlockMaterialize' -benchmem -run='^$$' ./internal/worldstore | tee bench-store.out
 	$(GO) test -bench='Accum' -benchmem -run='^$$' ./internal/sampler | tee -a bench-store.out

@@ -107,49 +107,3 @@ func (mc *MonteCarlo) AdaptivePair(u, v graph.NodeID, eps, delta float64, maxSam
 	}
 	return AdaptiveResult{P: p, Samples: samples, Successes: successes}
 }
-
-// DecideThreshold reports whether Pr(u ~ v) >= q, distinguishing the cases
-// Pr >= q and Pr < (1-eps)q with confidence 1-delta (outcomes in the
-// indifference band may go either way). It is the decision primitive a
-// pL-free min-partial would use: the sample count adapts to the distance
-// between the true probability and the threshold.
-func (mc *MonteCarlo) DecideThreshold(u, v graph.NodeID, q, eps, delta float64) bool {
-	if q <= 0 {
-		return true
-	}
-	if q > 1 {
-		return false
-	}
-	// Sequential test on a doubling schedule with confidence split across
-	// rounds: at round t, r_t = r0 * 2^t samples and delta_t = delta/2^(t+1).
-	// Accept when the empirical estimate clears the midpoint of the band
-	// with margin, reject when it falls below with margin; the margins
-	// shrink as sqrt(ln(1/delta_t)/r_t), so the test terminates once they
-	// are smaller than eps*q/4.
-	mid := q * (1 - eps/2)
-	r := 64
-	round := 0
-	for {
-		successes := 0
-		mc.store.Scan(0, r, func(_ int, lab []int32) {
-			if lab[u] == lab[v] {
-				successes++
-			}
-		})
-		est := float64(successes) / float64(r)
-		deltaT := delta / math.Pow(2, float64(round+1))
-		margin := math.Sqrt(math.Log(2/deltaT) / (2 * float64(r))) // Hoeffding
-		if est >= mid+margin {
-			return true
-		}
-		if est <= mid-margin {
-			return false
-		}
-		if margin <= eps*q/4 {
-			// Band resolved to within the indifference region.
-			return est >= mid
-		}
-		r *= 2
-		round++
-	}
-}

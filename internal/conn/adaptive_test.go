@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ucgraph/internal/graph"
-	"ucgraph/internal/rng"
 )
 
 func TestStoppingRuleThreshold(t *testing.T) {
@@ -101,68 +100,5 @@ func TestAdaptivePairSelfIsImmediate(t *testing.T) {
 	}
 	if math.Abs(res.P-1) > 0.15 {
 		t.Fatalf("Pr(u ~ u) estimated as %v", res.P)
-	}
-}
-
-func TestDecideThresholdClearCases(t *testing.T) {
-	g, err := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, P: 0.6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := NewMonteCarlo(g, 11)
-	if !mc.DecideThreshold(0, 1, 0.3, 0.1, 0.01) {
-		t.Fatal("p=0.6 not accepted at threshold 0.3")
-	}
-	if mc.DecideThreshold(0, 1, 0.9, 0.1, 0.01) {
-		t.Fatal("p=0.6 accepted at threshold 0.9")
-	}
-	// Degenerate thresholds.
-	if !mc.DecideThreshold(0, 1, 0, 0.1, 0.01) {
-		t.Fatal("q=0 must always accept")
-	}
-	if mc.DecideThreshold(0, 1, 1.5, 0.1, 0.01) {
-		t.Fatal("q>1 must always reject")
-	}
-}
-
-func TestDecideThresholdNearBand(t *testing.T) {
-	// Probability exactly at the threshold: either answer is legal, but
-	// the test must terminate.
-	g, err := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, P: 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := NewMonteCarlo(g, 13)
-	_ = mc.DecideThreshold(0, 1, 0.5, 0.2, 0.05) // must return
-}
-
-func TestDecideThresholdMatchesExactOnRandomGraphs(t *testing.T) {
-	// On tiny graphs, compare decisions against the exact oracle for
-	// thresholds well away from the true probability.
-	x := rng.NewXoshiro256(17)
-	for iter := 0; iter < 10; iter++ {
-		g := randomTinyGraph(x)
-		ex, err := NewExact(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mc := NewMonteCarlo(g, uint64(iter))
-		n := g.NumNodes()
-		for u := 0; u < n; u++ {
-			f := ex.FromCenter(int32(u), Unlimited, 0)
-			for v := u + 1; v < n; v++ {
-				p := f[v]
-				if p > 0.15 {
-					if !mc.DecideThreshold(int32(u), int32(v), p/2, 0.1, 0.01) {
-						t.Fatalf("rejected threshold %v for true p %v", p/2, p)
-					}
-				}
-				if p < 0.7 {
-					if mc.DecideThreshold(int32(u), int32(v), (1+p)/2+0.15, 0.1, 0.01) {
-						t.Fatalf("accepted threshold %v for true p %v", (1+p)/2+0.15, p)
-					}
-				}
-			}
-		}
 	}
 }

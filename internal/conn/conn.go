@@ -94,6 +94,9 @@ var (
 // cached and extended incrementally when later phases of the progressive
 // sampling schedule request more samples for a center already queried —
 // the dominant cost saver for the guessing schedules of Algorithms 2-3.
+// An estimator built with NewMonteCarloExtended keeps the same cache but
+// has its Extender count the missing worlds: the shard coordinator
+// extends the tallies by scattering the world ranges to its workers.
 //
 // MonteCarlo is safe for concurrent use: the tally cache is mutex-guarded
 // and each tally serializes its own extensions. FromCenter is internally
@@ -133,12 +136,25 @@ type MonteCarlo struct {
 	// its shard.
 	reachPool sync.Pool
 
+	// ext, when non-nil, counts the missing worlds of every pending
+	// tally instead of the local store (NewMonteCarloExtended).
+	ext Extender
+
 	mu         sync.Mutex // guards cache, cacheOrder and cacheHead
 	cache      map[cacheKey]*centerTally
 	cacheOrder []cacheKey // FIFO ring: entries [cacheHead..] ++ [..cacheHead) in insertion order
 	cacheHead  int        // index of the oldest entry once the ring is full
 	maxCache   int
 }
+
+// Extender counts worlds for the tally cache of an estimator built with
+// NewMonteCarloExtended. For each center cs[j] it adds the (depth-)
+// connection counts of worlds [lo[j], r) into counts[j] (one entry per
+// node). It either adds all of them and returns nil, or returns an error
+// having added none: the tallies then stay exactly as they were, and a
+// later query resumes from there. FromCenters calls it once per batch,
+// with every center whose tally is short of r.
+type Extender func(ctx context.Context, cs []graph.NodeID, depth int, lo []int, r int, counts [][]int32) error
 
 // cacheKey identifies a cached center query.
 type cacheKey struct {
@@ -182,6 +198,16 @@ func NewMonteCarlo(g *graph.Uncertain, seed uint64) *MonteCarlo {
 		maxCache: maxCache,
 	}
 	mc.reachPool.New = func() any { return sampler.NewReachCounter(g, seed) }
+	return mc
+}
+
+// NewMonteCarloExtended returns an estimator whose tally cache is extended
+// by ext instead of the local world store. Caching, the higher-precision
+// contract and the estimates are those of NewMonteCarlo, so an extender
+// that adds the same integer counts answers bit-identically.
+func NewMonteCarloExtended(g *graph.Uncertain, seed uint64, ext Extender) *MonteCarlo {
+	mc := NewMonteCarlo(g, seed)
+	mc.ext = ext
 	return mc
 }
 
@@ -281,30 +307,14 @@ func (mc *MonteCarlo) FromCenter(c graph.NodeID, depth int, r int) []float64 {
 	return out
 }
 
-// FromCenterCtx is FromCenter with cooperative cancellation: the tally
-// extension advances in bounded chunks of worlds and checks ctx between
-// chunks, so a cancelled query returns ctx's error quickly while leaving
-// the cached tally in a consistent partial state (it exactly covers the
-// worlds tallied so far, and a later query simply resumes from there). A
-// call that returns nil error is bit-identical to FromCenter.
+// FromCenterCtx is FromCenter with cooperative cancellation: a one-center
+// FromCentersCtx.
 func (mc *MonteCarlo) FromCenterCtx(ctx context.Context, c graph.NodeID, depth int, r int) ([]float64, error) {
-	if r < 1 {
-		r = 1
-	}
-	if depth < 0 {
-		depth = Unlimited
-	}
-	key := cacheKey{c: c, depth: depth}
-	tally := mc.lookupTally(key)
-
-	// An evicted tally stays usable by goroutines already holding it; it
-	// just stops being findable, so the worst case is recomputed work.
-	tally.mu.Lock()
-	defer tally.mu.Unlock()
-	if err := mc.extendChunked(ctx, key, tally, r); err != nil {
+	out, err := mc.FromCentersCtx(ctx, []graph.NodeID{c}, depth, r)
+	if err != nil {
 		return nil, err
 	}
-	return tally.estimate(), nil
+	return out[0], nil
 }
 
 // ctxChunk is how many worlds a cancellable extension advances between
@@ -349,11 +359,13 @@ func (mc *MonteCarlo) FromCenters(cs []graph.NodeID, depth int, r int) [][]float
 	return out
 }
 
-// FromCentersCtx is FromCenters with cooperative cancellation, following
-// the same chunked-extension contract as FromCenterCtx: ctx is checked
-// between bounded chunks of worlds, an aborted batch returns ctx's error
-// with every touched tally left consistent (covering exactly the worlds it
-// tallied), and a nil-error call is bit-identical to FromCenters.
+// FromCentersCtx is FromCenters with cooperative cancellation: local
+// extensions advance in bounded chunks of worlds and check ctx between
+// chunks, so a cancelled query returns ctx's error quickly while leaving
+// every touched tally consistent (it exactly covers the worlds tallied so
+// far, and a later query simply resumes from there). An Extender is called
+// once per batch and honors ctx itself. A call that returns nil error is
+// bit-identical to FromCenters.
 func (mc *MonteCarlo) FromCentersCtx(ctx context.Context, cs []graph.NodeID, depth int, r int) ([][]float64, error) {
 	if len(cs) == 0 {
 		return nil, nil
@@ -409,6 +421,10 @@ func (mc *MonteCarlo) FromCentersCtx(ctx context.Context, cs []graph.NodeID, dep
 	switch {
 	case len(pending) == 0:
 		// Every tally already covers r worlds.
+	case mc.ext != nil:
+		if err := mc.extendExternal(ctx, pending, depth, r); err != nil {
+			return nil, err
+		}
 	case len(pending) == 1:
 		// A single center gets the world-sharded extension (depth-limited
 		// extensions run implicit BFS without materializing bitmaps).
@@ -439,6 +455,24 @@ func (mc *MonteCarlo) FromCentersCtx(ctx context.Context, cs []graph.NodeID, dep
 		}
 	}
 	return out, nil
+}
+
+// extendExternal brings every pending tally to r worlds with one Extender
+// call. The caller holds every pending tally's lock.
+func (mc *MonteCarlo) extendExternal(ctx context.Context, pending []*batchSlot, depth, r int) error {
+	cs := make([]graph.NodeID, len(pending))
+	lo := make([]int, len(pending))
+	counts := make([][]int32, len(pending))
+	for j, sl := range pending {
+		cs[j], lo[j], counts[j] = sl.key.c, sl.tally.rDone, sl.tally.counts
+	}
+	if err := mc.ext(ctx, cs, depth, lo, r, counts); err != nil {
+		return err
+	}
+	for _, sl := range pending {
+		sl.tally.rDone = r
+	}
+	return nil
 }
 
 // extendBatchChunked advances every pending tally to r worlds in bounded

@@ -6,12 +6,10 @@ import (
 
 	"ucgraph/internal/graph"
 	"ucgraph/internal/rng"
-	"ucgraph/internal/sampler"
 )
 
 // kernelTestGraph builds a 128-node ring with pseudo-random chords — large
-// enough that a depth-limited batch exercises real BFS frontiers, small
-// enough that both accumulate kernels qualify.
+// enough that a depth-limited batch exercises real BFS frontiers.
 func kernelTestGraph(t *testing.T) *graph.Uncertain {
 	t.Helper()
 	const n = 128
@@ -35,39 +33,42 @@ func kernelTestGraph(t *testing.T) *graph.Uncertain {
 	return g
 }
 
-// TestDepthLimitedBatchKernelBitIdentity pins the bit-sliced accumulate
-// kernel against the legacy flat kernel through the full production path:
-// MonteCarlo.FromCenters → worldstore.CountWithinMulti → the accumulate
-// mode of sampler.MultiReachCounter. 70 centers span two 64-center mask
+// TestDepthLimitedBatchKernelBitIdentity pins the batched depth-limited
+// path — MonteCarlo.FromCenters → worldstore.CountWithinMulti → the
+// bit-sliced accumulate mode of sampler.MultiReachCounter — against
+// per-center FromCenter on cold edge bitmaps, which runs the implicit
+// sampler.ReachCounter BFS instead. 70 centers span two 64-center mask
 // groups, and 600 worlds force multiple AccumCapacity flushes, so every
-// ripple-carry plane level and the flush cadence are both exercised. The
-// two kernels add the same per-world reach indicators, so the estimates
-// must be bit-identical — not merely close.
+// ripple-carry plane level and the flush cadence are both exercised. Both
+// paths add the same per-world reach indicators, so the estimates must be
+// bit-identical — not merely close.
 func TestDepthLimitedBatchKernelBitIdentity(t *testing.T) {
 	g := kernelTestGraph(t)
 	cs := make([]graph.NodeID, 70)
 	for i := range cs {
 		cs[i] = graph.NodeID((i * 13) % g.NumNodes())
 	}
-	const depth, r = 3, 600
+	const depth, r, seed = 3, 600, 97
 
-	run := func(flat bool) [][]float64 {
-		restore := sampler.OverrideAccumKernel(flat)
-		defer restore()
-		// A fresh estimator per run: tally caches are per-MonteCarlo, so
-		// the second run re-executes the counting kernel rather than
-		// replaying the first run's tallies.
-		return NewMonteCarlo(g, 97).FromCenters(cs, depth, r)
+	// The per-center loop runs first, while the store's bitmaps are still
+	// cold; each estimator has its own tally cache, so the batch below
+	// re-executes its counting kernel instead of replaying these tallies.
+	single := NewMonteCarlo(g, seed)
+	if single.Store().BitsWarm(0, r) {
+		t.Fatal("edge bitmaps warm before the per-center loop")
 	}
-	sliced := run(false)
-	flat := run(true)
+	perCenter := make([][]float64, len(cs))
+	for j, c := range cs {
+		perCenter[j] = single.FromCenter(c, depth, r)
+	}
+	sliced := NewMonteCarlo(g, seed).FromCenters(cs, depth, r)
 
-	if !reflect.DeepEqual(sliced, flat) {
+	if !reflect.DeepEqual(sliced, perCenter) {
 		for j := range sliced {
 			for v := range sliced[j] {
-				if sliced[j][v] != flat[j][v] {
-					t.Fatalf("kernel mismatch at center %d node %d: bit-sliced %v, flat %v",
-						cs[j], v, sliced[j][v], flat[j][v])
+				if sliced[j][v] != perCenter[j][v] {
+					t.Fatalf("kernel mismatch at center %d node %d: batched %v, per-center %v",
+						cs[j], v, sliced[j][v], perCenter[j][v])
 				}
 			}
 		}

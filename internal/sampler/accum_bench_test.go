@@ -8,11 +8,8 @@ import (
 )
 
 // The accumulate-kernel benchmarks behind BENCH_store.json (make
-// bench-store): one world's 64-center depth-limited reach folded into the
-// accumulator, bit-sliced vertical planes vs the legacy flat [n*64]int32
-// block. Both kernels add identical integer indicators — the comparison
-// is pure speed and memory (the planes use 64 bytes per node to flat's
-// 256, which is what lifts the accumulate-path node cap 16x).
+// bench-store): one world's 64-center reach folded into the bit-sliced
+// vertical planes.
 
 // benchAccumGraph builds a ring-with-chords graph sized so the BFS
 // touches a realistic spread of nodes per world.
@@ -38,11 +35,10 @@ func benchAccumGraph(b *testing.B, n int) *graph.Uncertain {
 	return g
 }
 
-func benchmarkAccum(b *testing.B, flat bool, depth int) {
+func benchmarkAccum(b *testing.B, depth int) {
 	const n, centers = 30000, 64
 	g := benchAccumGraph(b, n)
 	mrc := NewMultiReachCounter(g)
-	mrc.setFlatAccum(flat)
 	if !mrc.BeginAccum() {
 		b.Fatal("BeginAccum refused the bench graph")
 	}
@@ -81,9 +77,6 @@ func benchmarkAccum(b *testing.B, flat bool, depth int) {
 // Full reach (depth -1) is the paper's primary estimator — per-world
 // connected components, where a reached node's mask averages dozens of set
 // centers and the bit-sliced kernel folds them in one ripple-carry add.
-// Depth2 is the sparsest depth-limited probe: masks are mostly one bit,
-// the flat kernel's best case.
-func BenchmarkAccumBitSlicedFull(b *testing.B)   { benchmarkAccum(b, false, -1) }
-func BenchmarkAccumFlatFull(b *testing.B)        { benchmarkAccum(b, true, -1) }
-func BenchmarkAccumBitSlicedDepth2(b *testing.B) { benchmarkAccum(b, false, 2) }
-func BenchmarkAccumFlatDepth2(b *testing.B)      { benchmarkAccum(b, true, 2) }
+// Depth2 is the sparsest depth-limited probe: masks are mostly one bit.
+func BenchmarkAccumBitSlicedFull(b *testing.B)   { benchmarkAccum(b, -1) }
+func BenchmarkAccumBitSlicedDepth2(b *testing.B) { benchmarkAccum(b, 2) }

@@ -130,3 +130,37 @@ func TestWorldsPerMinQuotaOverHTTP(t *testing.T) {
 		t.Fatalf("tenant-b request: code %d", resp.StatusCode)
 	}
 }
+
+// TestCostAdmissionOnEveryEstimatingEndpoint: /v1/knn, /v1/influence and
+// /v1/reliability are priced like /v1/conn — 400 over MaxCost, 429 once a
+// client's world quota runs dry — and greedy influence prices its k
+// seeds as k centers.
+func TestCostAdmissionOnEveryEstimatingEndpoint(t *testing.T) {
+	g := testGraph(t, 32, 1)
+	const samples = 500
+	for _, tc := range []struct {
+		name, path string
+		body       map[string]any
+		centers    int
+	}{
+		{"knn", "/v1/knn", map[string]any{"graph": "ring", "source": 0, "k": 3, "samples": samples}, 1},
+		{"spread", "/v1/influence", map[string]any{"graph": "ring", "seeds": []int{0, 5}, "samples": samples}, 1},
+		{"greedy", "/v1/influence", map[string]any{"graph": "ring", "k": 2, "samples": samples}, 2},
+		{"reliability", "/v1/reliability", map[string]any{"graph": "ring", "kind": "set", "set": []int{0, 3}, "samples": samples}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cost := int64(samples * tc.centers)
+			_, capped := newTestServer(t, g, Options{MaxCost: cost - 1})
+			if code, body := post(t, capped.URL+tc.path, tc.body, nil); code != 400 {
+				t.Fatalf("over MaxCost: code %d body %s", code, body)
+			}
+			_, quota := newTestServer(t, g, Options{ClientWorldsPerMin: cost})
+			if code, body := post(t, quota.URL+tc.path, tc.body, nil); code != 200 {
+				t.Fatalf("first request within quota: code %d body %s", code, body)
+			}
+			if code, body := post(t, quota.URL+tc.path, tc.body, nil); code != 429 {
+				t.Fatalf("quota exhausted: code %d body %s", code, body)
+			}
+		})
+	}
+}

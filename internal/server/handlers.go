@@ -849,6 +849,12 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, e)
 		return
 	}
+	release, e := s.admitCost(r, samples, 1)
+	if e != nil {
+		s.writeError(w, e)
+		return
+	}
+	defer release()
 	ctx, cancel, e := s.deadline(r.Context(), req.TimeoutMS)
 	if e != nil {
 		s.writeError(w, e)
@@ -914,6 +920,22 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// A spread evaluation drives one seed set; greedy maximization drives
+	// k of them.
+	centers := 1
+	if len(req.Seeds) == 0 {
+		if req.K <= 0 {
+			s.writeError(w, badRequest("need \"k\" (greedy maximization) or \"seeds\" (spread evaluation)"))
+			return
+		}
+		centers = req.K
+	}
+	release, e := s.admitCost(r, samples, centers)
+	if e != nil {
+		s.writeError(w, e)
+		return
+	}
+	defer release()
 	ctx, cancel, e := s.deadline(r.Context(), req.TimeoutMS)
 	if e != nil {
 		s.writeError(w, e)
@@ -936,10 +958,6 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 			"graph": h.name, "samples": samples,
 			"seeds": req.Seeds, "spread": spread,
 		})
-		return
-	}
-	if req.K <= 0 {
-		s.writeError(w, badRequest("need \"k\" (greedy maximization) or \"seeds\" (spread evaluation)"))
 		return
 	}
 	// Greedy maximization fans its marginal-gain tallies out to the shard
@@ -987,6 +1005,12 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	release, e := s.admitCost(r, samples, 1)
+	if e != nil {
+		s.writeError(w, e)
+		return
+	}
+	defer release()
 	ctx, cancel, e := s.deadline(r.Context(), req.TimeoutMS)
 	if e != nil {
 		s.writeError(w, e)

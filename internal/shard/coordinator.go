@@ -233,25 +233,11 @@ func (wc *workerClient) snapshot() WorkerStats {
 	return wc.stats
 }
 
-// do posts one JSON request and decodes the JSON response into out (v1
-// endpoints: ping, and the frozen tally endpoint used by tests).
-func (wc *workerClient) do(ctx context.Context, path string, in, out any) error {
-	var body io.Reader
-	method := http.MethodGet
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(buf)
-		method = http.MethodPost
-	}
-	req, err := http.NewRequestWithContext(ctx, method, wc.base+path, body)
+// do GETs one JSON endpoint (the ping) and decodes the response into out.
+func (wc *workerClient) do(ctx context.Context, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wc.base+path, nil)
 	if err != nil {
 		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := wc.client.Do(req)
 	if err != nil {
@@ -530,8 +516,11 @@ func (f *fleet) availableSlotsLocked(now time.Time) []int {
 
 // assign maps each block index to its owning slot, keeping live sticky
 // owners and striping unowned blocks across the live members
-// (live[bi % len(live)] — with every member live and no history, exactly
-// the round-robin striping of Partition). exclude[bi] names a slot the
+// (live[(bi+rot) % len(live)]; block bi holds worlds [bi*BlockWorlds,
+// (bi+1)*BlockWorlds)). Only unowned blocks are striped — blocks of new
+// stream growth, or blocks whose owner left or went down — so a block
+// keeps its worker, and the worker its warm block caches, across queries,
+// stream extensions and membership changes. exclude[bi] names a slot the
 // block must avoid when any alternative exists: retry rounds use it to
 // move a failed worker's blocks. Breaker-open members are skipped — their
 // blocks re-stripe onto healthy workers for the duration of the backoff —
@@ -630,20 +619,6 @@ type FabricStats struct {
 	AuditDivergences uint64
 }
 
-// coTally is one cached center tally of the coordinator: per-node counts
-// over the first rDone worlds (the same shape conn.MonteCarlo caches, so
-// progressive sampling schedules extend instead of recomputing).
-type coTally struct {
-	mu     sync.Mutex
-	counts []int32
-	rDone  int
-}
-
-type coKey struct {
-	c     graph.NodeID
-	depth int
-}
-
 // Coordinator implements the estimator surface over a fleet of shard
 // workers: every query becomes one or more scatter rounds of disjoint
 // block-aligned world ranges, and the gathered integer tallies are summed
@@ -664,24 +639,20 @@ type coKey struct {
 // degrades to the in-process estimator over the shared world store of the
 // same (graph, seed).
 //
-// Like the estimator it mirrors, a Coordinator caches per-(center, depth)
-// tallies and extends them when later queries raise the sample size, so a
-// progressive clustering schedule scatters only the new worlds of each
-// phase. Safe for concurrent use.
+// Center queries run on conn.MonteCarlo's tally cache: while the fleet has
+// no worker they go to a plain local estimator, otherwise to one whose
+// conn.Extender is the coordinator's scatter (extend), so a progressive
+// clustering schedule scatters only the new worlds of each phase. Safe for
+// concurrent use.
 type Coordinator struct {
-	name  string
-	g     *graph.Uncertain
-	seed  uint64
-	store *worldstore.Store
-	local *conn.MonteCarlo
-	fleet *fleet
-	opts  CoordinatorOptions
-
-	mu        sync.Mutex
-	cache     map[coKey]*coTally
-	order     []coKey
-	cacheHead int
-	maxCache  int
+	name   string
+	g      *graph.Uncertain
+	seed   uint64
+	store  *worldstore.Store
+	local  *conn.MonteCarlo // center queries while the fleet has no worker
+	remote *conn.MonteCarlo // center queries over the fleet, extended by scatter
+	fleet  *fleet
+	opts   CoordinatorOptions
 }
 
 var _ conn.ContextOracle = (*Coordinator)(nil)
@@ -691,46 +662,35 @@ var _ conn.ContextOracle = (*Coordinator)(nil)
 // with (Ping verifies). With no workers, every query runs on the local
 // in-process estimator instead — the single-binary degenerate deployment.
 func NewCoordinator(name string, g *graph.Uncertain, seed uint64, workerAddrs []string, opts CoordinatorOptions) *Coordinator {
-	opts = opts.withDefaults()
-	local := conn.NewMonteCarlo(g, seed)
-	local.SetParallelism(opts.Parallelism)
-	n := g.NumNodes()
-	maxCache := 64 << 20 / (4 * n)
-	if maxCache < 64 {
-		maxCache = 64
+	opts = opts.withDefaults() // before newFleet: the fleet pings with opts.Client
+	c := &Coordinator{
+		name:  name,
+		g:     g,
+		seed:  seed,
+		store: worldstore.Shared(g, seed),
+		fleet: newFleet(workerAddrs, opts.Client),
+		opts:  opts,
 	}
-	return &Coordinator{
-		name:     name,
-		g:        g,
-		seed:     seed,
-		store:    local.Store(),
-		local:    local,
-		fleet:    newFleet(workerAddrs, opts.Client),
-		opts:     opts,
-		cache:    make(map[coKey]*coTally),
-		maxCache: maxCache,
-	}
+	c.newEstimators()
+	return c
+}
+
+// newEstimators gives c a fresh, empty pair of center-query estimators.
+func (c *Coordinator) newEstimators() {
+	c.local = conn.NewMonteCarlo(c.g, c.seed)
+	c.local.SetParallelism(c.opts.Parallelism)
+	c.remote = conn.NewMonteCarloExtended(c.g, c.seed, c.extend)
 }
 
 // Fork returns a coordinator sharing this one's fleet (workers, membership
-// and health stats) but with a fresh, private tally cache — the sharded
+// and health stats) but with fresh, private tally caches — the sharded
 // analogue of building a private conn.MonteCarlo for one clustering run,
 // so the run's result depends only on (graph, seed, request), never on
 // which centers other traffic warmed first.
 func (c *Coordinator) Fork() *Coordinator {
-	fork := &Coordinator{
-		name:     c.name,
-		g:        c.g,
-		seed:     c.seed,
-		store:    c.store,
-		local:    conn.NewMonteCarlo(c.g, c.seed),
-		fleet:    c.fleet,
-		opts:     c.opts,
-		cache:    make(map[coKey]*coTally),
-		maxCache: c.maxCache,
-	}
-	fork.local.SetParallelism(c.opts.Parallelism)
-	return fork
+	fork := *c
+	fork.newEstimators()
+	return &fork
 }
 
 // Sharded reports whether the coordinator has (non-removed) workers; false
@@ -937,12 +897,7 @@ func (c *Coordinator) Ping(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// RefreshMembership is Ping under its membership-maintenance name: the
-// periodic ping loop (StartPings) and the /v1/shards endpoint call it to
-// move flapping workers between "up" and "down" with no restart.
-func (c *Coordinator) RefreshMembership(ctx context.Context) error { return c.Ping(ctx) }
-
-// StartPings runs RefreshMembership every interval until the returned stop
+// StartPings runs Ping every interval until the returned stop
 // function is called. Each probe is bounded by RequestTimeout.
 func (c *Coordinator) StartPings(interval time.Duration) (stop func()) {
 	if interval <= 0 {
@@ -959,7 +914,7 @@ func (c *Coordinator) StartPings(interval time.Duration) (stop func()) {
 				return
 			case <-t.C:
 				ctx, cancel := context.WithTimeout(context.Background(), c.opts.RequestTimeout)
-				_ = c.RefreshMembership(ctx)
+				_ = c.Ping(ctx)
 				cancel()
 			}
 		}
@@ -973,7 +928,7 @@ func (c *Coordinator) pingMember(ctx context.Context, m *member) error {
 	wc := m.wc
 	var resp PingResponse
 	t0 := time.Now()
-	werr := wc.do(ctx, PathPing, nil, &resp)
+	werr := wc.do(ctx, PathPing, &resp)
 	if werr == nil {
 		found := false
 		for _, pg := range resp.Graphs {
@@ -1098,16 +1053,6 @@ func (c *Coordinator) scatter(ctx context.Context, req TallyRequest, lo, hi int,
 	ssp.Set("worlds", int64(hi-lo))
 	req.Graph = c.name
 	bw := c.store.BlockWorlds()
-	blockRange := func(bi int) Range {
-		l, h := bi*bw, (bi+1)*bw
-		if l < lo {
-			l = lo
-		}
-		if h > hi {
-			h = hi
-		}
-		return Range{Lo: l, Hi: h}
-	}
 	var pool []int
 	for bi := lo / bw; bi*bw < hi; bi++ {
 		pool = append(pool, bi)
@@ -1147,14 +1092,8 @@ func (c *Coordinator) scatter(ctx context.Context, req TallyRequest, lo, hi int,
 		results := make(chan groupOutcome, len(slots))
 		for _, s := range slots {
 			bis := assign[s]
-			g := &scatterGroup{ownerSlot: s, owner: c.fleet.member(s), bis: bis}
-			for _, bi := range bis {
-				rg := blockRange(bi)
-				if k := len(g.ranges); k > 0 && g.ranges[k-1].Hi == rg.Lo {
-					g.ranges[k-1].Hi = rg.Hi
-				} else {
-					g.ranges = append(g.ranges, rg)
-				}
+			g := &scatterGroup{ownerSlot: s, owner: c.fleet.member(s), bis: bis, ranges: blockRanges(bis, lo, hi, bw)}
+			for _, rg := range g.ranges {
 				g.worlds += rg.Worlds()
 			}
 			go c.runGroup(rctx, &req, g, results)
@@ -1196,6 +1135,22 @@ func (c *Coordinator) scatter(ctx context.Context, req TallyRequest, lo, hi int,
 		return fmt.Errorf("shard: merged %d worlds, want %d: exactly-once accounting violated", mergedWorlds, hi-lo)
 	}
 	return nil
+}
+
+// blockRanges cuts ascending block indices into the world ranges they
+// cover within [lo, hi): block bi holds worlds [bi*bw, (bi+1)*bw), clipped
+// to the query range, and adjacent blocks coalesce into one range.
+func blockRanges(bis []int, lo, hi, bw int) []Range {
+	var out []Range
+	for _, bi := range bis {
+		rg := Range{Lo: max(bi*bw, lo), Hi: min((bi+1)*bw, hi)}
+		if k := len(out); k > 0 && out[k-1].Hi == rg.Lo {
+			out[k-1].Hi = rg.Hi
+		} else {
+			out = append(out, rg)
+		}
+	}
+	return out
 }
 
 // runGroup resolves one scatter group: the owner answers, or — after
@@ -1319,201 +1274,93 @@ func (c *Coordinator) attemptWorker(ctx context.Context, g *scatterGroup, m *mem
 
 // ---- conn.ContextOracle --------------------------------------------------
 
-// lookupTally returns the cached tally for key, inserting an empty one
-// (with FIFO ring eviction, mirroring conn.MonteCarlo) if absent.
-func (c *Coordinator) lookupTally(key coKey) *coTally {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tally, ok := c.cache[key]
-	if !ok {
-		if len(c.order) >= c.maxCache {
-			delete(c.cache, c.order[c.cacheHead])
-			c.order[c.cacheHead] = key
-			c.cacheHead++
-			if c.cacheHead == len(c.order) {
-				c.cacheHead = 0
-			}
-		} else {
-			c.order = append(c.order, key)
-		}
-		tally = &coTally{counts: make([]int32, c.g.NumNodes())}
-		c.cache[key] = tally
+// estimator returns the estimator that answers center queries.
+func (c *Coordinator) estimator() *conn.MonteCarlo {
+	if c.Sharded() {
+		return c.remote
 	}
-	return tally
-}
-
-// estimate converts a tally into the caller-owned estimate vector, with
-// the exact float operations conn.MonteCarlo uses (multiply by the
-// reciprocal), so coordinator estimates are bit-identical to local ones.
-// The caller holds tally.mu.
-func (tally *coTally) estimate() []float64 {
-	out := make([]float64, len(tally.counts))
-	inv := 1 / float64(tally.rDone)
-	for i, cnt := range tally.counts {
-		out[i] = float64(cnt) * inv
-	}
-	return out
+	return c.local
 }
 
 // FromCenter implements conn.Oracle.
 func (c *Coordinator) FromCenter(ctr graph.NodeID, depth int, r int) []float64 {
-	out, _ := c.FromCenterCtx(context.Background(), ctr, depth, r)
-	return out
+	return c.estimator().FromCenter(ctr, depth, r)
 }
 
 // FromCenters implements conn.Oracle.
 func (c *Coordinator) FromCenters(cs []graph.NodeID, depth int, r int) [][]float64 {
-	out, _ := c.FromCentersCtx(context.Background(), cs, depth, r)
-	return out
+	return c.estimator().FromCenters(cs, depth, r)
 }
 
 // FromCenterCtx implements conn.ContextOracle.
 func (c *Coordinator) FromCenterCtx(ctx context.Context, ctr graph.NodeID, depth int, r int) ([]float64, error) {
-	out, err := c.FromCentersCtx(ctx, []graph.NodeID{ctr}, depth, r)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	return c.estimator().FromCenterCtx(ctx, ctr, depth, r)
 }
 
-// coSlot tracks one distinct (center, depth) of a batch.
-type coSlot struct {
-	key   coKey
-	tally *coTally
-	outAt []int
-}
-
-// FromCentersCtx implements conn.ContextOracle: per-center estimate
-// vectors over the first r worlds (or more, when a cached tally already
-// covers more — the same higher-precision contract as conn.MonteCarlo).
-// Pending tallies are extended by scattering only their missing world
-// range; tallies at different progress levels scatter as separate rounds,
-// and every gathered count lands in a scratch buffer that is folded into
-// the cache only when its round fully succeeds — cancellation and worker
-// failures withhold answers, never corrupt tallies.
+// FromCentersCtx implements conn.ContextOracle, with conn.MonteCarlo's
+// caching and higher-precision contract.
 func (c *Coordinator) FromCentersCtx(ctx context.Context, cs []graph.NodeID, depth int, r int) ([][]float64, error) {
-	if !c.Sharded() {
-		return c.local.FromCentersCtx(ctx, cs, depth, r)
-	}
-	if len(cs) == 0 {
-		return nil, nil
-	}
-	if r < 1 {
-		r = 1
-	}
-	if depth < 0 {
-		depth = conn.Unlimited
-	}
+	return c.estimator().FromCentersCtx(ctx, cs, depth, r)
+}
 
-	// Deduplicate centers, preserving first-occurrence order (duplicates
-	// share one tally and one scatter slot).
-	slots := make([]*coSlot, 0, len(cs))
-	byKey := make(map[coKey]*coSlot, len(cs))
-	for i, ctr := range cs {
-		key := coKey{c: ctr, depth: depth}
-		sl := byKey[key]
-		if sl == nil {
-			sl = &coSlot{key: key}
-			byKey[key] = sl
-			slots = append(slots, sl)
-		}
-		sl.outAt = append(sl.outAt, i)
-	}
-	for _, sl := range slots {
-		sl.tally = c.lookupTally(sl.key)
-	}
-
-	// Lock in canonical center order so concurrent overlapping batches
-	// cannot deadlock (same discipline as conn.MonteCarlo).
-	locked := make([]*coSlot, len(slots))
-	copy(locked, slots)
-	sort.Slice(locked, func(i, j int) bool { return locked[i].key.c < locked[j].key.c })
-	for _, sl := range locked {
-		sl.tally.mu.Lock()
-	}
-	defer func() {
-		for _, sl := range locked {
-			sl.tally.mu.Unlock()
-		}
-	}()
-
-	// Group pending slots by their current progress: each distinct rDone
-	// needs a different world range, and within a group one scatter
-	// answers every center.
-	groups := make(map[int][]*coSlot)
-	for _, sl := range slots {
-		if sl.tally.rDone < r {
-			groups[sl.tally.rDone] = append(groups[sl.tally.rDone], sl)
-		}
+// extend is the conn.Extender of the sharded estimator: it scatters worlds
+// [lo[j], r) of every center cs[j] and adds the gathered counts into
+// counts[j]. Centers at the same progress share one scatter; every group
+// gathers into one scratch buffer that is folded into counts only once
+// every group has succeeded, so cancellation and worker failures withhold
+// answers, never corrupt tallies.
+func (c *Coordinator) extend(ctx context.Context, cs []graph.NodeID, depth int, lo []int, r int, counts [][]int32) error {
+	groups := make(map[int][]int) // progress → positions in cs
+	for j, l := range lo {
+		groups[l] = append(groups[l], j)
 	}
 	los := make([]int, 0, len(groups))
-	for lo := range groups {
-		los = append(los, lo)
+	for l := range groups {
+		los = append(los, l)
 	}
 	sort.Ints(los)
+	req := TallyRequest{Kind: KindConnected}
+	if depth >= 0 {
+		req = TallyRequest{Kind: KindWithin, Depth: depth}
+	}
 	n := c.g.NumNodes()
-	for _, lo := range los {
-		group := groups[lo]
-		centers := make([]graph.NodeID, len(group))
-		for j, sl := range group {
-			centers[j] = sl.key.c
+	scratch := make([]int32, len(cs)*n)
+	var mu sync.Mutex
+	worlds := 0
+	for _, l := range los {
+		group := groups[l]
+		req.Centers = make([]graph.NodeID, len(group))
+		for i, j := range group {
+			req.Centers[i] = cs[j]
 		}
-		kind := KindConnected
-		reqDepth := 0
-		if depth >= 0 {
-			kind = KindWithin
-			reqDepth = depth
-		}
-		scratch := make([]int32, len(group)*n)
-		var mergeMu sync.Mutex
-		err := c.scatter(ctx, TallyRequest{
-			Kind:    kind,
-			Centers: centers,
-			Depth:   reqDepth,
-		}, lo, r, func(resp *TallyResponse) {
-			mergeMu.Lock()
-			defer mergeMu.Unlock()
-			for j := range group {
+		err := c.scatter(ctx, req, l, r, func(resp *TallyResponse) {
+			mu.Lock()
+			defer mu.Unlock()
+			for i, j := range group {
 				row := scratch[j*n : (j+1)*n]
-				for u, cnt := range resp.Counts[j] {
+				for u, cnt := range resp.Counts[i] {
 					row[u] += cnt
 				}
 			}
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// The fold of the round's scratch into the cached tallies — the
-		// "merge" step of the scatter/gather pipeline, separate from the
-		// scatter span so an operator sees gather time and fold time
-		// apart.
-		_, msp := obs.StartSpan(ctx, "merge")
-		msp.Set("centers", int64(len(group)))
-		msp.Set("worlds", int64(r-lo))
-		for j, sl := range group {
-			row := scratch[j*n : (j+1)*n]
-			for u, cnt := range row {
-				sl.tally.counts[u] += cnt
-			}
-			sl.tally.rDone = r
-		}
-		msp.End()
+		worlds += r - l
 	}
-
-	out := make([][]float64, len(cs))
-	for _, sl := range slots {
-		est := sl.tally.estimate()
-		for i, pos := range sl.outAt {
-			if i == 0 {
-				out[pos] = est
-			} else {
-				cp := make([]float64, len(est))
-				copy(cp, est)
-				out[pos] = cp
-			}
+	// The fold of the gathered scratch into the cached tallies — the
+	// "merge" step of the scatter/gather pipeline, separate from the
+	// scatter spans so an operator sees gather time and fold time apart.
+	_, msp := obs.StartSpan(ctx, "merge")
+	msp.Set("centers", int64(len(cs)))
+	msp.Set("worlds", int64(worlds))
+	for j, row := range counts {
+		for u, cnt := range scratch[j*n : (j+1)*n] {
+			row[u] += cnt
 		}
 	}
-	return out, nil
+	msp.End()
+	return nil
 }
 
 // Pair estimates Pr(u ~ v) with r samples.

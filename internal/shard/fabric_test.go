@@ -225,7 +225,7 @@ func TestMembershipFlappyPings(t *testing.T) {
 	for flap := 0; flap < 3; flap++ {
 		// Down: the refresher marks the worker down; scatters avoid it.
 		proxy.SetDown(true)
-		if err := coord.RefreshMembership(context.Background()); err == nil {
+		if err := coord.Ping(context.Background()); err == nil {
 			t.Fatal("expected a refresh error while down")
 		}
 		if got := stateOf(proxy.URL()); got != "down" {
@@ -243,7 +243,7 @@ func TestMembershipFlappyPings(t *testing.T) {
 
 		// Up: the refresher revives it; it serves fresh blocks again.
 		proxy.SetDown(false)
-		if err := coord.RefreshMembership(context.Background()); err != nil {
+		if err := coord.Ping(context.Background()); err != nil {
 			t.Fatalf("flap %d: refresh after revive: %v", flap, err)
 		}
 		if got := stateOf(proxy.URL()); got != "up" {
@@ -294,12 +294,12 @@ func TestWorkerTallyCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &TallyRequest{Graph: "tg", Kind: KindConnected, Centers: []int32{1, 5}, Ranges: []Range{{Lo: 0, Hi: 200}}}
-	first, cached, err := w.serveTally(context.Background(), req)
+	first, cached, _, err := w.serveTallyAnnot(context.Background(), req, false)
 	if err != nil || cached {
 		t.Fatalf("first: cached=%v err=%v", cached, err)
 	}
 	worlds := w.Counters().Worlds
-	second, cached, err := w.serveTally(context.Background(), req)
+	second, cached, _, err := w.serveTallyAnnot(context.Background(), req, false)
 	if err != nil || !cached {
 		t.Fatalf("second: cached=%v err=%v", cached, err)
 	}
@@ -318,7 +318,7 @@ func TestWorkerTallyCache(t *testing.T) {
 	}
 	// A partially-overlapping request hits only the warm range.
 	req2 := &TallyRequest{Graph: "tg", Kind: KindConnected, Centers: []int32{1, 5}, Ranges: []Range{{Lo: 0, Hi: 200}, {Lo: 200, Hi: 400}}}
-	_, cached, err = w.serveTally(context.Background(), req2)
+	_, cached, _, err = w.serveTallyAnnot(context.Background(), req2, false)
 	if err != nil || cached {
 		t.Fatalf("extension: cached=%v err=%v (only one range is warm)", cached, err)
 	}
@@ -332,10 +332,10 @@ func TestWorkerTallyCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &TallyRequest{Graph: "tg", Kind: KindPair, U: 0, V: 5, Ranges: []Range{{Lo: 0, Hi: 100}}}
-	if _, cached, err := w.serveTally(context.Background(), req); err != nil || cached {
+	if _, cached, _, err := w.serveTallyAnnot(context.Background(), req, false); err != nil || cached {
 		t.Fatalf("cached=%v err=%v", cached, err)
 	}
-	if _, cached, err := w.serveTally(context.Background(), req); err != nil || cached {
+	if _, cached, _, err := w.serveTallyAnnot(context.Background(), req, false); err != nil || cached {
 		t.Fatalf("repeat with cache disabled: cached=%v err=%v", cached, err)
 	}
 	if c := w.Counters(); c.CacheHits != 0 {
@@ -356,11 +356,11 @@ func TestWorkerTallyCacheEviction(t *testing.T) {
 		return &TallyRequest{Graph: "tg", Kind: KindConnected, Centers: []int32{center}, Ranges: []Range{{Lo: 0, Hi: 128}}}
 	}
 	for _, ctr := range []int32{1, 2, 3} {
-		if _, _, err := w.serveTally(context.Background(), mk(ctr)); err != nil {
+		if _, _, _, err := w.serveTallyAnnot(context.Background(), mk(ctr), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, cached, _ := w.serveTally(context.Background(), mk(1)); cached {
+	if _, cached, _, _ := w.serveTallyAnnot(context.Background(), mk(1), false); cached {
 		t.Fatal("first entry should have been evicted")
 	}
 	if w.cache.bytes > 1100 {

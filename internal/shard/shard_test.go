@@ -2,15 +2,17 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ucgraph/internal/conn"
+	"ucgraph/internal/faultinject"
 	"ucgraph/internal/graph"
 	"ucgraph/internal/influence"
 	"ucgraph/internal/knn"
@@ -72,7 +74,25 @@ func sameFloats(t *testing.T, label string, got, want []float64) {
 	}
 }
 
+// TestPartitionCoversExactlyOnce: the fleet's block assignment, cut into
+// per-worker world ranges the way scatter cuts it, covers the query range
+// exactly once with block-aligned interior boundaries, and ownership is
+// sticky when the stream grows.
 func TestPartitionCoversExactlyOnce(t *testing.T) {
+	newTestFleet := func(nw int) *fleet {
+		addrs := make([]string, nw)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("127.0.0.1:%d", 9000+i)
+		}
+		return newFleet(addrs, &http.Client{})
+	}
+	blocks := func(lo, hi, bw int) []int {
+		var bis []int
+		for bi := lo / bw; bi*bw < hi; bi++ {
+			bis = append(bis, bi)
+		}
+		return bis
+	}
 	for _, tc := range []struct{ lo, hi, bw, nw, rot int }{
 		{0, 1000, 256, 1, 0},
 		{0, 1000, 256, 3, 0},
@@ -81,13 +101,18 @@ func TestPartitionCoversExactlyOnce(t *testing.T) {
 		{500, 501, 256, 4, 2},
 		{0, 2048, 64, 5, 3},
 	} {
-		parts := Partition(tc.lo, tc.hi, tc.bw, tc.nw, tc.rot)
-		if len(parts) != tc.nw {
-			t.Fatalf("%+v: %d parts", tc, len(parts))
+		assign, err := newTestFleet(tc.nw).assign(blocks(tc.lo, tc.hi, tc.bw), nil, tc.rot)
+		if err != nil {
+			t.Fatal(err)
 		}
 		covered := make([]int, tc.hi)
-		for _, part := range parts {
-			for _, rg := range part {
+		for slot, bis := range assign {
+			for _, bi := range bis {
+				if want := (bi + tc.rot) % tc.nw; slot != want {
+					t.Fatalf("%+v: block %d on slot %d, want striped slot %d", tc, bi, slot, want)
+				}
+			}
+			for _, rg := range blockRanges(bis, tc.lo, tc.hi, tc.bw) {
 				if rg.Hi <= rg.Lo {
 					t.Fatalf("%+v: empty range %+v", tc, rg)
 				}
@@ -110,22 +135,28 @@ func TestPartitionCoversExactlyOnce(t *testing.T) {
 			}
 		}
 	}
-	// Ownership is static under extension: the blocks of [0, r1) keep
-	// their workers when the range grows to r2.
-	p1 := Partition(0, 700, 256, 4, 0)
-	p2 := Partition(0, 1500, 256, 4, 0)
-	for w := range p1 {
-		for _, rg := range p1[w] {
-			for i := rg.Lo; i < rg.Hi; i++ {
-				found := false
-				for _, rg2 := range p2[w] {
-					if i >= rg2.Lo && i < rg2.Hi {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("world %d moved off worker %d when the range grew", i, w)
-				}
+	// Ownership is sticky under extension: the blocks of [0, 700) keep
+	// their workers when the range grows to [0, 1500), even when a later
+	// round passes a different rotation.
+	f := newTestFleet(4)
+	first, err := f.assign(blocks(0, 700, 256), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := f.assign(blocks(0, 1500, 256), nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := make(map[int]int)
+	for slot, bis := range grown {
+		for _, bi := range bis {
+			owner[bi] = slot
+		}
+	}
+	for slot, bis := range first {
+		for _, bi := range bis {
+			if owner[bi] != slot {
+				t.Fatalf("block %d moved from slot %d to %d when the range grew", bi, slot, owner[bi])
 			}
 		}
 	}
@@ -250,54 +281,6 @@ func TestCoordinatorRetriesWithoutDoubleCounting(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsMalformedResponses: a worker returning
-// wrong-shaped tallies (version skew, or restarted with a different
-// graph under the same name) is treated as a retriable failure — its
-// ranges re-scatter to the healthy worker and the estimates stay exact —
-// never merged and never a panic.
-func TestCoordinatorRejectsMalformedResponses(t *testing.T) {
-	g := testGraph(t, 48, 6)
-	const seed = 8
-	corrupt := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req TallyRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		worlds := 0
-		for _, rg := range req.Ranges {
-			worlds += rg.Worlds()
-		}
-		// Right world count, wrong payload shape.
-		writeJSON(w, http.StatusOK, TallyResponse{Worlds: worlds, Counts: [][]int32{{1, 2, 3}}})
-	})
-	tsBad := httptest.NewServer(corrupt)
-	t.Cleanup(tsBad.Close)
-	good, err := NewWorker([]WorkerGraph{{Name: "tg", Graph: g, Seed: seed}}, WorkerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsGood := httptest.NewServer(good)
-	t.Cleanup(tsGood.Close)
-
-	local := conn.NewMonteCarlo(g, seed)
-	coord := NewCoordinator("tg", g, seed, []string{tsBad.URL, tsGood.URL}, CoordinatorOptions{Retries: 3})
-	want := local.FromCenters([]graph.NodeID{0, 21}, conn.Unlimited, 900)
-	got, err := coord.FromCentersCtx(context.Background(), []graph.NodeID{0, 21}, conn.Unlimited, 900)
-	if err != nil {
-		t.Fatalf("query with corrupt worker: %v", err)
-	}
-	for i := range want {
-		sameFloats(t, "corrupt-worker query", got[i], want[i])
-	}
-	var sawMalformed bool
-	for _, st := range coord.WorkerStats() {
-		if st.Failures > 0 {
-			sawMalformed = true
-		}
-	}
-	if !sawMalformed {
-		t.Fatal("malformed responses were not recorded as failures")
-	}
-}
-
 // TestCoordinatorAllWorkersDown asserts a clean error — not a wrong or
 // partial estimate — when every worker is unreachable.
 func TestCoordinatorAllWorkersDown(t *testing.T) {
@@ -313,6 +296,66 @@ func TestCoordinatorAllWorkersDown(t *testing.T) {
 	}
 	if err := coord.Ping(context.Background()); err == nil {
 		t.Fatal("expected ping to fail")
+	}
+}
+
+// TestCoordinatorFailedBatchResumes: a sharded batch with mixed progress
+// that fails — every worker down, or the context cancelled mid-scatter —
+// withholds its answer without moving a cached tally, so once a worker is
+// back the same coordinator answers bit-identically to a fresh local
+// estimator.
+func TestCoordinatorFailedBatchResumes(t *testing.T) {
+	g := testGraph(t, 64, 14)
+	const seed = 19
+	const r = 1100
+	centers := []graph.NodeID{1, 2, 3, 2}
+	for _, mode := range []string{"all workers down", "cancelled mid-scatter"} {
+		t.Run(mode, func(t *testing.T) {
+			workers := startWorkers(t, "tg", g, seed, 2)
+			proxies := []*faultinject.Proxy{newChaosProxy(t, workers[0]), newChaosProxy(t, workers[1])}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var armed atomic.Bool
+			var answers atomic.Int32
+			coord := NewCoordinator("tg", g, seed, []string{proxies[0].URL(), proxies[1].URL()}, CoordinatorOptions{
+				Retries:        2,
+				RequestTimeout: 5 * time.Second,
+				OnWorkerRTT: func(string, time.Duration) {
+					// Every group spans blocks 0-4 (256 worlds each), so
+					// both workers answer it: the third answer is the
+					// second group's first, after the first group
+					// gathered in full.
+					if armed.Load() && answers.Add(1) == 3 {
+						cancel()
+					}
+				},
+			})
+			// Mixed progress: center 1 at 300 worlds, center 2 at 100,
+			// center 3 cold — three scatter groups.
+			coord.FromCenter(1, conn.Unlimited, 300)
+			coord.FromCenter(2, conn.Unlimited, 100)
+
+			if mode == "all workers down" {
+				for _, p := range proxies {
+					p.SetDown(true)
+				}
+			} else {
+				armed.Store(true)
+			}
+			if _, err := coord.FromCentersCtx(ctx, centers, conn.Unlimited, r); err == nil {
+				t.Fatal("failed batch returned estimates")
+			}
+			proxies[0].SetDown(false)
+
+			got, err := coord.FromCentersCtx(context.Background(), centers, conn.Unlimited, r)
+			if err != nil {
+				t.Fatalf("after recovery: %v", err)
+			}
+			want := conn.NewMonteCarlo(g, seed).FromCenters(centers, conn.Unlimited, r)
+			for i := range want {
+				sameFloats(t, mode, got[i], want[i])
+			}
+		})
 	}
 }
 
@@ -415,8 +458,8 @@ func TestCoordinatorForkIsolation(t *testing.T) {
 	sameFloats(t, "warm coordinator", coord.FromCenter(0, conn.Unlimited, 100), warm.FromCenter(0, conn.Unlimited, 100))
 }
 
-// TestWorkerValidation: malformed tally requests report 400/404, not
-// garbage tallies.
+// TestWorkerValidation: malformed tally requests get an error frame over
+// the v2 stream, not garbage tallies, and count as failed requests.
 func TestWorkerValidation(t *testing.T) {
 	g := testGraph(t, 16, 1)
 	w, err := NewWorker([]WorkerGraph{{Name: "tg", Graph: g, Seed: 1}}, WorkerOptions{MaxWorlds: 1000})
@@ -425,7 +468,12 @@ func TestWorkerValidation(t *testing.T) {
 	}
 	ts := httptest.NewServer(w)
 	t.Cleanup(ts.Close)
-	wc := newWorkerClient(ts.URL, &http.Client{})
+	sc, err := newStreamClient(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sc.close)
+	ctx := context.Background()
 
 	cases := []TallyRequest{
 		{Graph: "nope", Kind: KindConnected, Ranges: []Range{{0, 10}}, Centers: []int32{0}},
@@ -440,8 +488,32 @@ func TestWorkerValidation(t *testing.T) {
 		{Graph: "tg", Kind: KindMarginal, Ranges: []Range{{0, 10}}, Candidates: []int32{99}},
 	}
 	for i, req := range cases {
-		var resp TallyResponse
-		if err := wc.do(context.Background(), PathTally, &req, &resp); err == nil {
+		if _, ok := kindCode[req.Kind]; ok {
+			if _, _, _, err := sc.call(ctx, &req, nil); err == nil {
+				t.Fatalf("case %d: expected an error", i)
+			}
+			continue
+		}
+		// The encoder refuses unknown kinds, so send a raw REQ frame
+		// carrying an unassigned kind code.
+		conn, err := sc.get(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := sc.nextID.Add(1)
+		frame, err := encodeRequestFrame(id, &TallyRequest{Graph: "tg", Kind: KindComponents, Ranges: []Range{{0, 10}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[4+12] = 0xee // the body's leading kind code
+		ch, err := conn.register(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.writeFrame(sealFrame(frame, conn.sum)); err != nil {
+			t.Fatal(err)
+		}
+		if res := <-ch; res.err == nil {
 			t.Fatalf("case %d: expected an error", i)
 		}
 	}
@@ -462,7 +534,7 @@ func TestWorkerPing(t *testing.T) {
 	t.Cleanup(ts.Close)
 	wc := newWorkerClient(ts.URL, &http.Client{})
 	var resp PingResponse
-	if err := wc.do(context.Background(), PathPing, nil, &resp); err != nil {
+	if err := wc.do(context.Background(), PathPing, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Graphs) != 1 || resp.Graphs[0].Name != "tg" ||

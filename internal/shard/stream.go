@@ -439,17 +439,20 @@ func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 			// checksum choice — per-request, negotiated per-connection.
 			// The trace ref trailer must come off before decode (the
 			// decoder enforces exact consumption of the canonical bytes).
-			body, ref, terr := splitTraceRef(h, body)
-			if terr != nil {
-				_ = conn.writeFrame(sealFrame(encodeErrorFrame(h.id, errCodeBadRequest, terr.Error()), sum))
-				continue
+			body, ref, err := splitTraceRef(h, body)
+			var req *TallyRequest
+			if err == nil {
+				req, err = decodeRequestBody(body)
 			}
-			traced := h.flags&flagTrace != 0
-			req, err := decodeRequestBody(body)
 			if err != nil {
+				// A request that does not decode still counts as a failed
+				// one, like a decodable one that fails validation.
+				w.requests.Add(1)
+				w.failures.Add(1)
 				_ = conn.writeFrame(sealFrame(encodeErrorFrame(h.id, errCodeBadRequest, err.Error()), sum))
 				continue
 			}
+			traced := h.flags&flagTrace != 0
 			// Track in-flight work BEFORE the drain check: once counted, a
 			// request is guaranteed to finish (and flush its response)
 			// before Drain severs the stream.
@@ -504,7 +507,7 @@ func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// errCode maps a serveTally error onto its wire error code.
+// errCode maps a serveTallyAnnot error onto its wire error code.
 func errCode(err error) uint16 {
 	var bad *badRequestError
 	switch {

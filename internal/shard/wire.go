@@ -20,19 +20,14 @@
 // every query falls back to the in-process estimator over the same
 // (graph, seed) stream.
 //
-// Two wire protocols coexist (see docs/SHARD_PROTOCOL.md for the spec):
+// Tallies travel over the v2 stream (see docs/SHARD_PROTOCOL.md for the
+// spec): length-prefixed little-endian binary frames multiplexed over one
+// long-lived connection per worker, established by upgrading POST
+// /shard/v2/stream. A scatter round is one frame write + one frame read
+// per worker; tallies travel as flat int32/int64 payloads with no
+// per-round connection or header cost. GET /shard/v1/ping (JSON) is the
+// identity/health probe.
 //
-//   - v2 (the coordinator's transport): length-prefixed little-endian
-//     binary frames multiplexed over one long-lived connection per worker,
-//     established by upgrading POST /shard/v2/stream. A scatter round is
-//     one frame write + one frame read per worker; tallies travel as flat
-//     int32/int64 payloads with no per-round connection or header cost.
-//   - v1 (frozen, kept for old clients and for debugging with curl): one
-//     JSON POST /shard/v1/tally per request. Both versions answer from the
-//     same tally computation and the same worker-side cache, so they are
-//     interchangeable bit for bit.
-//
-// GET /shard/v1/ping (JSON) remains the identity/health probe of both.
 // Workers are stateless with respect to the partitioning — any worker can
 // serve any range of the stream it owns a store for — which is what makes
 // retry-by-re-scatter, hedging and elastic membership safe, and deployment
@@ -50,8 +45,8 @@ import (
 
 // Tally kinds: the integer-tally shapes workers can compute over a world
 // range. Each corresponds to one estimator surface of the library. The
-// string values are the v1 JSON encoding; the v2 binary wire carries the
-// one-byte codes from kindCode (see docs/SHARD_PROTOCOL.md §4).
+// wire carries the one-byte codes from kindCode (see
+// docs/SHARD_PROTOCOL.md §4).
 const (
 	// KindConnected tallies, per center and node, the worlds where the
 	// node shares a component with the center (unlimited-depth connection
@@ -91,7 +86,6 @@ const (
 // Wire paths of the worker protocol.
 const (
 	PathPing   = "/shard/v1/ping"
-	PathTally  = "/shard/v1/tally"
 	PathStream = "/shard/v2/stream"
 )
 
@@ -102,8 +96,8 @@ const StreamProtocol = "ucgraph-shard/2"
 // Range is a half-open interval [Lo, Hi) of world indices of the seeded
 // stream.
 type Range struct {
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
+	Lo int
+	Hi int
 }
 
 // Worlds returns the number of worlds the range covers.
@@ -111,26 +105,25 @@ func (r Range) Worlds() int { return r.Hi - r.Lo }
 
 // TallyRequest is one tally computation: one Kind of integer tally for
 // graph Graph over every world in Ranges. Which other fields apply depends
-// on Kind (see the Kind constants). It is the body of the v1 JSON POST and
-// the payload of a v2 REQ frame.
+// on Kind (see the Kind constants). It is the payload of a v2 REQ frame.
 type TallyRequest struct {
-	Graph      string  `json:"graph"`
-	Kind       string  `json:"kind"`
-	Ranges     []Range `json:"ranges"`
-	Centers    []int32 `json:"centers,omitempty"`    // connected, within
-	Depth      int     `json:"depth,omitempty"`      // within
-	U          int32   `json:"u,omitempty"`          // pair
-	V          int32   `json:"v,omitempty"`          // pair
-	Source     int32   `json:"source,omitempty"`     // distances
-	Seeds      []int32 `json:"seeds,omitempty"`      // spread, marginal, reliability
-	Candidates []int32 `json:"candidates,omitempty"` // marginal; empty = all nodes
+	Graph      string
+	Kind       string
+	Ranges     []Range
+	Centers    []int32 // connected, within
+	Depth      int     // within
+	U          int32   // pair
+	V          int32   // pair
+	Source     int32   // distances
+	Seeds      []int32 // spread, marginal, reliability
+	Candidates []int32 // marginal; empty = all nodes
 }
 
 // DistCount is one histogram bucket of a distance tally: N worlds at hop
 // distance D.
 type DistCount struct {
-	D int32 `json:"d"`
-	N int64 `json:"n"`
+	D int32
+	N int64
 }
 
 // TallyResponse carries the raw integer tallies of one request. All
@@ -140,22 +133,22 @@ type TallyResponse struct {
 	// Worlds is the total number of worlds tallied (the sum of the
 	// request's range sizes) — the coordinator cross-checks it against
 	// what it asked for.
-	Worlds int `json:"worlds"`
+	Worlds int
 	// Counts is the per-center, per-node world counts of KindConnected
 	// and KindWithin: Counts[j][u] counts worlds where node u is
 	// (depth-)connected to Centers[j].
-	Counts [][]int32 `json:"counts,omitempty"`
+	Counts [][]int32
 	// Count is the scalar tally of KindPair.
-	Count int64 `json:"count,omitempty"`
+	Count int64
 	// Totals is the per-candidate tally of KindMarginal (aligned with
 	// Candidates) and the single-element tally of KindSpread,
 	// KindReliability, KindComponents and KindLargest.
-	Totals []int64 `json:"totals,omitempty"`
+	Totals []int64
 	// Hist and Unreachable are the per-node distance histograms and
 	// unreachable-world counts of KindDistances. Hist[u] buckets are
 	// sorted by distance.
-	Hist        [][]DistCount `json:"hist,omitempty"`
-	Unreachable []int64       `json:"unreachable,omitempty"`
+	Hist        [][]DistCount
+	Unreachable []int64
 }
 
 // PingGraph describes one graph a worker serves, so the coordinator can
@@ -175,7 +168,7 @@ type PingResponse struct {
 	Graphs []PingGraph `json:"graphs"`
 }
 
-// errorResponse is the JSON error body of a failed v1 worker request.
+// errorResponse is the JSON error body of a failed worker HTTP request.
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -807,47 +800,4 @@ func decodeErrorBody(body []byte) (code uint16, msg string, err error) {
 		return 0, "", err
 	}
 	return code, msg, nil
-}
-
-// Partition cuts the world range [lo, hi) into block-aligned subranges and
-// assigns each to one of nworkers by striping block indices: the block
-// with index bi (worlds [bi*blockWorlds, (bi+1)*blockWorlds)) belongs to
-// worker (bi + rot) % nworkers. The returned slice has one (possibly
-// empty) range list per worker; together the lists cover [lo, hi) exactly
-// once, and consecutive blocks owned by the same worker are coalesced into
-// one range.
-//
-// Striping makes ownership static: a given block lands on the same worker
-// for every query and every extension of the stream (rot = 0), so workers
-// keep serving the block-cached artifacts they already materialized. The
-// Coordinator's membership layer starts from exactly this striping and
-// then re-stripes ONLY unowned blocks — blocks whose recorded owner has
-// left or gone down, or blocks of new stream growth — so a membership
-// change never moves a warm block off a live worker. The assignment never
-// affects results: the gather step sums integer tallies, which are
-// independent of who computed them.
-func Partition(lo, hi, blockWorlds, nworkers, rot int) [][]Range {
-	parts := make([][]Range, nworkers)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi <= lo || nworkers <= 0 || blockWorlds <= 0 {
-		return parts
-	}
-	for bi := lo / blockWorlds; bi*blockWorlds < hi; bi++ {
-		w := (bi + rot) % nworkers
-		start, end := bi*blockWorlds, (bi+1)*blockWorlds
-		if start < lo {
-			start = lo
-		}
-		if end > hi {
-			end = hi
-		}
-		if n := len(parts[w]); n > 0 && parts[w][n-1].Hi == start {
-			parts[w][n-1].Hi = end
-		} else {
-			parts[w] = append(parts[w], Range{Lo: start, Hi: end})
-		}
-	}
-	return parts
 }
