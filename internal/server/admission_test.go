@@ -164,3 +164,23 @@ func TestCostAdmissionOnEveryEstimatingEndpoint(t *testing.T) {
 		})
 	}
 }
+
+// TestRejectedRequestSpendsNoQuota: a request rejected as malformed is
+// refused before cost admission, so it charges no cost tokens and holds
+// no gate slot — the next valid request from the same client is served.
+func TestRejectedRequestSpendsNoQuota(t *testing.T) {
+	g := testGraph(t, 32, 1)
+	valid := map[string]any{"graph": "ring", "kind": "set", "set": []int{0, 3}, "samples": 100}
+	for _, bad := range []map[string]any{
+		{"graph": "ring", "kind": "zap", "samples": 100},
+		{"graph": "ring", "kind": "set", "samples": 100},
+	} {
+		_, ts := newTestServer(t, g, Options{ClientWorldsPerMin: 100})
+		if code, body := post(t, ts.URL+"/v1/reliability", bad, nil); code != 400 {
+			t.Fatalf("%v: code %d body %s, want 400", bad, code, body)
+		}
+		if code, body := post(t, ts.URL+"/v1/reliability", valid, nil); code != 200 {
+			t.Fatalf("valid request after %v: code %d body %s, want 200", bad, code, body)
+		}
+	}
+}

@@ -326,31 +326,117 @@ type connRequest struct {
 	Explain bool `json:"explain,omitempty"`
 }
 
-// handleConn answers connection-probability queries: a pair query
-// (source + target) or a batched multi-center query (centers, answered in
-// one pass per world block through the shared FromCenters machinery —
-// scattered across the shard workers when the daemon is the coordinator
-// of a sharded deployment, with bit-identical results either way).
-// Center queries go through the graph's long-lived estimator, so repeated
-// centers across requests answer from cached tallies — when a cached tally
-// already covers more worlds than requested, the higher-precision estimate
-// is returned, exactly like the library's FromCenter.
-func (s *Server) handleConn(w http.ResponseWriter, r *http.Request) {
-	var req connRequest
-	if e := decode(r, &req); e != nil {
-		s.writeError(w, e)
-		return
-	}
-	h, e := s.handle(req.Graph)
-	if e == nil {
-		var r2 int
-		if r2, e = s.samples(req.Samples); e == nil {
-			req.Samples = r2
+// query is one fully validated estimating request: what the shared step
+// list (serve) needs to admit, trace and answer it.
+type query struct {
+	h        *graphHandle
+	endpoint string // the trace name
+	// worlds x centers is the admission price (see requestCost).
+	worlds, centers int
+	timeoutMS       int64
+	explain         bool
+	stream          bool       // answer with SSE frames emitted by estimate
+	attrs           []obs.Attr // trace root attributes beyond graph and samples
+	// estimate computes the answer under the "estimate" span and returns
+	// the JSON body. A streaming query emits its frames through emit
+	// instead and returns a nil body; emit is nil otherwise.
+	estimate func(ctx context.Context, emit func(any) error) (map[string]any, error)
+}
+
+// endpoint serves one estimating endpoint: decode the JSON body, validate
+// it into a query — every 400 is decided here, before admission charges
+// anything — and run the shared step list.
+func endpoint[T any](s *Server, parse func(*T) (query, *apiError)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		e := decode(r, &req)
+		var q query
+		if e == nil {
+			q, e = parse(&req)
 		}
+		if e != nil {
+			s.writeError(w, e)
+			return
+		}
+		s.serve(w, r, q)
 	}
+}
+
+// serve is the step list every estimating endpoint but /v1/cluster
+// shares: cost admission, deadline, trace, admission gate, the estimate
+// span, error mapping, and the answer — JSON (with the trace inline on
+// "explain": true), or for a streaming query the SSE frames with one
+// trailing trace frame on explain.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, q query) {
+	release, e := s.admitCost(r, q.worlds, q.centers)
 	if e != nil {
 		s.writeError(w, e)
 		return
+	}
+	defer release()
+	ctx, cancel, e := s.deadline(r.Context(), q.timeoutMS)
+	if e != nil {
+		s.writeError(w, e)
+		return
+	}
+	defer cancel()
+	ctx, tr := s.startTrace(ctx, q.endpoint, q.h.name)
+	defer s.finishTrace(tr)
+	tr.Root().Set("samples", q.worlds)
+	tr.Root().SetAll(q.attrs...)
+	if err := q.h.admitTraced(ctx); err != nil {
+		s.writeError(w, estimationError(err))
+		return
+	}
+	defer q.h.release()
+	var stream *sse
+	var emit func(any) error
+	if q.stream {
+		if stream, e = startSSE(w); e != nil {
+			s.writeError(w, e)
+			return
+		}
+		emit = stream.frame
+	}
+	ectx, fin := q.h.estimateSpan(ctx)
+	body, err := q.estimate(ectx, emit)
+	fin(err)
+	switch {
+	case err != nil && stream != nil:
+		s.failures.Add(1)
+		stream.errorFrame(estimationError(err))
+	case err != nil:
+		s.writeError(w, estimationError(err))
+	case stream != nil:
+		if q.explain {
+			_ = stream.frame(map[string]any{"explain": true, "trace": explainView(tr)})
+		}
+	default:
+		if q.explain {
+			body["trace"] = explainView(tr)
+		}
+		s.writeJSON(w, body)
+	}
+}
+
+// connQuery validates a connection-probability query: a pair query
+// (source + target) or a batched multi-center query (centers, answered in
+// one pass per world block through the shared FromCenters machinery —
+// scattered across the shard workers when the daemon is the coordinator
+// of a sharded deployment, with bit-identical results either way). Center
+// queries go through the graph's long-lived estimator, so repeated
+// centers across requests answer from cached tallies — when a cached
+// tally already covers more worlds than requested, the higher-precision
+// estimate is returned, exactly like the library's FromCenter. A pair is
+// the center query {source} tracking {target}; only an unlimited-depth
+// pair at a fixed budget scans its own pair tally instead.
+func (s *Server) connQuery(req *connRequest) (query, *apiError) {
+	h, e := s.handle(req.Graph)
+	if e == nil {
+		req.Samples, e = s.samples(req.Samples)
+	}
+	if e != nil {
+		return query{}, e
 	}
 	depth := req.Depth
 	if depth <= 0 {
@@ -360,140 +446,73 @@ func (s *Server) handleConn(w http.ResponseWriter, r *http.Request) {
 	// adaptive run, so admission prices both modes identically.
 	ad, e := parseAdaptive(req.Eps, req.Delta, req.Stream, req.Samples)
 	if e != nil {
-		s.writeError(w, e)
-		return
+		return query{}, e
 	}
-
+	q := query{h: h, endpoint: "/v1/conn", worlds: req.Samples, timeoutMS: req.TimeoutMS, explain: req.Explain}
+	var (
+		centers, targets []graph.NodeID
+		pair             func(p float64) map[string]any
+		answer           func(ests [][]float64) map[string]any
+	)
 	switch {
 	case len(req.Centers) > 0:
 		for _, c := range req.Centers {
 			if e := validNode(h, "centers", c); e != nil {
-				s.writeError(w, e)
-				return
+				return query{}, e
 			}
 		}
 		for _, t := range req.Targets {
 			if e := validNode(h, "targets", t); e != nil {
-				s.writeError(w, e)
-				return
+				return query{}, e
 			}
 		}
-		release, e := s.admitCost(r, req.Samples, len(req.Centers))
-		if e != nil {
-			s.writeError(w, e)
-			return
+		centers, targets = req.Centers, req.Targets
+		q.attrs = []obs.Attr{{Key: "kind", Value: "centers"}, {Key: "centers", Value: len(centers)}}
+		answer = func(ests [][]float64) map[string]any {
+			// Project each estimate vector onto the requested targets.
+			return map[string]any{"centers": req.Centers, "targets": req.Targets, "estimates": project(ests, req.Targets)}
 		}
-		defer release()
-		ctx, cancel, e := s.deadline(r.Context(), req.TimeoutMS)
-		if e != nil {
-			s.writeError(w, e)
-			return
-		}
-		defer cancel()
-		ctx, tr := s.startTrace(ctx, "/v1/conn", h.name)
-		defer s.finishTrace(tr)
-		tr.Root().Set("kind", "centers")
-		tr.Root().Set("centers", len(req.Centers))
-		tr.Root().Set("samples", req.Samples)
-		if err := h.admitTraced(ctx); err != nil {
-			s.writeError(w, estimationError(err))
-			return
-		}
-		defer h.release()
-		if ad != nil {
-			s.adaptiveConnCenters(ctx, w, h, req, depth, ad)
-			return
-		}
-		ectx, fin := h.estimateSpan(ctx)
-		ests, err := h.coord.FromCentersCtx(ectx, req.Centers, depth, req.Samples)
-		fin(err)
-		if err != nil {
-			s.writeError(w, estimationError(err))
-			return
-		}
-		// Project each estimate vector onto the requested targets.
-		ests = project(ests, req.Targets)
-		body := map[string]any{
-			"graph":     h.name,
-			"samples":   req.Samples,
-			"depth":     req.Depth,
-			"centers":   req.Centers,
-			"targets":   req.Targets,
-			"estimates": ests,
-		}
-		if req.Explain {
-			body["trace"] = explainView(tr)
-		}
-		s.writeJSON(w, body)
-
 	case req.Source != nil && req.Target != nil:
 		if e := validNode(h, "source", *req.Source); e != nil {
-			s.writeError(w, e)
-			return
+			return query{}, e
 		}
 		if e := validNode(h, "target", *req.Target); e != nil {
-			s.writeError(w, e)
-			return
+			return query{}, e
 		}
-		release, e := s.admitCost(r, req.Samples, 1)
-		if e != nil {
-			s.writeError(w, e)
-			return
+		centers, targets = []graph.NodeID{*req.Source}, []graph.NodeID{*req.Target}
+		q.attrs = []obs.Attr{{Key: "kind", Value: "pair"}}
+		pair = func(p float64) map[string]any {
+			return map[string]any{"source": *req.Source, "target": *req.Target, "probability": p}
 		}
-		defer release()
-		ctx, cancel, e := s.deadline(r.Context(), req.TimeoutMS)
-		if e != nil {
-			s.writeError(w, e)
-			return
-		}
-		defer cancel()
-		ctx, tr := s.startTrace(ctx, "/v1/conn", h.name)
-		defer s.finishTrace(tr)
-		tr.Root().Set("kind", "pair")
-		tr.Root().Set("samples", req.Samples)
-		if err := h.admitTraced(ctx); err != nil {
-			s.writeError(w, estimationError(err))
-			return
-		}
-		defer h.release()
-		if ad != nil {
-			s.adaptiveConnPair(ctx, w, h, req, depth, ad)
-			return
-		}
-		ectx, fin := h.estimateSpan(ctx)
-		var p float64
-		var err error
-		if depth == conn.Unlimited {
-			p, err = h.coord.PairCtx(ectx, *req.Source, *req.Target, req.Samples)
-		} else {
-			// Depth-limited pairs route through the cached center tallies.
-			var est []float64
-			est, err = h.coord.FromCenterCtx(ectx, *req.Source, depth, req.Samples)
-			if err == nil {
-				p = est[*req.Target]
-			}
-		}
-		fin(err)
-		if err != nil {
-			s.writeError(w, estimationError(err))
-			return
-		}
-		body := map[string]any{
-			"graph":       h.name,
-			"samples":     req.Samples,
-			"depth":       req.Depth,
-			"source":      *req.Source,
-			"target":      *req.Target,
-			"probability": p,
-		}
-		if req.Explain {
-			body["trace"] = explainView(tr)
-		}
-		s.writeJSON(w, body)
-
+		answer = func(ests [][]float64) map[string]any { return pair(ests[0][*req.Target]) }
 	default:
-		s.writeError(w, badRequest("need either \"centers\" or both \"source\" and \"target\""))
+		return query{}, badRequest("need either \"centers\" or both \"source\" and \"target\"")
 	}
+	q.centers = len(centers)
+	if ad != nil {
+		q.stream = ad.stream
+		q.estimate = s.adaptiveConn(h, req.Depth, depth, centers, targets, ad, answer)
+		return q, nil
+	}
+	q.estimate = func(ctx context.Context, _ func(any) error) (map[string]any, error) {
+		var body map[string]any
+		if pair != nil && depth == conn.Unlimited {
+			p, err := h.coord.PairCtx(ctx, *req.Source, *req.Target, req.Samples)
+			if err != nil {
+				return nil, err
+			}
+			body = pair(p)
+		} else {
+			ests, err := h.coord.FromCentersCtx(ctx, centers, depth, req.Samples)
+			if err != nil {
+				return nil, err
+			}
+			body = answer(ests)
+		}
+		body["graph"], body["samples"], body["depth"] = h.name, req.Samples, req.Depth
+		return body, nil
+	}
+	return q, nil
 }
 
 // ---- /v1/cluster and /v1/jobs ------------------------------------------
@@ -812,20 +831,13 @@ type neighborView struct {
 	Reliability float64 `json:"reliability"`
 }
 
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req knnRequest
-	if e := decode(r, &req); e != nil {
-		s.writeError(w, e)
-		return
-	}
+func (s *Server) knnQuery(req *knnRequest) (query, *apiError) {
 	h, e := s.handle(req.Graph)
 	if e != nil {
-		s.writeError(w, e)
-		return
+		return query{}, e
 	}
 	if e := validNode(h, "source", req.Source); e != nil {
-		s.writeError(w, e)
-		return
+		return query{}, e
 	}
 	var measure knn.Measure
 	switch req.Measure {
@@ -838,54 +850,37 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	case "reliability":
 		measure = knn.ByReliability
 	default:
-		s.writeError(w, badRequest(fmt.Sprintf("unknown measure %q", req.Measure)))
-		return
+		return query{}, badRequest(fmt.Sprintf("unknown measure %q", req.Measure))
 	}
 	if req.K <= 0 {
 		req.K = 10
 	}
 	samples, e := s.samples(req.Samples)
 	if e != nil {
-		s.writeError(w, e)
-		return
+		return query{}, e
 	}
-	release, e := s.admitCost(r, samples, 1)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
-	defer release()
-	ctx, cancel, e := s.deadline(r.Context(), req.TimeoutMS)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
-	defer cancel()
-	if err := h.admit(ctx); err != nil {
-		s.writeError(w, estimationError(err))
-		return
-	}
-	defer h.release()
-	// The coordinator scatters the distance tallies to the shard workers
-	// when configured, and runs knn.SampleStoreCtx on the local store
-	// otherwise — identical distributions either way.
-	dd, err := h.coord.DistancesCtx(ctx, req.Source, samples)
-	if err != nil {
-		s.writeError(w, estimationError(err))
-		return
-	}
-	nbs := dd.KNN(req.K, measure)
-	out := make([]neighborView, len(nbs))
-	for i, nb := range nbs {
-		out[i] = neighborView{Node: nb.Node, Distance: nb.Distance, Reliability: nb.Reliability}
-	}
-	s.writeJSON(w, map[string]any{
-		"graph":     h.name,
-		"source":    req.Source,
-		"measure":   req.Measure,
-		"samples":   samples,
-		"neighbors": out,
-	})
+	return query{h: h, endpoint: "/v1/knn", worlds: samples, centers: 1, timeoutMS: req.TimeoutMS,
+		estimate: func(ctx context.Context, _ func(any) error) (map[string]any, error) {
+			// The coordinator scatters the distance tallies to the shard
+			// workers when configured, and tallies the local store
+			// otherwise — identical distributions either way.
+			dd, err := h.coord.DistancesCtx(ctx, req.Source, samples)
+			if err != nil {
+				return nil, err
+			}
+			nbs := dd.KNN(req.K, measure)
+			out := make([]neighborView, len(nbs))
+			for i, nb := range nbs {
+				out[i] = neighborView{Node: nb.Node, Distance: nb.Distance, Reliability: nb.Reliability}
+			}
+			return map[string]any{
+				"graph":     h.name,
+				"source":    req.Source,
+				"measure":   req.Measure,
+				"samples":   samples,
+				"neighbors": out,
+			}, nil
+		}}, nil
 }
 
 // ---- /v1/influence -----------------------------------------------------
@@ -898,79 +893,58 @@ type influenceRequest struct {
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 }
 
-func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
-	var req influenceRequest
-	if e := decode(r, &req); e != nil {
-		s.writeError(w, e)
-		return
-	}
+func (s *Server) influenceQuery(req *influenceRequest) (query, *apiError) {
 	h, e := s.handle(req.Graph)
 	if e != nil {
-		s.writeError(w, e)
-		return
+		return query{}, e
 	}
 	samples, e := s.samples(req.Samples)
 	if e != nil {
-		s.writeError(w, e)
-		return
+		return query{}, e
 	}
 	for _, sd := range req.Seeds {
 		if e := validNode(h, "seeds", sd); e != nil {
-			s.writeError(w, e)
-			return
+			return query{}, e
 		}
+	}
+	q := query{h: h, endpoint: "/v1/influence", worlds: samples, centers: 1, timeoutMS: req.TimeoutMS}
+	if len(req.Seeds) > 0 {
+		q.attrs = []obs.Attr{{Key: "kind", Value: "spread"}}
+		q.estimate = func(ctx context.Context, _ func(any) error) (map[string]any, error) {
+			spread, err := h.coord.SpreadCtx(ctx, req.Seeds, samples)
+			if err != nil {
+				return nil, err
+			}
+			return map[string]any{
+				"graph": h.name, "samples": samples,
+				"seeds": req.Seeds, "spread": spread,
+			}, nil
+		}
+		return q, nil
+	}
+	if req.K <= 0 {
+		return query{}, badRequest("need \"k\" (greedy maximization) or \"seeds\" (spread evaluation)")
+	}
+	if n := h.g.NumNodes(); req.K > n {
+		return query{}, badRequest(fmt.Sprintf("\"k\" = %d out of range [1, %d]", req.K, n))
 	}
 	// A spread evaluation drives one seed set; greedy maximization drives
 	// k of them.
-	centers := 1
-	if len(req.Seeds) == 0 {
-		if req.K <= 0 {
-			s.writeError(w, badRequest("need \"k\" (greedy maximization) or \"seeds\" (spread evaluation)"))
-			return
-		}
-		centers = req.K
-	}
-	release, e := s.admitCost(r, samples, centers)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
-	defer release()
-	ctx, cancel, e := s.deadline(r.Context(), req.TimeoutMS)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
-	defer cancel()
-	if err := h.admit(ctx); err != nil {
-		s.writeError(w, estimationError(err))
-		return
-	}
-	defer h.release()
-
-	if len(req.Seeds) > 0 {
-		spread, err := h.coord.SpreadCtx(ctx, req.Seeds, samples)
+	q.centers = req.K
+	q.attrs = []obs.Attr{{Key: "kind", Value: "greedy"}, {Key: "k", Value: req.K}}
+	q.estimate = func(ctx context.Context, _ func(any) error) (map[string]any, error) {
+		// Greedy maximization fans its marginal-gain tallies out to the
+		// shard workers when configured (see shard.Coordinator.GreedyCtx).
+		res, err := h.coord.GreedyCtx(ctx, req.K, samples)
 		if err != nil {
-			s.writeError(w, estimationError(err))
-			return
+			return nil, err
 		}
-		s.writeJSON(w, map[string]any{
+		return map[string]any{
 			"graph": h.name, "samples": samples,
-			"seeds": req.Seeds, "spread": spread,
-		})
-		return
+			"seeds": res.Seeds, "spread": res.Spread, "evaluations": res.Evaluations,
+		}, nil
 	}
-	// Greedy maximization fans its marginal-gain tallies out to the shard
-	// workers when configured (see shard.Coordinator.GreedyCtx).
-	res, err := h.coord.GreedyCtx(ctx, req.K, samples)
-	if err != nil {
-		s.writeError(w, estimationError(err))
-		return
-	}
-	s.writeJSON(w, map[string]any{
-		"graph": h.name, "samples": samples,
-		"seeds": res.Seeds, "spread": res.Spread, "evaluations": res.Evaluations,
-	})
+	return q, nil
 }
 
 // ---- /v1/reliability ---------------------------------------------------
@@ -983,80 +957,47 @@ type reliabilityRequest struct {
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 }
 
-func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
-	var req reliabilityRequest
-	if e := decode(r, &req); e != nil {
-		s.writeError(w, e)
-		return
-	}
+func (s *Server) reliabilityQuery(req *reliabilityRequest) (query, *apiError) {
 	h, e := s.handle(req.Graph)
 	if e != nil {
-		s.writeError(w, e)
-		return
+		return query{}, e
 	}
 	samples, e := s.samples(req.Samples)
 	if e != nil {
-		s.writeError(w, e)
-		return
+		return query{}, e
 	}
 	for _, u := range req.Set {
 		if e := validNode(h, "set", u); e != nil {
-			s.writeError(w, e)
-			return
+			return query{}, e
 		}
 	}
-	release, e := s.admitCost(r, samples, 1)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
-	defer release()
-	ctx, cancel, e := s.deadline(r.Context(), req.TimeoutMS)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
-	defer cancel()
-	if err := h.admit(ctx); err != nil {
-		s.writeError(w, estimationError(err))
-		return
-	}
-	defer h.release()
-
 	// Every kind routes through the coordinator: scattered to the shard
 	// workers as integer tallies when the daemon coordinates a sharded
 	// deployment, computed on the local store otherwise — bit-identical to
 	// the metrics package either way.
-	var (
-		value float64
-		err   error
-	)
+	var value func(ctx context.Context) (float64, error)
 	switch req.Kind {
 	case "set":
 		if len(req.Set) == 0 {
-			s.writeError(w, badRequest("kind \"set\" needs a non-empty \"set\""))
-			return
+			return query{}, badRequest("kind \"set\" needs a non-empty \"set\"")
 		}
-		set := make([]graph.NodeID, len(req.Set))
-		for i, u := range req.Set {
-			set[i] = u
-		}
-		value, err = h.coord.SetReliabilityCtx(ctx, set, samples)
+		value = func(ctx context.Context) (float64, error) { return h.coord.SetReliabilityCtx(ctx, req.Set, samples) }
 	case "", "all_terminal":
-		value, err = h.coord.AllTerminalReliabilityCtx(ctx, samples)
+		value = func(ctx context.Context) (float64, error) { return h.coord.AllTerminalReliabilityCtx(ctx, samples) }
 	case "components":
-		value, err = h.coord.ExpectedComponentsCtx(ctx, samples)
+		value = func(ctx context.Context) (float64, error) { return h.coord.ExpectedComponentsCtx(ctx, samples) }
 	case "largest_component":
-		value, err = h.coord.LargestComponentFractionCtx(ctx, samples)
+		value = func(ctx context.Context) (float64, error) { return h.coord.LargestComponentFractionCtx(ctx, samples) }
 	default:
-		s.writeError(w, badRequest(fmt.Sprintf("unknown kind %q", req.Kind)))
-		return
+		return query{}, badRequest(fmt.Sprintf("unknown kind %q", req.Kind))
 	}
-	if err != nil {
-		s.writeError(w, estimationError(err))
-		return
-	}
-	s.writeJSON(w, map[string]any{
-		"graph": h.name, "kind": req.Kind, "samples": samples, "value": value,
-	})
+	return query{h: h, endpoint: "/v1/reliability", worlds: samples, centers: 1, timeoutMS: req.TimeoutMS,
+		attrs: []obs.Attr{{Key: "kind", Value: req.Kind}},
+		estimate: func(ctx context.Context, _ func(any) error) (map[string]any, error) {
+			v, err := value(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return map[string]any{"graph": h.name, "kind": req.Kind, "samples": samples, "value": v}, nil
+		}}, nil
 }

@@ -11,11 +11,13 @@ import (
 	"ucgraph/internal/obs"
 )
 
-// Observability surface of the daemon: every estimating request on the
-// explain endpoints (/v1/conn, /v1/cluster) runs under an obs.Trace whose
-// spans cover admission, the estimate itself (with world-store tier
-// attribution), and — through the context — the coordinator's scatter
-// rounds, per-worker attempts and adaptive rounds. Finished traces feed
+// Observability surface of the daemon: every estimating request
+// (/v1/conn, /v1/cluster, /v1/knn, /v1/influence, /v1/reliability) runs
+// under an obs.Trace whose spans cover admission, the estimate itself
+// (with world-store tier attribution), and — through the context — the
+// coordinator's scatter rounds, per-worker attempts and adaptive rounds.
+// /v1/conn and /v1/cluster also return the trace inline on "explain":
+// true; the other three take no explain field. Finished traces feed
 // the per-stage latency histograms, the /debug/traces ring, and (past
 // Options.SlowQuery) a one-line JSON slog record. /metricsz renders the
 // same counters /statsz reports, plus the latency histograms, in

@@ -8,6 +8,7 @@ import (
 
 	"ucgraph/internal/conn"
 	"ucgraph/internal/core"
+	"ucgraph/internal/graph"
 	"ucgraph/internal/obs"
 )
 
@@ -126,134 +127,45 @@ func project(ests [][]float64, targets []int32) [][]float64 {
 	return out
 }
 
-// adaptiveConnCenters answers a multi-center /v1/conn request carrying a
-// confidence target, streaming refinement frames when asked to.
-func (s *Server) adaptiveConnCenters(ctx context.Context, w http.ResponseWriter, h *graphHandle, req connRequest, depth int, ad *adaptiveSpec) {
-	base := map[string]any{
-		"graph":   h.name,
-		"depth":   req.Depth,
-		"centers": req.Centers,
-		"targets": req.Targets,
-		"eps":     ad.params.Eps,
-		"delta":   ad.params.Delta,
-		"budget":  ad.params.MaxWorlds,
-	}
+// adaptiveConn is the estimate step of every /v1/conn query carrying a
+// confidence target: conn.AdaptiveFromCenters over centers, tracking
+// targets (a pair is the center query {source} tracking {target}, as
+// conn.AdaptivePairInterval defines it, so repeated adaptive pair queries
+// extend the daemon's cached tallies instead of rescanning). answer
+// renders a round's estimate vectors into the request's response shape;
+// a streaming query emits one frame per round, the last with "final":
+// true, and a plain one answers with the final round.
+func (s *Server) adaptiveConn(h *graphHandle, reqDepth, depth int, centers, targets []graph.NodeID, ad *adaptiveSpec, answer func([][]float64) map[string]any) func(context.Context, func(any) error) (map[string]any, error) {
 	frame := func(snap conn.AdaptiveSnapshot) map[string]any {
-		f := make(map[string]any, len(base)+5)
-		for k, v := range base {
-			f[k] = v
-		}
-		f["estimates"] = project(snap.Estimates, req.Targets)
+		f := answer(snap.Estimates)
+		f["graph"] = h.name
+		f["depth"] = reqDepth
+		f["eps"] = ad.params.Eps
+		f["delta"] = ad.params.Delta
+		f["budget"] = ad.params.MaxWorlds
 		f["half_width"] = snap.HalfWidth
 		f["worlds"] = snap.Worlds
 		f["converged"] = snap.Converged
 		f["final"] = snap.Final
 		return f
 	}
-	tr := obs.SpanFromContext(ctx).Trace()
-	if !ad.stream {
-		ectx, fin := h.estimateSpan(ctx)
-		ests, st, err := conn.AdaptiveFromCenters(ectx, h.coord, req.Centers, depth, req.Targets, ad.params, nil)
-		fin(err)
+	return func(ctx context.Context, emit func(any) error) (map[string]any, error) {
+		var progress func(conn.AdaptiveSnapshot) error
+		if emit != nil {
+			progress = func(snap conn.AdaptiveSnapshot) error { return emit(frame(snap)) }
+		}
+		ests, st, err := conn.AdaptiveFromCenters(ctx, h.coord, centers, depth, targets, ad.params, progress)
 		if err != nil {
-			s.writeError(w, estimationError(err))
-			return
+			return nil, err
 		}
 		s.noteAdaptive(st)
-		f := frame(conn.AdaptiveSnapshot{
+		if emit != nil {
+			return nil, nil
+		}
+		return frame(conn.AdaptiveSnapshot{
 			Estimates: ests, HalfWidth: st.HalfWidth, Worlds: st.Worlds,
 			Converged: st.Converged, Final: true,
-		})
-		if req.Explain {
-			f["trace"] = explainView(tr)
-		}
-		s.writeJSON(w, f)
-		return
-	}
-	stream, e := startSSE(w)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
-	ectx, fin := h.estimateSpan(ctx)
-	_, st, err := conn.AdaptiveFromCenters(ectx, h.coord, req.Centers, depth, req.Targets, ad.params,
-		func(snap conn.AdaptiveSnapshot) error { return stream.frame(frame(snap)) })
-	fin(err)
-	if err != nil {
-		s.failures.Add(1)
-		stream.errorFrame(estimationError(err))
-		return
-	}
-	s.noteAdaptive(st)
-	// With "explain": true one trailing frame carries the finished trace
-	// after the final estimate frame.
-	if req.Explain {
-		_ = stream.frame(map[string]any{"explain": true, "trace": explainView(tr)})
-	}
-}
-
-// adaptiveConnPair answers a pair /v1/conn request carrying a confidence
-// target. The pair routes through the center-tally path (center = source,
-// tracked target = target), so repeated adaptive pair queries extend the
-// daemon's cached tallies instead of rescanning.
-func (s *Server) adaptiveConnPair(ctx context.Context, w http.ResponseWriter, h *graphHandle, req connRequest, depth int, ad *adaptiveSpec) {
-	base := map[string]any{
-		"graph":  h.name,
-		"depth":  req.Depth,
-		"source": *req.Source,
-		"target": *req.Target,
-		"eps":    ad.params.Eps,
-		"delta":  ad.params.Delta,
-		"budget": ad.params.MaxWorlds,
-	}
-	frame := func(p float64, hw float64, worlds int, converged, final bool) map[string]any {
-		f := make(map[string]any, len(base)+5)
-		for k, v := range base {
-			f[k] = v
-		}
-		f["probability"] = p
-		f["half_width"] = hw
-		f["worlds"] = worlds
-		f["converged"] = converged
-		f["final"] = final
-		return f
-	}
-	var progress func(conn.AdaptiveSnapshot) error
-	var stream *sse
-	if ad.stream {
-		var e *apiError
-		if stream, e = startSSE(w); e != nil {
-			s.writeError(w, e)
-			return
-		}
-		progress = func(snap conn.AdaptiveSnapshot) error {
-			return stream.frame(frame(snap.Estimates[0][*req.Target], snap.HalfWidth, snap.Worlds, snap.Converged, snap.Final))
-		}
-	}
-	tr := obs.SpanFromContext(ctx).Trace()
-	ectx, fin := h.estimateSpan(ctx)
-	p, st, err := conn.AdaptivePairInterval(ectx, h.coord, *req.Source, *req.Target, depth, ad.params, progress)
-	fin(err)
-	if err != nil {
-		if stream != nil {
-			s.failures.Add(1)
-			stream.errorFrame(estimationError(err))
-		} else {
-			s.writeError(w, estimationError(err))
-		}
-		return
-	}
-	s.noteAdaptive(st)
-	if stream == nil {
-		f := frame(p, st.HalfWidth, st.Worlds, st.Converged, true)
-		if req.Explain {
-			f["trace"] = explainView(tr)
-		}
-		s.writeJSON(w, f)
-		return
-	}
-	if req.Explain {
-		_ = stream.frame(map[string]any{"explain": true, "trace": explainView(tr)})
+		}), nil
 	}
 }
 

@@ -328,13 +328,13 @@ func New(graphs []GraphConfig, opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleGraphs)
-	s.mux.HandleFunc("POST /v1/conn", s.handleConn)
+	s.mux.HandleFunc("POST /v1/conn", endpoint(s, s.connQuery))
 	s.mux.HandleFunc("POST /v1/cluster", s.handleCluster)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("POST /v1/knn", s.handleKNN)
-	s.mux.HandleFunc("POST /v1/influence", s.handleInfluence)
-	s.mux.HandleFunc("POST /v1/reliability", s.handleReliability)
+	s.mux.HandleFunc("POST /v1/knn", endpoint(s, s.knnQuery))
+	s.mux.HandleFunc("POST /v1/influence", endpoint(s, s.influenceQuery))
+	s.mux.HandleFunc("POST /v1/reliability", endpoint(s, s.reliabilityQuery))
 	s.mux.HandleFunc("GET /v1/shards", s.handleShardsGet)
 	s.mux.HandleFunc("POST /v1/shards", s.handleShardsPost)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetricsz)

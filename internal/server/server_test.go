@@ -610,6 +610,7 @@ func TestValidation(t *testing.T) {
 		{"bad kind", "/v1/reliability", map[string]any{"graph": "ring", "kind": "zap"}, 400},
 		{"empty set", "/v1/reliability", map[string]any{"graph": "ring", "kind": "set"}, 400},
 		{"influence no shape", "/v1/influence", map[string]any{"graph": "ring"}, 400},
+		{"influence k over n", "/v1/influence", map[string]any{"graph": "ring", "k": 33}, 400},
 	}
 	for _, c := range cases {
 		if code, body := post(t, ts.URL+c.path, c.body, nil); code != c.code {

@@ -243,15 +243,20 @@ func TestAuditCleanRunNoDivergence(t *testing.T) {
 // against every worker of a 3-worker fleet while a query series runs.
 // The standing invariant under any fault mix: a query either fails
 // loudly or returns estimates bit-identical to the fault-free local run
-// — never a silently wrong answer. The chaos seed is logged so a failure
-// replays exactly with CHAOS_SEED=<seed>; the fixed seeds are schedules
-// that alone inject nothing on the fleet's three streams.
+// — never a silently wrong answer. The "fresh" case draws a new chaos
+// seed each run and logs it, so a failure replays exactly with
+// CHAOS_SEED=<seed>; its subtest name stays fixed so test IDs are stable
+// across runs. The fixed seeds are pinned schedules: the first three
+// alone inject nothing on the fleet's three streams, the last kills,
+// delays and corrupts on them.
 func TestChaosSeededScheduleBitIdentical(t *testing.T) {
+	fresh := faultinject.TestSeed(t.Logf)
+	t.Run("fresh", func(t *testing.T) { runChaosSchedule(t, fresh) })
 	for _, chaosSeed := range []uint64{
-		faultinject.TestSeed(t.Logf),
 		1792197685638247078,
 		1792197702593524120,
 		1792197710936732357,
+		1792202323819490084,
 	} {
 		t.Run(fmt.Sprint(chaosSeed), func(t *testing.T) { runChaosSchedule(t, chaosSeed) })
 	}

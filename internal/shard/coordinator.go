@@ -18,7 +18,6 @@ import (
 	"ucgraph/internal/graph"
 	"ucgraph/internal/influence"
 	"ucgraph/internal/knn"
-	"ucgraph/internal/metrics"
 	"ucgraph/internal/obs"
 	"ucgraph/internal/rng"
 	"ucgraph/internal/worldstore"
@@ -816,7 +815,7 @@ func (c *Coordinator) auditGroup(ctx context.Context, base *TallyRequest, g *sca
 	wreq.Ranges = g.ranges
 	aresp, _, err := auditor.wc.call(ctx, c.opts.RequestTimeout, &wreq, sp)
 	if err == nil {
-		if cerr := c.checkResponse(&wreq, aresp); cerr != nil {
+		if cerr := checkTally(c.g.NumNodes(), &wreq, aresp); cerr != nil {
 			err = fmt.Errorf("%s: malformed audit response: %w", auditor.wc.base, cerr)
 		}
 	}
@@ -840,7 +839,7 @@ func (c *Coordinator) auditGroup(ctx context.Context, base *TallyRequest, g *sca
 	// were supposed to tally.
 	ref := &TallyResponse{}
 	for _, rg := range g.ranges {
-		rt, rerr := rangeTally(ctx, c.g, c.store, &wreq, rg)
+		rt, rerr := rangeTally(ctx, c.store, &wreq, rg)
 		if rerr != nil {
 			return nil // referee interrupted (ctx done); keep the original
 		}
@@ -963,42 +962,6 @@ func (c *Coordinator) pingMember(ctx context.Context, m *member) error {
 	}
 	wc.noteSuccess(time.Since(t0), 0, 0)
 	m.breakerReset() // a passing ping is recovery evidence: close the breaker
-	return nil
-}
-
-// checkResponse validates the shape of a worker's tally payload against
-// the request, so a version-skewed worker — or one restarted with a
-// different graph under the same name — surfaces as a retriable worker
-// failure instead of an index panic inside the merge.
-func (c *Coordinator) checkResponse(req *TallyRequest, resp *TallyResponse) error {
-	n := c.g.NumNodes()
-	switch req.Kind {
-	case KindConnected, KindWithin:
-		if len(resp.Counts) != len(req.Centers) {
-			return fmt.Errorf("got %d count rows, want %d", len(resp.Counts), len(req.Centers))
-		}
-		for j, row := range resp.Counts {
-			if len(row) != n {
-				return fmt.Errorf("count row %d has %d nodes, want %d", j, len(row), n)
-			}
-		}
-	case KindDistances:
-		if len(resp.Hist) != n || len(resp.Unreachable) != n {
-			return fmt.Errorf("got %d histograms / %d unreachable rows, want %d", len(resp.Hist), len(resp.Unreachable), n)
-		}
-	case KindSpread, KindReliability, KindComponents, KindLargest:
-		if len(resp.Totals) != 1 {
-			return fmt.Errorf("got %d totals, want 1", len(resp.Totals))
-		}
-	case KindMarginal:
-		want := len(req.Candidates)
-		if want == 0 {
-			want = n // empty candidates = all nodes
-		}
-		if len(resp.Totals) != want {
-			return fmt.Errorf("got %d totals, want %d", len(resp.Totals), want)
-		}
-	}
 	return nil
 }
 
@@ -1241,7 +1204,7 @@ func (c *Coordinator) attemptWorker(ctx context.Context, g *scatterGroup, m *mem
 		)
 	}
 	if err == nil {
-		if cerr := c.checkResponse(req, resp); cerr != nil {
+		if cerr := checkTally(c.g.NumNodes(), req, resp); cerr != nil {
 			err = fmt.Errorf("%s: malformed tally response: %w", m.wc.base, cerr)
 		}
 	}
@@ -1325,7 +1288,6 @@ func (c *Coordinator) extend(ctx context.Context, cs []graph.NodeID, depth int, 
 	}
 	n := c.g.NumNodes()
 	scratch := make([]int32, len(cs)*n)
-	var mu sync.Mutex
 	worlds := 0
 	for _, l := range los {
 		group := groups[l]
@@ -1333,9 +1295,8 @@ func (c *Coordinator) extend(ctx context.Context, cs []graph.NodeID, depth int, 
 		for i, j := range group {
 			req.Centers[i] = cs[j]
 		}
+		// scatter calls merge serially: no lock on scratch.
 		err := c.scatter(ctx, req, l, r, func(resp *TallyResponse) {
-			mu.Lock()
-			defer mu.Unlock()
 			for i, j := range group {
 				row := scratch[j*n : (j+1)*n]
 				for u, cnt := range resp.Counts[i] {
@@ -1363,44 +1324,63 @@ func (c *Coordinator) extend(ctx context.Context, cs []graph.NodeID, depth int, 
 	return nil
 }
 
+// gather computes one tally over the worlds [0, r): on the local store
+// while the fleet is empty, otherwise by scattering it over the fleet and
+// merging the per-group answers. Both paths sum the same integers, so the
+// gathered tally — and every estimate derived from it — is identical for
+// every worker count. The request is checked first, so a malformed one
+// fails here instead of failing on every worker. An empty range (r <= 0)
+// also stays local: it scans nothing, but still returns the kind's
+// payload shape, which a scatter with nothing to merge would not.
+func (c *Coordinator) gather(ctx context.Context, req TallyRequest, r int) (*TallyResponse, error) {
+	if err := validTally(c.g, &req); err != nil {
+		return nil, err
+	}
+	if r <= 0 || !c.Sharded() {
+		return rangeTally(ctx, c.store, &req, Range{Lo: 0, Hi: r})
+	}
+	acc := &TallyResponse{} // scatter calls merge serially: no lock
+	if err := c.scatter(ctx, req, 0, r, func(resp *TallyResponse) { mergeTally(acc, resp, req.Kind) }); err != nil {
+		return nil, err
+	}
+	return acc, nil
+}
+
+// ratio gathers a one-row totals tally and divides it by r.
+func (c *Coordinator) ratio(ctx context.Context, req TallyRequest, r int) (float64, error) {
+	t, err := c.gather(ctx, req, r)
+	if err != nil {
+		return 0, err
+	}
+	return float64(t.Totals[0]) / float64(r), nil
+}
+
 // Pair estimates Pr(u ~ v) with r samples.
 func (c *Coordinator) Pair(u, v graph.NodeID, r int) float64 {
 	p, _ := c.PairCtx(context.Background(), u, v, r)
 	return p
 }
 
-// PairCtx estimates Pr(u ~ v) over the first r worlds by scattering the
-// pair tally (bit-identical to conn.MonteCarlo.PairCtx: same integer
-// count, same division).
+// PairCtx estimates Pr(u ~ v) over the first r worlds from the pair tally
+// (bit-identical to conn.MonteCarlo.PairCtx: same integer count, same
+// division).
 func (c *Coordinator) PairCtx(ctx context.Context, u, v graph.NodeID, r int) (float64, error) {
-	if !c.Sharded() {
-		return c.local.PairCtx(ctx, u, v, r)
-	}
-	var (
-		mu  sync.Mutex
-		cnt int64
-	)
-	err := c.scatter(ctx, TallyRequest{Kind: KindPair, U: u, V: v}, 0, r, func(resp *TallyResponse) {
-		mu.Lock()
-		cnt += resp.Count
-		mu.Unlock()
-	})
+	t, err := c.gather(ctx, TallyRequest{Kind: KindPair, U: u, V: v}, r)
 	if err != nil {
 		return 0, err
 	}
-	return float64(cnt) / float64(r), nil
+	return float64(t.Count) / float64(r), nil
 }
 
 // ---- k-NN distance distributions ----------------------------------------
 
 // DistancesCtx computes the hop-distance distribution from src over the
-// first r worlds by scattering per-node histogram tallies — the sharded
-// form of knn.SampleStoreCtx, merged with knn's own order-free Merge, so
-// the distribution (and every measure derived from it) is identical to the
-// local computation.
+// first r worlds from the per-node histogram tallies — identical to
+// knn.SampleStoreCtx, and so is every measure derived from it.
 func (c *Coordinator) DistancesCtx(ctx context.Context, src graph.NodeID, r int) (*knn.DistanceDistribution, error) {
-	if !c.Sharded() {
-		return knn.SampleStoreCtx(ctx, c.store, src, r)
+	t, err := c.gather(ctx, TallyRequest{Kind: KindDistances, Source: src}, r)
+	if err != nil {
+		return nil, err
 	}
 	n := c.g.NumNodes()
 	dd := &knn.DistanceDistribution{
@@ -1409,22 +1389,12 @@ func (c *Coordinator) DistancesCtx(ctx context.Context, src graph.NodeID, r int)
 		Hist:        make([]map[int32]int, n),
 		Unreachable: make([]int, n),
 	}
-	for v := range dd.Hist {
-		dd.Hist[v] = make(map[int32]int, 8)
-	}
-	var mu sync.Mutex
-	err := c.scatter(ctx, TallyRequest{Kind: KindDistances, Source: src}, 0, r, func(resp *TallyResponse) {
-		mu.Lock()
-		defer mu.Unlock()
-		for v := 0; v < n; v++ {
-			for _, b := range resp.Hist[v] {
-				dd.Hist[v][b.D] += int(b.N)
-			}
-			dd.Unreachable[v] += int(resp.Unreachable[v])
+	for v, buckets := range t.Hist {
+		dd.Hist[v] = make(map[int32]int, len(buckets))
+		for _, b := range buckets {
+			dd.Hist[v][b.D] = int(b.N)
 		}
-	})
-	if err != nil {
-		return nil, err
+		dd.Unreachable[v] = int(t.Unreachable[v])
 	}
 	return dd, nil
 }
@@ -1432,46 +1402,15 @@ func (c *Coordinator) DistancesCtx(ctx context.Context, src graph.NodeID, r int)
 // ---- influence spread ----------------------------------------------------
 
 // SpreadCtx estimates the expected influence spread of seeds over the
-// first r worlds — the sharded influence.SpreadCtx.
+// first r worlds — the coordinator's influence.SpreadCtx.
 func (c *Coordinator) SpreadCtx(ctx context.Context, seeds []graph.NodeID, r int) (float64, error) {
-	if !c.Sharded() {
-		return influence.SpreadCtx(ctx, c.store, seeds, r)
-	}
 	if len(seeds) == 0 {
 		return 0, ctx.Err()
 	}
-	total, err := c.spreadTally(ctx, KindSpread, seeds, nil, r)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total[0]) / float64(r), nil
+	return c.ratio(ctx, TallyRequest{Kind: KindSpread, Seeds: seeds}, r)
 }
 
-// spreadTally scatters one spread/marginal tally and gathers the summed
-// totals.
-func (c *Coordinator) spreadTally(ctx context.Context, kind string, seeds, candidates []graph.NodeID, r int) ([]int64, error) {
-	width := 1
-	if kind == KindMarginal {
-		if width = len(candidates); width == 0 {
-			width = c.g.NumNodes() // empty candidates = all nodes
-		}
-	}
-	totals := make([]int64, width)
-	var mu sync.Mutex
-	err := c.scatter(ctx, TallyRequest{Kind: kind, Seeds: seeds, Candidates: candidates}, 0, r, func(resp *TallyResponse) {
-		mu.Lock()
-		for i, t := range resp.Totals {
-			totals[i] += t
-		}
-		mu.Unlock()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return totals, nil
-}
-
-// coordEvaluator drives influence.GreedyEval with scattered marginal
+// coordEvaluator drives influence.GreedyEval with gathered marginal
 // tallies: the seed set lives on the coordinator and travels with every
 // request, so workers stay stateless.
 type coordEvaluator struct {
@@ -1483,15 +1422,19 @@ type coordEvaluator struct {
 func (ev *coordEvaluator) InitialGains(ctx context.Context) ([]int64, error) {
 	// nil candidates is the wire's "all nodes" marker (KindMarginal):
 	// the initial round gets one total per node without shipping n IDs.
-	return ev.c.spreadTally(ctx, KindMarginal, nil, nil, ev.r)
+	t, err := ev.c.gather(ctx, TallyRequest{Kind: KindMarginal}, ev.r)
+	if err != nil {
+		return nil, err
+	}
+	return t.Totals, nil
 }
 
 func (ev *coordEvaluator) MarginalGain(ctx context.Context, v graph.NodeID) (int64, error) {
-	totals, err := ev.c.spreadTally(ctx, KindMarginal, ev.seeds, []graph.NodeID{v}, ev.r)
+	t, err := ev.c.gather(ctx, TallyRequest{Kind: KindMarginal, Seeds: ev.seeds, Candidates: []graph.NodeID{v}}, ev.r)
 	if err != nil {
 		return 0, err
 	}
-	return totals[0], nil
+	return t.Totals[0], nil
 }
 
 func (ev *coordEvaluator) Picked(_ context.Context, v graph.NodeID) error {
@@ -1499,10 +1442,12 @@ func (ev *coordEvaluator) Picked(_ context.Context, v graph.NodeID) error {
 	return nil
 }
 
-// GreedyCtx runs the CELF greedy influence maximization with scattered
-// marginal-gain tallies — the sharded influence.GreedyCtx. Because the
-// scattered tallies are the same integers the local evaluator computes,
-// the selected seeds, spreads and evaluation counts are identical.
+// GreedyCtx runs the CELF greedy influence maximization — the sharded
+// influence.GreedyCtx. Over the fleet it scatters marginal-gain tallies;
+// because they are the same integers the local evaluator computes, the
+// selected seeds, spreads and evaluation counts are identical. With no
+// worker it keeps the local evaluator, which caches per-world component
+// sizes across the CELF rounds.
 func (c *Coordinator) GreedyCtx(ctx context.Context, k, r int) (*influence.Result, error) {
 	if !c.Sharded() {
 		return influence.GreedyCtx(ctx, c.store, k, r)
@@ -1512,76 +1457,33 @@ func (c *Coordinator) GreedyCtx(ctx context.Context, k, r int) (*influence.Resul
 
 // ---- reliability ---------------------------------------------------------
 
-// totalTally scatters one scalar-total kind and gathers the summed int64.
-func (c *Coordinator) totalTally(ctx context.Context, req TallyRequest, r int) (int64, error) {
-	var (
-		mu    sync.Mutex
-		total int64
-	)
-	err := c.scatter(ctx, req, 0, r, func(resp *TallyResponse) {
-		mu.Lock()
-		total += resp.Totals[0]
-		mu.Unlock()
-	})
-	if err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
 // SetReliabilityCtx estimates k-terminal reliability of set over the first
-// r worlds — the sharded metrics.SetReliabilityCtx (same integer tally,
-// same final division, so bit-identical).
+// r worlds — the coordinator's metrics.SetReliabilityCtx (same integer
+// tally, same final division, so bit-identical).
 func (c *Coordinator) SetReliabilityCtx(ctx context.Context, set []graph.NodeID, r int) (float64, error) {
-	if !c.Sharded() {
-		return metrics.SetReliabilityCtx(ctx, c.store, set, r)
-	}
 	if len(set) <= 1 {
 		return 1, ctx.Err()
 	}
-	hits, err := c.totalTally(ctx, TallyRequest{Kind: KindReliability, Seeds: set}, r)
-	if err != nil {
-		return 0, err
-	}
-	return float64(hits) / float64(r), nil
+	return c.ratio(ctx, TallyRequest{Kind: KindReliability, Seeds: set}, r)
 }
 
 // AllTerminalReliabilityCtx estimates the probability a random world is
-// connected — the sharded metrics.AllTerminalReliabilityCtx. On the wire,
-// empty Seeds on KindReliability means all-terminal.
+// connected — the coordinator's metrics.AllTerminalReliabilityCtx. On the
+// wire, empty Seeds on KindReliability means all-terminal.
 func (c *Coordinator) AllTerminalReliabilityCtx(ctx context.Context, r int) (float64, error) {
-	if !c.Sharded() {
-		return metrics.AllTerminalReliabilityCtx(ctx, c.store, r)
-	}
-	hits, err := c.totalTally(ctx, TallyRequest{Kind: KindReliability}, r)
-	if err != nil {
-		return 0, err
-	}
-	return float64(hits) / float64(r), nil
+	return c.ratio(ctx, TallyRequest{Kind: KindReliability}, r)
 }
 
 // ExpectedComponentsCtx estimates the expected component count of a random
-// world — the sharded metrics.ExpectedComponentsCtx.
+// world — the coordinator's metrics.ExpectedComponentsCtx.
 func (c *Coordinator) ExpectedComponentsCtx(ctx context.Context, r int) (float64, error) {
-	if !c.Sharded() {
-		return metrics.ExpectedComponentsCtx(ctx, c.store, r)
-	}
-	total, err := c.totalTally(ctx, TallyRequest{Kind: KindComponents}, r)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total) / float64(r), nil
+	return c.ratio(ctx, TallyRequest{Kind: KindComponents}, r)
 }
 
 // LargestComponentFractionCtx estimates the expected fraction of nodes in
-// the largest component — the sharded metrics.LargestComponentFractionCtx.
+// the largest component — the coordinator's
+// metrics.LargestComponentFractionCtx.
 func (c *Coordinator) LargestComponentFractionCtx(ctx context.Context, r int) (float64, error) {
-	if !c.Sharded() {
-		return metrics.LargestComponentFractionCtx(ctx, c.store, r)
-	}
-	total, err := c.totalTally(ctx, TallyRequest{Kind: KindLargest}, r)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total) / float64(r) / float64(c.g.NumNodes()), nil
+	p, err := c.ratio(ctx, TallyRequest{Kind: KindLargest}, r)
+	return p / float64(c.g.NumNodes()), err
 }

@@ -472,7 +472,7 @@ func TestCoordinatorReliabilityBitIdentical(t *testing.T) {
 	wantComp := metrics.ExpectedComponents(ws, r)
 	wantFrac := metrics.LargestComponentFraction(ws, r)
 
-	for _, nw := range []int{1, 2, 3} {
+	for _, nw := range []int{0, 1, 2, 3} {
 		coord := NewCoordinator("tg", g, seed, startWorkers(t, "tg", g, seed, nw), CoordinatorOptions{})
 		ctx := context.Background()
 		gotSet, err := coord.SetReliabilityCtx(ctx, set, r)

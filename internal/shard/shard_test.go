@@ -390,7 +390,7 @@ func TestCoordinatorDistancesBitIdentical(t *testing.T) {
 	const seed = 13
 	const r = 600
 	want := knn.SampleStore(worldstore.Shared(g, seed), 2, r)
-	for _, nw := range []int{1, 3} {
+	for _, nw := range []int{0, 1, 3} {
 		coord := NewCoordinator("tg", g, seed, startWorkers(t, "tg", g, seed, nw), CoordinatorOptions{})
 		dd, err := coord.DistancesCtx(context.Background(), 2, r)
 		if err != nil {
@@ -420,7 +420,7 @@ func TestCoordinatorInfluenceBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nw := range []int{1, 2, 4} {
+	for _, nw := range []int{0, 1, 2, 4} {
 		coord := NewCoordinator("tg", g, seed, startWorkers(t, "tg", g, seed, nw), CoordinatorOptions{})
 		gotSpread, err := coord.SpreadCtx(context.Background(), seeds, r)
 		if err != nil {
@@ -488,7 +488,7 @@ func TestWorkerValidation(t *testing.T) {
 		{Graph: "tg", Kind: KindMarginal, Ranges: []Range{{0, 10}}, Candidates: []int32{99}},
 	}
 	for i, req := range cases {
-		if _, ok := kindCode[req.Kind]; ok {
+		if kindNamed(req.Kind) != nil {
 			if _, _, _, err := sc.call(ctx, &req, nil); err == nil {
 				t.Fatalf("case %d: expected an error", i)
 			}

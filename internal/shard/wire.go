@@ -43,46 +43,6 @@ import (
 	"math"
 )
 
-// Tally kinds: the integer-tally shapes workers can compute over a world
-// range. Each corresponds to one estimator surface of the library. The
-// wire carries the one-byte codes from kindCode (see
-// docs/SHARD_PROTOCOL.md §4).
-const (
-	// KindConnected tallies, per center and node, the worlds where the
-	// node shares a component with the center (unlimited-depth connection
-	// counts; label scans).
-	KindConnected = "connected"
-	// KindWithin is the depth-limited form of KindConnected (edge-bitmap
-	// BFS within Depth hops).
-	KindWithin = "within"
-	// KindPair tallies the worlds where nodes U and V share a component.
-	KindPair = "pair"
-	// KindDistances tallies, per node, the hop-distance histogram from
-	// Source (the k-NN distance distribution).
-	KindDistances = "distances"
-	// KindSpread tallies the (world, node) pairs where the node shares a
-	// component with at least one of Seeds (influence spread).
-	KindSpread = "spread"
-	// KindMarginal tallies, per candidate, the marginal influence spread
-	// given the Seeds already picked (the greedy maximization's inner
-	// query; empty Seeds gives the initial round). Empty Candidates means
-	// "every node, in node order" — the initial round asks about all n
-	// nodes, and shipping n IDs per scatter request would dwarf the
-	// tallies themselves on large graphs.
-	KindMarginal = "marginal"
-	// KindReliability tallies the worlds where every node of Seeds lies in
-	// one connected component (k-terminal reliability; the set travels in
-	// the Seeds field). Empty Seeds means "all nodes" — all-terminal
-	// reliability without shipping n IDs.
-	KindReliability = "reliability"
-	// KindComponents tallies the total number of connected components
-	// summed over the requested worlds.
-	KindComponents = "components"
-	// KindLargest tallies the total size of the largest connected
-	// component summed over the requested worlds.
-	KindLargest = "largest"
-)
-
 // Wire paths of the worker protocol.
 const (
 	PathPing   = "/shard/v1/ping"
@@ -257,30 +217,6 @@ const (
 	maxWireItems = 1 << 26 // ranges, histogram buckets, count rows
 )
 
-// kindCode maps the Kind strings onto their one-byte v2 wire codes; codes
-// are append-only (compat rule: a code never changes meaning across
-// versions).
-var kindCode = map[string]byte{
-	KindConnected:   1,
-	KindWithin:      2,
-	KindPair:        3,
-	KindDistances:   4,
-	KindSpread:      5,
-	KindMarginal:    6,
-	KindReliability: 7,
-	KindComponents:  8,
-	KindLargest:     9,
-}
-
-// codeKind is the inverse of kindCode.
-var codeKind = func() map[byte]string {
-	m := make(map[byte]string, len(kindCode))
-	for k, c := range kindCode {
-		m[c] = k
-	}
-	return m
-}()
-
 // frameHeader is the fixed 12-byte header following the length prefix.
 type frameHeader struct {
 	ftype byte
@@ -319,14 +255,14 @@ func appendNodes(buf []byte, vs []int32) []byte {
 // frame header). The canonical bytes double as the worker-side tally-cache
 // key, which is why the layout is fixed rather than field-tagged.
 func encodeRequestBody(buf []byte, req *TallyRequest) ([]byte, error) {
-	code, ok := kindCode[req.Kind]
-	if !ok {
+	k := kindNamed(req.Kind)
+	if k == nil {
 		return nil, fmt.Errorf("shard: unknown tally kind %q", req.Kind)
 	}
 	if len(req.Graph) > maxWireName {
 		return nil, fmt.Errorf("shard: graph name longer than %d bytes", maxWireName)
 	}
-	buf = append(buf, code, 0)
+	buf = append(buf, k.code, 0)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.Graph)))
 	buf = append(buf, req.Graph...)
 	buf = appendI32(buf, int32(req.Depth))
@@ -358,49 +294,17 @@ func encodeRequestFrame(id uint64, req *TallyRequest) ([]byte, error) {
 }
 
 // encodeResponseFrame encodes a RESP frame for a request of the given
-// kind. cached sets flagCached.
+// (registered) kind. cached sets flagCached.
 func encodeResponseFrame(id uint64, kind string, cached bool, resp *TallyResponse) []byte {
 	var flags uint16
 	if cached {
 		flags |= flagCached
 	}
+	k := kindNamed(kind)
 	buf := appendHeader(nil, frameResp, flags, id)
-	buf = append(buf, kindCode[kind], 0, 0, 0)
+	buf = append(buf, k.code, 0, 0, 0)
 	buf = appendU32(buf, uint32(resp.Worlds))
-	switch kind {
-	case KindConnected, KindWithin:
-		cols := 0
-		if len(resp.Counts) > 0 {
-			cols = len(resp.Counts[0])
-		}
-		buf = appendU32(buf, uint32(len(resp.Counts)))
-		buf = appendU32(buf, uint32(cols))
-		for _, row := range resp.Counts {
-			for _, v := range row {
-				buf = appendI32(buf, v)
-			}
-		}
-	case KindPair:
-		buf = appendI64(buf, resp.Count)
-	case KindSpread, KindMarginal, KindReliability, KindComponents, KindLargest:
-		buf = appendU32(buf, uint32(len(resp.Totals)))
-		for _, v := range resp.Totals {
-			buf = appendI64(buf, v)
-		}
-	case KindDistances:
-		buf = appendU32(buf, uint32(len(resp.Hist)))
-		for _, buckets := range resp.Hist {
-			buf = appendU32(buf, uint32(len(buckets)))
-			for _, b := range buckets {
-				buf = appendI32(buf, b.D)
-				buf = appendI64(buf, b.N)
-			}
-		}
-		for _, u := range resp.Unreachable {
-			buf = appendI64(buf, u)
-		}
-	}
-	return finishFrame(buf, 0)
+	return finishFrame(k.shape.appendPayload(buf, resp), 0)
 }
 
 // encodeErrorFrame encodes an ERR frame.
@@ -584,8 +488,11 @@ func decodeRequestBody(body []byte) (*TallyRequest, error) {
 	r := &wireReader{buf: body}
 	code := r.u8()
 	r.u8() // reserved
-	kind, ok := codeKind[code]
-	if !ok && r.err == nil {
+	k := kindCoded(code)
+	if k == nil {
+		if r.err != nil {
+			return nil, r.err
+		}
 		return nil, fmt.Errorf("shard: unknown wire kind code %d", code)
 	}
 	nameLen := int(r.u16())
@@ -593,7 +500,7 @@ func decodeRequestBody(body []byte) (*TallyRequest, error) {
 		return nil, fmt.Errorf("shard: graph name length %d out of bounds", nameLen)
 	}
 	name := string(r.take(nameLen))
-	req := &TallyRequest{Graph: name, Kind: kind}
+	req := &TallyRequest{Graph: name, Kind: k.name}
 	req.Depth = int(r.i32())
 	req.U = r.i32()
 	req.V = r.i32()
@@ -618,67 +525,19 @@ func decodeResponseBody(body []byte) (kind string, resp *TallyResponse, err erro
 	r := &wireReader{buf: body}
 	code := r.u8()
 	r.take(3) // reserved
-	kind, ok := codeKind[code]
-	if !ok && r.err == nil {
+	k := kindCoded(code)
+	if k == nil {
+		if r.err != nil {
+			return "", nil, r.err
+		}
 		return "", nil, fmt.Errorf("shard: unknown wire kind code %d in response", code)
 	}
 	resp = &TallyResponse{Worlds: int(r.u32())}
-	switch kind {
-	case KindConnected, KindWithin:
-		rows := r.count(maxWireItems, 4)
-		cols := r.count(maxWireItems, 0)
-		if r.err == nil && rows*cols*4 > len(r.buf)-r.off {
-			r.fail("shard: count matrix %dx%d exceeds frame body", rows, cols)
-		}
-		if r.err == nil && rows > 0 {
-			flat := make([]int32, rows*cols)
-			for i := range flat {
-				flat[i] = r.i32()
-			}
-			resp.Counts = make([][]int32, rows)
-			for j := range resp.Counts {
-				resp.Counts[j] = flat[j*cols : (j+1)*cols : (j+1)*cols]
-			}
-		}
-	case KindPair:
-		resp.Count = r.i64()
-	case KindSpread, KindMarginal, KindReliability, KindComponents, KindLargest:
-		n := r.count(maxWireItems, 8)
-		if r.err == nil && n > 0 {
-			resp.Totals = make([]int64, n)
-			for i := range resp.Totals {
-				resp.Totals[i] = r.i64()
-			}
-		}
-	case KindDistances:
-		n := r.count(maxWireItems, 4)
-		if r.err == nil && n > 0 {
-			resp.Hist = make([][]DistCount, n)
-			for v := range resp.Hist {
-				nb := r.count(maxWireItems, 12)
-				if r.err != nil {
-					break
-				}
-				if nb > 0 {
-					buckets := make([]DistCount, nb)
-					for i := range buckets {
-						buckets[i] = DistCount{D: r.i32(), N: r.i64()}
-					}
-					resp.Hist[v] = buckets
-				}
-			}
-			if r.err == nil {
-				resp.Unreachable = make([]int64, n)
-				for v := range resp.Unreachable {
-					resp.Unreachable[v] = r.i64()
-				}
-			}
-		}
-	}
+	k.shape.readPayload(r, resp)
 	if err := r.done(); err != nil {
 		return "", nil, err
 	}
-	return kind, resp, nil
+	return k.name, resp, nil
 }
 
 // ---- flagTrace sections --------------------------------------------------

@@ -14,9 +14,6 @@ import (
 	"time"
 
 	"ucgraph/internal/graph"
-	"ucgraph/internal/influence"
-	"ucgraph/internal/knn"
-	"ucgraph/internal/metrics"
 	"ucgraph/internal/worldstore"
 )
 
@@ -278,16 +275,6 @@ func (w *Worker) validRanges(ranges []Range) (int, error) {
 	return total, nil
 }
 
-func validNodes(g *graph.Uncertain, field string, nodes []int32) error {
-	n := int32(g.NumNodes())
-	for _, v := range nodes {
-		if v < 0 || v >= n {
-			return fmt.Errorf("%q node %d out of range [0, %d)", field, v, n)
-		}
-	}
-	return nil
-}
-
 // badRequestError marks validation failures inside the kind handlers.
 type badRequestError struct{ msg string }
 
@@ -333,7 +320,7 @@ func (w *Worker) tally(ctx context.Context, req *TallyRequest, traced bool, anno
 	if _, err := w.validRanges(req.Ranges); err != nil {
 		return nil, false, badReq("%s", err)
 	}
-	if err := validTally(wg, req); err != nil {
+	if err := validTally(wg.g, req); err != nil {
 		return nil, false, err
 	}
 	if traced {
@@ -376,7 +363,7 @@ func (w *Worker) tally(ctx context.Context, req *TallyRequest, traced bool, anno
 			annot.CacheMiss++
 		}
 		cached = false
-		part, err := w.rangeTally(ctx, wg, req, rg)
+		part, err := rangeTally(ctx, wg.store, req, rg)
 		if err != nil {
 			return nil, false, err
 		}
@@ -415,239 +402,6 @@ func (w *Worker) noteSlowTally(req *TallyRequest, ref traceRef, elapsed time.Dur
 		attrs = append(attrs, slog.String("error", err.Error()))
 	}
 	lg.Warn("slow tally", attrs...)
-}
-
-// validTally checks the kind-specific request fields, once per request.
-func validTally(wg *workerGraph, req *TallyRequest) error {
-	switch req.Kind {
-	case KindConnected, KindWithin:
-		if len(req.Centers) == 0 {
-			return badReq("kind %q needs \"centers\"", req.Kind)
-		}
-		if err := validNodes(wg.g, "centers", req.Centers); err != nil {
-			return badReq("%s", err)
-		}
-		if req.Kind == KindWithin && req.Depth < 0 {
-			return badReq("kind %q needs a non-negative \"depth\"", req.Kind)
-		}
-	case KindPair:
-		if err := validNodes(wg.g, "u/v", []int32{req.U, req.V}); err != nil {
-			return badReq("%s", err)
-		}
-	case KindDistances:
-		if err := validNodes(wg.g, "source", []int32{req.Source}); err != nil {
-			return badReq("%s", err)
-		}
-	case KindSpread:
-		if len(req.Seeds) == 0 {
-			return badReq("kind %q needs \"seeds\"", req.Kind)
-		}
-		fallthrough
-	case KindMarginal:
-		if err := validNodes(wg.g, "seeds", req.Seeds); err != nil {
-			return badReq("%s", err)
-		}
-		if err := validNodes(wg.g, "candidates", req.Candidates); err != nil {
-			return badReq("%s", err)
-		}
-	case KindReliability:
-		// Empty seeds means all-terminal (every node), mirroring the
-		// empty-candidates convention of KindMarginal.
-		if err := validNodes(wg.g, "seeds", req.Seeds); err != nil {
-			return badReq("%s", err)
-		}
-	case KindComponents, KindLargest:
-		// Range-only kinds: nothing beyond the ranges to validate.
-	default:
-		return badReq("unknown tally kind %q", req.Kind)
-	}
-	return nil
-}
-
-// rangeTally computes one kind's tallies over a single world range. The
-// result is immutable once returned (it may be shared by the cache), and
-// merging per-range results is plain integer addition — which is the whole
-// bit-identity argument: integer sums are order-free, so any partitioning
-// of [lo, hi) into ranges, workers, retries and hedges folds to the same
-// totals.
-func (w *Worker) rangeTally(ctx context.Context, wg *workerGraph, req *TallyRequest, rg Range) (*TallyResponse, error) {
-	return rangeTally(ctx, wg.g, wg.store, req, rg)
-}
-
-// rangeTally is the transport-free tally kernel: one kind over one world
-// range of the (graph, seed) stream behind store. It is shared by the
-// worker and by the coordinator's audit referee, which recomputes a
-// divergent group locally over the same stream — the two sides agreeing
-// byte-for-byte is the audit's ground truth.
-func rangeTally(ctx context.Context, g *graph.Uncertain, store *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {
-	resp := &TallyResponse{Worlds: rg.Worlds()}
-	switch req.Kind {
-	case KindConnected, KindWithin:
-		n := g.NumNodes()
-		counts := make([][]int32, len(req.Centers))
-		buf := make([]int32, len(req.Centers)*n)
-		lo := make([]int, len(req.Centers))
-		for j := range counts {
-			counts[j] = buf[j*n : (j+1)*n : (j+1)*n]
-			lo[j] = rg.Lo
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if req.Kind == KindConnected {
-			store.CountConnectedFromMulti(req.Centers, lo, rg.Hi, counts)
-		} else {
-			store.CountWithinMulti(req.Centers, req.Depth, lo, rg.Hi, counts)
-		}
-		resp.Counts = counts
-	case KindPair:
-		var cnt int64
-		if err := store.ScanCtx(ctx, rg.Lo, rg.Hi, func(_ int, lab []int32) {
-			if lab[req.U] == lab[req.V] {
-				cnt++
-			}
-		}); err != nil {
-			return nil, err
-		}
-		resp.Count = cnt
-	case KindDistances:
-		dd, err := knn.SampleRangeCtx(ctx, store, req.Source, rg.Lo, rg.Hi)
-		if err != nil {
-			return nil, err
-		}
-		n := g.NumNodes()
-		resp.Hist = make([][]DistCount, n)
-		resp.Unreachable = make([]int64, n)
-		for v := 0; v < n; v++ {
-			buckets := make([]DistCount, 0, len(dd.Hist[v]))
-			for d, c := range dd.Hist[v] {
-				buckets = append(buckets, DistCount{D: d, N: int64(c)})
-			}
-			sort.Slice(buckets, func(i, j int) bool { return buckets[i].D < buckets[j].D })
-			resp.Hist[v] = buckets
-			resp.Unreachable[v] = int64(dd.Unreachable[v])
-		}
-	case KindSpread:
-		total, err := influence.SpreadTallyCtx(ctx, store, req.Seeds, rg.Lo, rg.Hi)
-		if err != nil {
-			return nil, err
-		}
-		resp.Totals = []int64{total}
-	case KindMarginal:
-		candidates := req.Candidates
-		if len(candidates) == 0 {
-			// Empty candidates means "all nodes" (see KindMarginal): the
-			// initial greedy round asks about every node, and the
-			// convention keeps n node IDs off the wire.
-			candidates = make([]graph.NodeID, g.NumNodes())
-			for v := range candidates {
-				candidates[v] = graph.NodeID(v)
-			}
-		}
-		totals, err := influence.MarginalTallyCtx(ctx, store, req.Seeds, candidates, rg.Lo, rg.Hi)
-		if err != nil {
-			return nil, err
-		}
-		resp.Totals = totals
-	case KindReliability:
-		var (
-			tally int64
-			err   error
-		)
-		if len(req.Seeds) == 0 {
-			tally, err = metrics.AllTerminalReliabilityTallyCtx(ctx, store, rg.Lo, rg.Hi)
-		} else {
-			tally, err = metrics.SetReliabilityTallyCtx(ctx, store, req.Seeds, rg.Lo, rg.Hi)
-		}
-		if err != nil {
-			return nil, err
-		}
-		resp.Totals = []int64{tally}
-	case KindComponents:
-		tally, err := metrics.ComponentsTallyCtx(ctx, store, rg.Lo, rg.Hi)
-		if err != nil {
-			return nil, err
-		}
-		resp.Totals = []int64{tally}
-	case KindLargest:
-		tally, err := metrics.LargestComponentTallyCtx(ctx, store, rg.Lo, rg.Hi)
-		if err != nil {
-			return nil, err
-		}
-		resp.Totals = []int64{tally}
-	}
-	return resp, nil
-}
-
-// mergeTally folds one per-range result into the accumulator. dst starts
-// zero-valued; src is never mutated (it may live in the cache).
-func mergeTally(dst, src *TallyResponse, kind string) {
-	dst.Worlds += src.Worlds
-	switch kind {
-	case KindConnected, KindWithin:
-		if dst.Counts == nil {
-			rows, cols := len(src.Counts), 0
-			if rows > 0 {
-				cols = len(src.Counts[0])
-			}
-			buf := make([]int32, rows*cols)
-			dst.Counts = make([][]int32, rows)
-			for j := range dst.Counts {
-				dst.Counts[j] = buf[j*cols : (j+1)*cols : (j+1)*cols]
-			}
-		}
-		for j, row := range src.Counts {
-			out := dst.Counts[j]
-			for i, c := range row {
-				out[i] += c
-			}
-		}
-	case KindPair:
-		dst.Count += src.Count
-	case KindSpread, KindMarginal, KindReliability, KindComponents, KindLargest:
-		if dst.Totals == nil {
-			dst.Totals = make([]int64, len(src.Totals))
-		}
-		for i, t := range src.Totals {
-			dst.Totals[i] += t
-		}
-	case KindDistances:
-		if dst.Hist == nil {
-			dst.Hist = make([][]DistCount, len(src.Hist))
-			dst.Unreachable = make([]int64, len(src.Unreachable))
-		}
-		for v, buckets := range src.Hist {
-			dst.Hist[v] = mergeBuckets(dst.Hist[v], buckets)
-		}
-		for v, u := range src.Unreachable {
-			dst.Unreachable[v] += u
-		}
-	}
-}
-
-// mergeBuckets merges two distance histograms sorted ascending by D.
-func mergeBuckets(a, b []DistCount) []DistCount {
-	if len(a) == 0 {
-		return append([]DistCount(nil), b...)
-	}
-	out := make([]DistCount, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].D < b[j].D:
-			out = append(out, a[i])
-			i++
-		case a[i].D > b[j].D:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, DistCount{D: a[i].D, N: a[i].N + b[j].N})
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // tallyCache is the worker's per-range tally cache: FIFO eviction under a
