@@ -116,10 +116,12 @@ bench-obs:
 	@echo "merged tracing-overhead suite into BENCH_shard.json"
 
 # Storage-tier benchmarks (cold vs spilled-warm vs recompute block
-# materialization, the bit-sliced accumulate kernel at full and depth-2
-# reach) -> BENCH_store.json, merged in place.
+# materialization, the single-center connection count on the
+# largest-component index next to the reference label scan, the
+# bit-sliced accumulate kernel at full and depth-2 reach) ->
+# BENCH_store.json, merged in place.
 bench-store:
-	$(GO) test -bench='BlockMaterialize' -benchmem -run='^$$' ./internal/worldstore | tee bench-store.out
+	$(GO) test -bench='BlockMaterialize|CountConnectedFrom' -benchmem -run='^$$' ./internal/worldstore | tee bench-store.out
 	$(GO) test -bench='Accum' -benchmem -run='^$$' ./internal/sampler | tee -a bench-store.out
 	$(GO) run ./cmd/benchjson -suite store -update BENCH_store.json < bench-store.out
 	@rm -f bench-store.out

@@ -170,17 +170,23 @@ func TestCostAdmissionOnEveryEstimatingEndpoint(t *testing.T) {
 // no gate slot — the next valid request from the same client is served.
 func TestRejectedRequestSpendsNoQuota(t *testing.T) {
 	g := testGraph(t, 32, 1)
-	valid := map[string]any{"graph": "ring", "kind": "set", "set": []int{0, 3}, "samples": 100}
-	for _, bad := range []map[string]any{
-		{"graph": "ring", "kind": "zap", "samples": 100},
-		{"graph": "ring", "kind": "set", "samples": 100},
+	reliability := map[string]any{"graph": "ring", "kind": "set", "set": []int{0, 3}, "samples": 100}
+	pair := map[string]any{"graph": "ring", "source": 0, "target": 9, "samples": 100}
+	for _, tc := range []struct {
+		path       string
+		bad, valid map[string]any
+	}{
+		{"/v1/reliability", map[string]any{"graph": "ring", "kind": "zap", "samples": 100}, reliability},
+		{"/v1/reliability", map[string]any{"graph": "ring", "kind": "set", "samples": 100}, reliability},
+		{"/v1/reliability", map[string]any{"graph": "ring", "kind": "set", "set": []int{0, 3}, "samples": 100, "timeout_ms": -1}, reliability},
+		{"/v1/conn", map[string]any{"graph": "ring", "source": 0, "target": 9, "samples": 100, "timeout_ms": -1}, pair},
 	} {
 		_, ts := newTestServer(t, g, Options{ClientWorldsPerMin: 100})
-		if code, body := post(t, ts.URL+"/v1/reliability", bad, nil); code != 400 {
-			t.Fatalf("%v: code %d body %s, want 400", bad, code, body)
+		if code, body := post(t, ts.URL+tc.path, tc.bad, nil); code != 400 {
+			t.Fatalf("%s %v: code %d body %s, want 400", tc.path, tc.bad, code, body)
 		}
-		if code, body := post(t, ts.URL+"/v1/reliability", valid, nil); code != 200 {
-			t.Fatalf("valid request after %v: code %d body %s, want 200", bad, code, body)
+		if code, body := post(t, ts.URL+tc.path, tc.valid, nil); code != 200 {
+			t.Fatalf("%s valid request after %v: code %d body %s, want 200", tc.path, tc.bad, code, body)
 		}
 	}
 }

@@ -354,6 +354,9 @@ func endpoint[T any](s *Server, parse func(*T) (query, *apiError)) http.HandlerF
 		if e == nil {
 			q, e = parse(&req)
 		}
+		if e == nil {
+			e = checkTimeout(q.timeoutMS)
+		}
 		if e != nil {
 			s.writeError(w, e)
 			return
@@ -374,11 +377,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q query) {
 		return
 	}
 	defer release()
-	ctx, cancel, e := s.deadline(r.Context(), q.timeoutMS)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
+	ctx, cancel := s.deadline(r.Context(), q.timeoutMS)
 	defer cancel()
 	ctx, tr := s.startTrace(ctx, q.endpoint, q.h.name)
 	defer s.finishTrace(tr)
@@ -604,8 +603,8 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.TimeoutMS < 0 {
-		s.writeError(w, badRequest("\"timeout_ms\" must be positive"))
+	if e := checkTimeout(req.TimeoutMS); e != nil {
+		s.writeError(w, e)
 		return
 	}
 	if req.Eps != 0 || req.Delta != 0 {
@@ -652,12 +651,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if req.Async {
 		// The job's deadline runs against the background context: the
 		// client disconnects after the 202, the job keeps computing.
-		ctx, cancel, e := s.deadline(context.Background(), req.TimeoutMS)
-		if e != nil {
-			release()
-			s.writeError(w, e)
-			return
-		}
+		ctx, cancel := s.deadline(context.Background(), req.TimeoutMS)
 		j := s.jobs.create(h.name, req.Algo, cancel)
 		go func() {
 			defer cancel()
@@ -671,11 +665,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx, cancel, e := s.deadline(r.Context(), req.TimeoutMS)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
+	ctx, cancel := s.deadline(r.Context(), req.TimeoutMS)
 	defer cancel()
 	ctx, tr := s.startTrace(ctx, "/v1/cluster", h.name)
 	defer s.finishTrace(tr)

@@ -415,22 +415,28 @@ func (s *Server) samples(req int) (int, *apiError) {
 	return req, nil
 }
 
-// deadline derives the request context: the caller's timeout_ms clamped to
-// MaxTimeout, or DefaultTimeout when omitted, layered over parent (the
-// HTTP request context, so client disconnects cancel too).
-func (s *Server) deadline(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc, *apiError) {
+// checkTimeout rejects a negative timeout_ms. Handlers call it with the
+// other field checks, before admission charges the client anything.
+func checkTimeout(timeoutMS int64) *apiError {
+	if timeoutMS < 0 {
+		return badRequest("\"timeout_ms\" must be positive")
+	}
+	return nil
+}
+
+// deadline derives the request context: the caller's timeout_ms (already
+// checked by checkTimeout) clamped to MaxTimeout, or DefaultTimeout when
+// omitted, layered over parent (the HTTP request context, so client
+// disconnects cancel too).
+func (s *Server) deadline(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.opts.DefaultTimeout
-	switch {
-	case timeoutMS < 0:
-		return nil, nil, badRequest("\"timeout_ms\" must be positive")
-	case timeoutMS > 0:
+	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
 		if d > s.opts.MaxTimeout {
 			d = s.opts.MaxTimeout
 		}
 	}
-	ctx, cancel := context.WithTimeout(parent, d)
-	return ctx, cancel, nil
+	return context.WithTimeout(parent, d)
 }
 
 // apiError is an HTTP error with a JSON body.

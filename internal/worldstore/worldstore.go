@@ -12,7 +12,10 @@
 // storage: connected-component labels (the unlimited-depth connectivity
 // index) and present-edge bitmaps (one bit per edge, the substrate of
 // batched depth-limited BFS — every edge coin of a world is evaluated once,
-// then a whole center batch traverses bitmap tests). Worlds are grouped
+// then a whole center batch traverses bitmap tests). A label block read by
+// a single-center tally also carries a largest-component index derived
+// from its labels (see compIndex): lazy, immutable, charged to the byte
+// budget, evicted with its block and never spilled. Worlds are grouped
 // into fixed-size blocks, and within a block each artifact is stored
 // world-major in one contiguous slice, so scanning a block touches memory
 // sequentially. Blocks of both families are materialized on first access
@@ -113,8 +116,10 @@ type Store struct {
 
 	// reachPool recycles the batched BFS scratch CountWithinMulti uses;
 	// sampler.MultiReachCounter is single-goroutine, so each call checks
-	// one out for its duration.
+	// one out for its duration. walkPool does the same for the component
+	// walks of CountConnectedFrom.
 	reachPool sync.Pool
+	walkPool  sync.Pool
 }
 
 // block is one materialized run of up to bw consecutive worlds of one
@@ -131,11 +136,12 @@ type Store struct {
 type block struct {
 	fam     family
 	idx     int
-	bytes   int64      // nominal full-block bytes, accounted in residentBytes
+	bytes   int64      // nominal full-block bytes plus any index, accounted in residentBytes; guarded by Store.mu
 	mu      sync.Mutex // serializes prefix extension
 	done    int        // worlds [0, done) of the block are materialized
 	labels  []int32    // famLabels payload; grows toward bw*n, valid up to done*n
 	bits    []uint64   // famBits payload; grows toward bw*wpw, valid up to done*wpw
+	index   *compIndex // famLabels only: largest-component index, nil until first needed; guarded by mu
 	pins    int        // readers currently holding the block; guarded by Store.mu
 	lastUse uint64
 	fresh   bool // no load/compute attempt since insertion (disk probe pending); guarded by mu (the block's)
@@ -160,8 +166,10 @@ type Stats struct {
 	// artifact family.
 	ResidentLabelBlocks  int
 	ResidentBitmapBlocks int
-	// ResidentBytes is the nominal memory of the resident blocks — the
-	// quantity the SetBudget byte budget bounds.
+	// ResidentBytes is the nominal memory of the resident blocks,
+	// including the largest-component indexes of label blocks that
+	// CountConnectedFrom has read — the quantity the SetBudget byte
+	// budget bounds.
 	ResidentBytes int64
 	// BlockWorlds is the number of worlds per block.
 	BlockWorlds int
@@ -250,6 +258,7 @@ func New(g *graph.Uncertain, seed uint64) *Store {
 		s.built[f] = make(map[int]bool)
 	}
 	s.reachPool.New = func() any { return sampler.NewMultiReachCounter(g) }
+	s.walkPool.New = func() any { return &componentWalk{seen: make([]uint32, n)} }
 	if b := defaultBudget.Load(); b > 0 {
 		s.SetBudget(b)
 	}
@@ -420,9 +429,9 @@ func (s *Store) BitsWarm(lo, hi int) bool {
 }
 
 // SetBudget bounds the memory spent on materialized blocks — label and
-// edge-bitmap families together — to roughly bytes (a block being acquired
-// is always allowed in even when it alone overshoots, so scans make
-// progress). bytes <= 0 removes the bound. Shrinking evicts immediately.
+// edge-bitmap families together, label blocks with their largest-component
+// indexes — to roughly bytes (a block being acquired is always allowed in
+// even when it alone overshoots, so scans make progress). bytes <= 0 removes the bound. Shrinking evicts immediately.
 // Estimates are identical in bounded and unbounded mode: evicted blocks
 // are recomputed, not approximated.
 func (s *Store) SetBudget(bytes int64) {
@@ -583,6 +592,14 @@ func (s *Store) acquireBlock(f family, bi int) *block {
 func (s *Store) acquire(bi, need int) (*block, []int32) {
 	b := s.acquireBlock(famLabels, bi)
 	b.mu.Lock()
+	labels := s.growLabels(b, need)
+	b.mu.Unlock()
+	return b, labels
+}
+
+// growLabels materializes label block b up to at least need worlds and
+// returns its label buffer. The caller holds b.mu and a pin on b.
+func (s *Store) growLabels(b *block, need int) []int32 {
 	if b.fresh {
 		s.primeBlock(b)
 	}
@@ -599,12 +616,10 @@ func (s *Store) acquire(bi, need int) (*block, []int32) {
 			copy(grown, b.labels[:b.done*s.n])
 			b.labels = grown
 		}
-		s.computeWorlds(bi, b.done, need, b.labels)
+		s.computeWorlds(b.idx, b.done, need, b.labels)
 		b.done = need
 	}
-	labels := b.labels
-	b.mu.Unlock()
-	return b, labels
+	return b.labels
 }
 
 // acquireBits is acquire for the edge-bitmap family: it returns bitmap
@@ -924,20 +939,6 @@ func (s *Store) Connected(i int, u, v graph.NodeID) bool {
 	conn := false
 	s.Scan(i, i+1, func(_ int, lab []int32) { conn = lab[u] == lab[v] })
 	return conn
-}
-
-// CountConnectedFrom adds, for every node u, the number of worlds in
-// [lo, hi) where u and c share a component, into counts (length NumNodes).
-// counts is not cleared, so callers can accumulate across ranges.
-func (s *Store) CountConnectedFrom(c graph.NodeID, lo, hi int, counts []int32) {
-	s.Scan(lo, hi, func(_ int, lab []int32) {
-		lc := lab[c]
-		for u, lu := range lab {
-			if lu == lc {
-				counts[u]++
-			}
-		}
-	})
 }
 
 // CountConnectedFromMulti is the batched form of CountConnectedFrom: for
