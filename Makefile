@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet test short race chaos cover bench bench-core bench-depth bench-server bench-shard bench-store bench-dblp bench-obs bench-smoke fuzz serve docs-check ci
+.PHONY: build fmt vet test short race chaos cover bench bench-core bench-depth bench-server bench-shard bench-store bench-dblp bench-obs bench-smoke bench-selftest fuzz serve docs-check ci
 
 build:
 	$(GO) build ./...
@@ -118,10 +118,11 @@ bench-obs:
 # Storage-tier benchmarks (cold vs spilled-warm vs recompute block
 # materialization, the single-center connection count on the
 # largest-component index next to the reference label scan, the
-# bit-sliced accumulate kernel at full and depth-2 reach) ->
-# BENCH_store.json, merged in place.
+# single-center depth-limited count on the presence index next to the
+# reference per-world BFS, the bit-sliced accumulate kernel at full and
+# depth-2 reach) -> BENCH_store.json, merged in place.
 bench-store:
-	$(GO) test -bench='BlockMaterialize|CountConnectedFrom' -benchmem -run='^$$' ./internal/worldstore | tee bench-store.out
+	$(GO) test -bench='BlockMaterialize|CountConnectedFrom|CountWithinFrom' -benchmem -run='^$$' ./internal/worldstore | tee bench-store.out
 	$(GO) test -bench='Accum' -benchmem -run='^$$' ./internal/sampler | tee -a bench-store.out
 	$(GO) run ./cmd/benchjson -suite store -update BENCH_store.json < bench-store.out
 	@rm -f bench-store.out
@@ -136,12 +137,20 @@ bench-dblp:
 	@rm -f bench-dblp.out
 	@echo "merged paper-scale DBLP into BENCH_store.json"
 
-# Fuzz the shard wire codec beyond the checked-in corpus (the corpus
-# itself runs as seeds in every plain `go test`). FUZZTIME extends a run.
+# Fuzz the byte decoders beyond their checked-in corpora (each corpus
+# itself runs as seeds in every plain `go test`): the shard wire codec and
+# the world store's disk-tier directory log. FUZZTIME extends a run.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/shard -run='^$$' -fuzz=FuzzWireRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/shard -run='^$$' -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/worldstore -run='^$$' -fuzz=FuzzSpillReplay -fuzztime=$(FUZZTIME)
+
+# The end-to-end benchmark's self-test: every perfbench workload runs
+# briefly and its metrics are checked against BENCHMARK.json, including
+# that no replayed layer's self time goes negative.
+bench-selftest:
+	bash perfbench/run.sh --selftest
 
 # Daemon-level benchmarks (cold vs warm world store behind /v1/conn) ->
 # BENCH_server.json.

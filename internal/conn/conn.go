@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 
 	"ucgraph/internal/graph"
-	"ucgraph/internal/sampler"
 	"ucgraph/internal/worldstore"
 )
 
@@ -82,13 +81,13 @@ var (
 
 // MonteCarlo estimates connection probabilities by sampling possible
 // worlds. Unlimited-depth queries are answered from the per-world component
-// labels of the shared world store (one O(n) scan per world per query);
-// depth-limited queries run depth-bounded BFS over the same world stream —
-// batched queries against the store's per-world edge bitmaps (every coin
-// of a world evaluated once for the whole center batch), single-center
-// queries on the implicit stream directly. Limited and unlimited views are
-// mutually consistent — and consistent with every other consumer of the
-// same (graph, seed) store (k-NN, influence, metrics, ...).
+// labels of the shared world store; depth-limited queries run depth-bounded
+// BFS over the store's edge bitmaps of the same world stream, through the
+// kernel the store picks for its block width (one traversal per 64 worlds
+// on graphs of up to 4,096 nodes; see worldstore.CountWithinFrom). Limited
+// and unlimited views are mutually consistent — and consistent with every
+// other consumer of the same (graph, seed) store (k-NN, influence,
+// metrics, ...).
 //
 // Because worlds are deterministic and shared, per-center tally vectors are
 // cached and extended incrementally when later phases of the progressive
@@ -130,11 +129,6 @@ type MonteCarlo struct {
 	// first use.
 	semOnce  sync.Once
 	shardSem chan struct{}
-
-	// reachPool recycles depth-limited BFS scratch; ReachCounter is
-	// single-goroutine, so each worker checks one out for the duration of
-	// its shard.
-	reachPool sync.Pool
 
 	// ext, when non-nil, counts the missing worlds of every pending
 	// tally instead of the local store (NewMonteCarloExtended).
@@ -190,15 +184,13 @@ func NewMonteCarlo(g *graph.Uncertain, seed uint64) *MonteCarlo {
 	if maxCache < 64 {
 		maxCache = 64
 	}
-	mc := &MonteCarlo{
+	return &MonteCarlo{
 		g:        g,
 		seed:     seed,
 		store:    worldstore.Shared(g, seed),
 		cache:    make(map[cacheKey]*centerTally),
 		maxCache: maxCache,
 	}
-	mc.reachPool.New = func() any { return sampler.NewReachCounter(g, seed) }
-	return mc
 }
 
 // NewMonteCarloExtended returns an estimator whose tally cache is extended
@@ -346,14 +338,13 @@ func (mc *MonteCarlo) extendChunked(ctx context.Context, key cacheKey, tally *ce
 // FromCenters implements the batched Oracle query: one estimate vector per
 // center, equal to FromCenter(c, depth, r) for each c. The batch shares
 // the per-center tally cache with FromCenter; centers whose tallies need
-// extension are answered together, sharded across the worker pool so that
-// each worker scans the world blocks ONCE for its whole center subset —
-// label blocks (worldstore.CountConnectedFromMulti) for unlimited depth,
-// edge-bitmap blocks (worldstore.CountWithinMulti, hashing each world's
-// edge coins once for the whole subset) for depth-limited queries —
-// instead of once per center. Workers write into disjoint tallies, so the
-// counts — and the estimates — are bit-identical to a serial per-center
-// loop for any worker count.
+// extension are answered together, sharded across the worker pool, each
+// worker handing its whole center subset to one store call — label
+// blocks (worldstore.CountConnectedFromMulti) for unlimited depth,
+// edge-bitmap blocks (worldstore.CountWithinMulti, whose kernel the store
+// picks for its block width) for depth-limited queries. Workers write
+// into disjoint tallies, so the counts — and the estimates — are
+// bit-identical to a serial per-center loop for any worker count.
 func (mc *MonteCarlo) FromCenters(cs []graph.NodeID, depth int, r int) [][]float64 {
 	out, _ := mc.FromCentersCtx(context.Background(), cs, depth, r)
 	return out
@@ -426,16 +417,14 @@ func (mc *MonteCarlo) FromCentersCtx(ctx context.Context, cs []graph.NodeID, dep
 			return nil, err
 		}
 	case len(pending) == 1:
-		// A single center gets the world-sharded extension (depth-limited
-		// extensions run implicit BFS without materializing bitmaps).
+		// A single center gets the world-sharded extension.
 		if err := mc.extendChunked(ctx, pending[0].key, pending[0].tally, r); err != nil {
 			return nil, err
 		}
 	default:
 		// Batched extension for every depth: unlimited batches answer from
-		// one label scan per world, depth-limited batches from one edge
-		// bitmap per world (coins hashed once, every center's BFS tests
-		// bits) — see extendBatch.
+		// one label scan per world, depth-limited batches from the edge
+		// bitmaps — see extendBatch.
 		if err := mc.extendBatchChunked(ctx, pending, r); err != nil {
 			return nil, err
 		}
@@ -510,16 +499,16 @@ func (mc *MonteCarlo) extendBatchChunked(ctx context.Context, pending []*batchSl
 
 // extendBatch brings every pending tally up to r worlds of counts. The
 // pending centers are split into contiguous subsets, one per worker; each
-// worker answers its subset with a single blocked pass over the store —
+// worker answers its subset with a single store call —
 // CountConnectedFromMulti (label scans) for unlimited depth,
-// CountWithinMulti (edge-bitmap BFS; one coin evaluation per edge per
-// world for the whole batch) for depth-limited queries — writing directly
-// into its tallies' count vectors. No two workers touch the same tally and
-// each tally's counts depend only on (store, depth, lo, r), so the result
-// is independent of the partition. The caller holds every pending tally's
-// lock; all slots share one depth (FromCenters batches are per-depth).
-// Extra workers draw tokens from the estimator-wide semaphore, and a token
-// shortage degrades to fewer, larger subsets — never to blocking.
+// CountWithinMulti (edge-bitmap BFS) for depth-limited queries — writing
+// directly into its tallies' count vectors. No two workers touch the same
+// tally and each tally's counts depend only on (store, depth, lo, r), so
+// the result is independent of the partition. The caller holds every
+// pending tally's lock; all slots share one depth (FromCenters batches are
+// per-depth). Extra workers draw tokens from the estimator-wide semaphore,
+// and a token shortage degrades to fewer, larger subsets — never to
+// blocking.
 func (mc *MonteCarlo) extendBatch(pending []*batchSlot, r int) {
 	mc.store.Grow(r)
 	depth := pending[0].key.depth
@@ -604,11 +593,11 @@ const minShardSpan = 16
 // merged serially. Integer addition is associative and commutative, so the
 // merged counts equal the serial counts exactly, for any worker count.
 //
-// Unlimited-depth chunks are cut at label-block boundaries: within one
-// block the store answers from the block's largest-component index in a
-// few microseconds of popcounts, less than a goroutine, an n-entry scratch
-// buffer and an n-long merge cost, so a range inside one block is counted
-// serially.
+// Chunks are cut at block boundaries: within one block the store answers
+// from the block's index (the largest-component index for unlimited depth,
+// the presence index for depth-limited queries) in microseconds, less than
+// a goroutine, an n-entry scratch buffer and an n-long merge cost, so a
+// range inside one block is counted serially.
 //
 // Extra shard goroutines draw tokens from the estimator-wide semaphore
 // (the calling goroutine always works its own chunk token-free), so
@@ -617,11 +606,8 @@ const minShardSpan = 16
 // chunks — never to blocking. The caller holds tally.mu.
 func (mc *MonteCarlo) extend(key cacheKey, tally *centerTally, r int) {
 	lo, hi := tally.rDone, r
-	align := 1
-	if key.depth < 0 {
-		mc.store.Grow(hi)
-		align = mc.store.BlockWorlds()
-	}
+	mc.store.Grow(hi)
+	align := mc.store.BlockWorlds()
 	// cut rounds a chunk boundary up to the alignment, within the range.
 	cut := func(x int) int { return min((x+align-1)/align*align, hi) }
 	span := hi - lo
@@ -684,31 +670,18 @@ func (mc *MonteCarlo) extend(key cacheKey, tally *centerTally, r int) {
 	}
 }
 
-// countRange adds the connection counts of worlds [lo, hi) into counts:
-// label scans over the shared store for unlimited depth, depth-bounded BFS
-// otherwise. A depth-limited range whose edge-bitmap blocks are warm — in
-// RAM (a batched FromCenters materialized them earlier) or spilled to the
-// store's disk tier — is answered from those bitmaps: the single-center
-// BFS tests bits instead of re-hashing every touched edge's coin, and
-// loading a spilled block is a sequential read plus checksum, far cheaper
-// than re-evaluating its edge coins. A cold range runs on the implicit
-// stream directly, because filling bitmaps for one center has nothing to
-// amortize. Warmth is a hint only: eviction between the probe and the
-// scan just recomputes the block, and both paths add bit-identical counts
-// (a reach set is a function of the world's edge set alone). Safe to call
-// from multiple goroutines as long as each call owns its counts buffer.
+// countRange adds the connection counts of worlds [lo, hi) into counts
+// from the shared store: CountConnectedFrom for unlimited depth,
+// CountWithinFrom for depth-limited queries. The store picks the kernel
+// for its block width and warm state; every kernel adds the same
+// integers. Safe to call from multiple goroutines as long as each call
+// owns its counts buffer.
 func (mc *MonteCarlo) countRange(key cacheKey, lo, hi int, counts []int32) {
 	if key.depth < 0 {
 		mc.store.CountConnectedFrom(key.c, lo, hi, counts)
 		return
 	}
-	if mc.store.BitsWarm(lo, hi) {
-		mc.store.CountWithinMulti([]graph.NodeID{key.c}, key.depth, []int{lo}, hi, [][]int32{counts})
-		return
-	}
-	rc := mc.reachPool.Get().(*sampler.ReachCounter)
-	rc.CountWithin(key.c, key.depth, lo, hi, counts)
-	mc.reachPool.Put(rc)
+	mc.store.CountWithinFrom(key.c, key.depth, lo, hi, counts)
 }
 
 // Pair estimates Pr(u ~ v) with r samples.

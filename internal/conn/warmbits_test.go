@@ -44,18 +44,35 @@ func TestWarmBitmapSingleCenterBitIdentical(t *testing.T) {
 	}
 }
 
-// TestColdSingleCenterSkipsBitmapFill: without resident bitmaps a
-// single-center depth query must stay on the implicit-world path — filling
-// whole bitmap blocks for one center has nothing to amortize.
+// TestColdSingleCenterSkipsBitmapFill: on a graph whose blocks are too
+// narrow for the store's presence index (above 4,096 nodes), a
+// single-center depth query without resident bitmaps must stay on the
+// implicit-world path — filling whole bitmap blocks for one center has
+// nothing to amortize. On a graph with 64-world blocks the first query
+// materializes the bitmaps and presence indexes of the blocks it reads,
+// and a second center over the same range materializes nothing.
 func TestColdSingleCenterSkipsBitmapFill(t *testing.T) {
-	g := gridGraph(t, 9, 8, 0.55)
-	mc := NewMonteCarlo(identicalGraph(t, g), 23)
+	wide := gridGraph(t, 70, 70, 0.55)
+	mc := NewMonteCarlo(wide, 23)
+	if bw := mc.Store().BlockWorlds(); bw >= 64 {
+		t.Fatalf("BlockWorlds = %d on a 70x70 grid, want < 64", bw)
+	}
 	est := mc.FromCenter(7, 2, 300)
-	if len(est) != g.NumNodes() {
+	if len(est) != wide.NumNodes() {
 		t.Fatalf("estimate length %d", len(est))
 	}
 	if st := mc.Store().Stats(); st.ResidentBitmapBlocks != 0 {
 		t.Fatalf("cold single-center query materialized %d bitmap blocks", st.ResidentBitmapBlocks)
+	}
+
+	g := gridGraph(t, 9, 8, 0.55)
+	packed := NewMonteCarlo(identicalGraph(t, g), 23)
+	packed.FromCenter(7, 2, 300)
+	before := packed.Store().Stats()
+	packed.FromCenter(12, 2, 300)
+	if after := packed.Store().Stats(); after.Materializations != before.Materializations {
+		t.Fatalf("second center over a warm range materialized %d blocks",
+			after.Materializations-before.Materializations)
 	}
 }
 

@@ -158,18 +158,39 @@ func TestFigure4Points(t *testing.T) {
 	}
 }
 
+// table2Golden pins every Table 2 row of tinyCfg: the TPR and FPR of each
+// predictor are single integer divisions of pair counts, so they are
+// exact on every platform, and any change to a depth-limited tally, a
+// clustering or the scoring shows up here as a changed row.
+var table2Golden = []PredictionRow{
+	{"mcp", 2, 0.8020289855072463, 0.001167993627908689},
+	{"acp", 2, 0.7559420289855072, 0.0007329243682292347},
+	{"mcp", 3, 0.8556521739130435, 0.002165306238558515},
+	{"acp", 3, 0.9168115942028986, 0.001693423426136953},
+	{"mcp", 4, 0.8255072463768116, 0.004477866688085461},
+	{"acp", 4, 0.871304347826087, 0.004698748004538107},
+	{"mcp", 6, 0.7901449275362319, 0.012054765179733805},
+	{"acp", 6, 0.8927536231884058, 0.008975813495848436},
+	{"mcp", 8, 0.7292753623188406, 0.014196644612001888},
+	{"acp", 8, 0.8669565217391304, 0.017372650207661905},
+	{"mcl", 0, 0.9115942028985508, 0.00017068101725886285},
+	{"kpt", 0, 0.3356521739130435, 0.0003313219746789691},
+}
+
 func TestTable2Rows(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow experiment reproduction; run without -short")
-	}
 	cfg := tinyCfg()
 	rows, err := Table2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 5 depths x 2 algorithms + mcl + kpt.
-	if len(rows) != 12 {
-		t.Fatalf("table2 has %d rows, want 12", len(rows))
+	if len(rows) != len(table2Golden) {
+		t.Fatalf("table2 has %d rows, want %d", len(rows), len(table2Golden))
+	}
+	for i, want := range table2Golden {
+		if rows[i] != want {
+			t.Errorf("table2 row %d = %+v, want %+v", i, rows[i], want)
+		}
 	}
 	byAlgoDepth := map[string]map[int]PredictionRow{}
 	for _, r := range rows {

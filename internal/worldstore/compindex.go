@@ -106,18 +106,20 @@ func (s *Store) acquireIndexed(bi, need int) (*block, []int32, *compIndex) {
 	}
 	b.mu.Unlock()
 	if first {
-		s.chargeIndex(b)
+		s.chargeIndex(b, s.indexBytes())
 	}
 	return b, labels, ix
 }
 
-// chargeIndex adds a block's new index to the block's accounted bytes and
-// evicts other unpinned blocks if that takes the store over budget. The
-// caller holds a pin on b, so b itself stays until it is released.
-func (s *Store) chargeIndex(b *block) {
+// chargeIndex adds a block's new index of the given size (a label block's
+// largest-component index or a bitmap block's presence index) to the
+// block's accounted bytes and evicts other unpinned blocks if that takes
+// the store over budget. The caller holds a pin on b, so b itself stays
+// until it is released.
+func (s *Store) chargeIndex(b *block, bytes int64) {
 	s.mu.Lock()
-	b.bytes += s.indexBytes()
-	s.residentBytes += s.indexBytes()
+	b.bytes += bytes
+	s.residentBytes += bytes
 	if s.budget > 0 && s.residentBytes > s.budget {
 		s.evictLocked(s.budget)
 	}

@@ -117,7 +117,9 @@ func (sg *segment) append(data []byte) (int64, error) {
 // the view) and falling back to pread. The returned slice is only valid
 // until the next remap; callers copy out of it under the cache mutex.
 func (sg *segment) read(off, length int64) ([]byte, error) {
-	if off < 0 || length < 0 || off+length > sg.size {
+	// off+length would wrap for an offset near MaxInt64, so compare
+	// without summing.
+	if off < 0 || length < 0 || length > sg.size || off > sg.size-length {
 		return nil, fmt.Errorf("worldstore: spill payload [%d,+%d) beyond segment size %d", off, length, sg.size)
 	}
 	if length == 0 {
@@ -301,8 +303,8 @@ func openSpillCache(dir string, h spillHeader, rowBytes [numFamilies]int64, bw i
 			dropped++
 			continue
 		}
-		length := int64(done) * rowBytes[fam]
-		if off < 0 || off+length > c.segs[fam].size {
+		length, size := int64(done)*rowBytes[fam], c.segs[fam].size
+		if off < 0 || length > size || off > size-length {
 			// Segment truncated behind the directory's back: drop this
 			// record. An earlier, shorter entry for the same block (whose
 			// extent was validated when replayed) stays usable — spilled

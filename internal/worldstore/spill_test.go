@@ -1,6 +1,7 @@
 package worldstore
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -107,7 +108,7 @@ func TestSpillBitIdenticalAcrossTiers(t *testing.T) {
 
 // spillAll materializes worlds [0, r) of both families and then forces
 // every block out to the disk tier via a degenerate budget.
-func spillAll(t *testing.T, s *Store, r int) {
+func spillAll(t testing.TB, s *Store, r int) {
 	t.Helper()
 	snapshotLabels(s, r)
 	snapshotBits(s, r)
@@ -356,4 +357,113 @@ func TestBitsWarmDiskTier(t *testing.T) {
 	if spilled.BitsWarm(0, 2*bw) {
 		t.Fatal("worlds never materialized should not be warm")
 	}
+}
+
+// TestSpillHostileRecordOffset: a directory record whose CRC is valid but
+// whose payload offset lies near MaxInt64 must not pass the extent checks
+// by overflow. Replay drops it, the earlier entry for the block keeps
+// serving, and a segment read at such an offset fails instead of slicing
+// out of range.
+func TestSpillHostileRecordOffset(t *testing.T) {
+	g := ringGraph(t, 60, 12)
+	const seed, r = 19, 300
+	dir := t.TempDir()
+	want := snapshotLabels(New(g, seed), r)
+
+	first := New(g, seed)
+	if err := first.AttachCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	bw := first.BlockWorlds()
+	spillAll(t, first, r)
+
+	log := filepath.Join(dir, spillDirName)
+	raw, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append(raw, encodeRecord(famLabels, 0, bw, math.MaxInt64-8, 0)...)
+	if err := os.WriteFile(log, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second := New(g, seed)
+	if err := second.AttachCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	if st := second.Stats(); st.CorruptDropped == 0 {
+		t.Fatalf("hostile record was not dropped at attach: %+v", st)
+	}
+	sameLabels(t, "hostile-record labels", want, snapshotLabels(second, r))
+	if st := second.Stats(); st.DiskHits == 0 {
+		t.Fatalf("the valid entries should still serve: %+v", st)
+	}
+
+	sg := &segment{size: 1 << 20}
+	if _, err := sg.read(math.MaxInt64-8, 1<<16); err == nil {
+		t.Fatal("segment read at an overflowing extent succeeded")
+	}
+}
+
+// FuzzSpillReplay attaches fresh stores to hostile disk tiers. It starts
+// from a real spilled cache of both families, fuzzes the raw directory
+// log and appends one more record built from fuzzed fields through
+// encodeRecord, so its record CRC is valid and replay gets past the CRC
+// gate. Whatever the log says, every block of both families must scan
+// without a panic and bit-identically to an uncached store: a bad entry
+// is dropped and recomputed, never served.
+func FuzzSpillReplay(f *testing.F) {
+	g := ringGraph(f, 40, 2)
+	const seed, worlds = 7, 600
+	ref := New(g, seed)
+	bw := ref.BlockWorlds()
+	wantLabels, wantBits := snapshotLabels(ref, worlds), snapshotBits(ref, worlds)
+
+	base := f.TempDir()
+	spilled := New(g, seed)
+	if err := spilled.AttachCache(base); err != nil {
+		f.Fatal(err)
+	}
+	spillAll(f, spilled, worlds)
+	files := map[string][]byte{}
+	for _, name := range []string{spillDirName, spillLabelsName, spillBitsName} {
+		raw, err := os.ReadFile(filepath.Join(base, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		files[name] = raw
+	}
+	log := files[spillDirName]
+	f.Add(log, uint8(famLabels), uint32(0), uint32(bw), uint64(math.MaxInt64-8), uint32(0))
+	f.Add(log, uint8(famBits), uint32(1), uint32(bw), uint64(1<<63), uint32(0))
+	f.Add(log, uint8(famLabels), uint32(2), uint32(bw+1), uint64(0), uint32(0))
+	f.Add(log, uint8(famBits), uint32(0), uint32(1), uint64(8), uint32(0))
+	f.Add(log[:len(log)-spillRecordSize/2], uint8(numFamilies), uint32(0), uint32(1), uint64(0), uint32(0))
+	f.Add(log[:spillHeaderSize], uint8(famLabels), uint32(1), uint32(bw), uint64(0), uint32(0))
+
+	f.Fuzz(func(t *testing.T, log []byte, fam uint8, idx, done uint32, off uint64, crc uint32) {
+		dir := t.TempDir()
+		log = append(log[:len(log):len(log)], encodeRecord(family(fam), int(idx), int(done), int64(off), crc)...)
+		for name, raw := range files {
+			if name == spillDirName {
+				raw = log
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := New(g, seed)
+		if err := s.AttachCache(dir); err != nil {
+			return // a log that is not this store's is rejected whole
+		}
+		sameLabels(t, "replayed labels", wantLabels, snapshotLabels(s, worlds))
+		gotBits := snapshotBits(s, worlds)
+		for i := range wantBits {
+			for w := range wantBits[i] {
+				if gotBits[i][w] != wantBits[i][w] {
+					t.Fatalf("replayed bits: world %d word %d: %#x != %#x", i, w, gotBits[i][w], wantBits[i][w])
+				}
+			}
+		}
+	})
 }

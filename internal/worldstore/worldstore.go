@@ -14,8 +14,11 @@
 // batched depth-limited BFS — every edge coin of a world is evaluated once,
 // then a whole center batch traverses bitmap tests). A label block read by
 // a single-center tally also carries a largest-component index derived
-// from its labels (see compIndex): lazy, immutable, charged to the byte
-// budget, evicted with its block and never spilled. Worlds are grouped
+// from its labels (see compIndex), and on graphs of up to 4,096 nodes a
+// bitmap block read by a depth-limited tally carries a presence index
+// derived from its bitmaps (see presenceIndex), which lets one BFS answer
+// 64 worlds. Both indexes are lazy, immutable, charged to the byte
+// budget, evicted with their block and never spilled. Worlds are grouped
 // into fixed-size blocks, and within a block each artifact is stored
 // world-major in one contiguous slice, so scanning a block touches memory
 // sequentially. Blocks of both families are materialized on first access
@@ -114,12 +117,16 @@ type Store struct {
 	accumFlushes atomic.Uint64
 	directWorlds atomic.Uint64
 
-	// reachPool recycles the batched BFS scratch CountWithinMulti uses;
-	// sampler.MultiReachCounter is single-goroutine, so each call checks
-	// one out for its duration. walkPool does the same for the component
+	// Kernel scratch, recycled per store; each call checks one out for its
+	// duration. reachPool holds the batched BFS of the per-world
+	// depth-limited path (sampler.MultiReachCounter), implicitPool the
+	// implicit-stream BFS (sampler.ReachCounter), packPool the packed
+	// traversal of the presence-index path and walkPool the component
 	// walks of CountConnectedFrom.
-	reachPool sync.Pool
-	walkPool  sync.Pool
+	reachPool    sync.Pool
+	implicitPool sync.Pool
+	packPool     sync.Pool
+	walkPool     sync.Pool
 }
 
 // block is one materialized run of up to bw consecutive worlds of one
@@ -152,6 +159,9 @@ type block struct {
 	// worlds [0, w) of the bitmap block are materialized. Label blocks
 	// leave it zero — there is no label residency probe.
 	ready atomic.Int32
+	// presence is the famBits presence index, nil until a depth-limited
+	// count first needs it; guarded by mu.
+	presence *presenceIndex
 }
 
 // Stats reports store observability counters. It is the snapshot the
@@ -168,8 +178,9 @@ type Stats struct {
 	ResidentBitmapBlocks int
 	// ResidentBytes is the nominal memory of the resident blocks,
 	// including the largest-component indexes of label blocks that
-	// CountConnectedFrom has read — the quantity the SetBudget byte
-	// budget bounds.
+	// CountConnectedFrom has read and the presence indexes of bitmap
+	// blocks that a depth-limited count has read — the quantity the
+	// SetBudget byte budget bounds.
 	ResidentBytes int64
 	// BlockWorlds is the number of worlds per block.
 	BlockWorlds int
@@ -210,11 +221,14 @@ type Stats struct {
 	// load (bit rot). Dropped entries are recomputed, never served.
 	CorruptDropped uint64
 	// AccumWorlds counts worlds tallied by the accumulate-mode bit-sliced
-	// reach kernel on the batched depth-limited path (CountWithinMulti);
-	// DirectWorlds counts worlds the same path tallied through the
-	// per-world direct fallback (graphs too large for the flat
-	// accumulator). Both modes add identical per-world reach indicators,
-	// so the split is an observability fact, never a results fact.
+	// reach kernel on the per-world batched depth-limited path
+	// (CountWithinMulti on graphs above 4,096 nodes, whose blocks are too
+	// narrow for the presence index); DirectWorlds counts worlds the same
+	// path tallied through the per-world direct fallback (graphs too large
+	// for the flat accumulator). Both stay zero on stores that answer
+	// from presence indexes. Every kernel adds identical per-world reach
+	// indicators, so the split is an observability fact, never a results
+	// fact.
 	AccumWorlds  uint64
 	DirectWorlds uint64
 	// AccumFlushes counts bit-sliced plane flushes (one per
@@ -258,6 +272,8 @@ func New(g *graph.Uncertain, seed uint64) *Store {
 		s.built[f] = make(map[int]bool)
 	}
 	s.reachPool.New = func() any { return sampler.NewMultiReachCounter(g) }
+	s.implicitPool.New = func() any { return sampler.NewReachCounter(g, seed) }
+	s.packPool.New = func() any { return newPackedBFS(n) }
 	s.walkPool.New = func() any { return &componentWalk{seen: make([]uint32, n)} }
 	if b := defaultBudget.Load(); b > 0 {
 		s.SetBudget(b)
@@ -630,6 +646,14 @@ func (s *Store) growLabels(b *block, need int) []int32 {
 func (s *Store) acquireBits(bi, need int) (*block, []uint64) {
 	b := s.acquireBlock(famBits, bi)
 	b.mu.Lock()
+	bits := s.growBits(b, need)
+	b.mu.Unlock()
+	return b, bits
+}
+
+// growBits materializes bitmap block b up to at least need worlds and
+// returns its bitmap buffer. The caller holds b.mu and a pin on b.
+func (s *Store) growBits(b *block, need int) []uint64 {
 	if b.fresh {
 		s.primeBlock(b)
 	}
@@ -646,13 +670,11 @@ func (s *Store) acquireBits(bi, need int) (*block, []uint64) {
 			copy(grown, b.bits[:b.done*s.wpw])
 			b.bits = grown
 		}
-		s.computeBitmaps(bi, b.done, need, b.bits)
+		s.computeBitmaps(b.idx, b.done, need, b.bits)
 		b.done = need
 		b.ready.Store(int32(need))
 	}
-	bits := b.bits
-	b.mu.Unlock()
-	return b, bits
+	return b.bits
 }
 
 // primeBlock resolves a freshly inserted block's first extension against
@@ -1033,20 +1055,34 @@ func (s *Store) ScanBits(lo, hi int, fn func(i int, bits []uint64)) {
 // for each center cs[j] it adds, into counts[j] (length NumNodes, not
 // cleared), the number of worlds in [lo[j], hi) where each node is within
 // depth hops of cs[j]. depth < 0 means unconstrained reachability (callers
-// with unlimited depth should prefer the label-scan path, which is O(n)
-// per world instead of BFS).
+// with unlimited depth should prefer the label paths, which need no BFS).
 //
-// All centers are answered in ONE pass over each world's edge bitmap: the
-// world's edge coins are evaluated once, when its bitmap block is
-// materialized, and every center's depth-bounded BFS tests bits instead of
-// re-hashing — so a batch pays the edge-coin bill once per world instead
-// of once per (world, center), and each block is acquired (and, under a
-// memory budget, potentially recomputed) once instead of once per center.
+// The store picks the kernel by its block width, as CountWithinFrom does.
+// On blocks of at least 64 worlds every center is answered by
+// CountWithinFrom from the presence indexes, one traversal per 64 worlds,
+// which costs less than sharing a per-world pass. Narrower blocks answer
+// all centers in one pass over each world's edge bitmap (see
+// countWithinUnpacked): the world's edge coins are evaluated once, when
+// its bitmap block is materialized, and every center's depth-bounded BFS
+// tests bits instead of re-hashing.
 //
 // Each (world, center) BFS visit set is a pure function of the world's
 // edge set, so the result is bit-identical to looping a per-center
-// sampler.ReachCounter over the same ranges.
+// sampler.ReachCounter over the same ranges, whichever kernel runs.
 func (s *Store) CountWithinMulti(cs []graph.NodeID, depth int, lo []int, hi int, counts [][]int32) {
+	if !s.packed() {
+		s.countWithinUnpacked(cs, depth, lo, hi, counts)
+		return
+	}
+	for j, c := range cs {
+		s.CountWithinFrom(c, depth, lo[j], hi, counts[j])
+	}
+}
+
+// countWithinUnpacked is CountWithinMulti on world-major bitmaps, for
+// stores whose blocks are too narrow for the presence index: a multi-center
+// frontier BFS per world, centers packed 64 to a mask.
+func (s *Store) countWithinUnpacked(cs []graph.NodeID, depth int, lo []int, hi int, counts [][]int32) {
 	if len(cs) == 0 {
 		return
 	}

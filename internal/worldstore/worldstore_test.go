@@ -335,26 +335,37 @@ func TestCountWithinMultiMatchesReachCounter(t *testing.T) {
 	}
 }
 
-// TestCountWithinMultiUsesAccumKernel pins the wiring of the
-// accumulate-mode bit-sliced kernel into the production batched
-// depth-limited path: on a graph small enough for the flat accumulator,
+// TestCountWithinMultiUsesAccumKernel pins the kernel routing of the
+// production batched depth-limited path. On a graph small enough for
+// 64-world blocks the presence index answers every center, so neither
+// per-world mode tallies a world. Above 4,096 nodes the blocks are
+// narrower, and on a graph small enough for the flat accumulator
 // CountWithinMulti tallies every world through accumulate mode — the
 // Stats counters prove it, and the direct fallback stays untouched. A
-// regression here (the kernel silently unhooked) would cost the batched
-// path its main speedup without failing any correctness test, since both
-// modes produce bit-identical counts.
+// regression here (a kernel silently unhooked) would cost the batched
+// path its main speedup without failing any correctness test, since every
+// kernel produces bit-identical counts.
 func TestCountWithinMultiUsesAccumKernel(t *testing.T) {
-	g := ringGraph(t, 35, 13)
 	const seed, hi = 17, 300
-	s := New(g, seed)
 	centers := []graph.NodeID{0, 5, 12}
 	lo := []int{0, 40, 0}
-	counts := make([][]int32, len(centers))
-	for j := range counts {
-		counts[j] = make([]int32, g.NumNodes())
+	count := func(g *graph.Uncertain) Stats {
+		s := New(g, seed)
+		counts := make([][]int32, len(centers))
+		for j := range counts {
+			counts[j] = make([]int32, g.NumNodes())
+		}
+		s.CountWithinMulti(centers, 2, lo, hi, counts)
+		return s.Stats()
 	}
-	s.CountWithinMulti(centers, 2, lo, hi, counts)
-	st := s.Stats()
+	if st := count(ringGraph(t, 35, 13)); st.BlockWorlds < 64 || st.AccumWorlds != 0 || st.DirectWorlds != 0 {
+		t.Fatalf("packed store: BlockWorlds %d, AccumWorlds %d, DirectWorlds %d; want >= 64, 0, 0",
+			st.BlockWorlds, st.AccumWorlds, st.DirectWorlds)
+	}
+	st := count(ringGraph(t, 4200, 13))
+	if st.BlockWorlds >= 64 {
+		t.Fatalf("BlockWorlds = %d on 4,200 nodes, want < 64", st.BlockWorlds)
+	}
 	// The distinct-lo segments partition [0, hi) and each world is
 	// accumulated exactly once, so the counter equals the range length.
 	if st.AccumWorlds != hi {
