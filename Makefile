@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet test short race chaos cover bench bench-core bench-depth bench-server bench-shard bench-store bench-dblp bench-obs bench-smoke bench-selftest fuzz serve docs-check ci
+.PHONY: build fmt vet test short race chaos cover bench bench-core bench-depth bench-server bench-shard bench-store bench-dblp bench-obs bench-smoke bench-selftest e2e-smoke fuzz serve docs-check ci
 
 build:
 	$(GO) build ./...
@@ -138,19 +138,33 @@ bench-dblp:
 	@echo "merged paper-scale DBLP into BENCH_store.json"
 
 # Fuzz the byte decoders beyond their checked-in corpora (each corpus
-# itself runs as seeds in every plain `go test`): the shard wire codec and
-# the world store's disk-tier directory log. FUZZTIME extends a run.
+# itself runs as seeds in every plain `go test`): the shard wire codec,
+# the world store's disk-tier directory log and the daemon's HTTP request
+# bodies. FUZZTIME extends a run.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/shard -run='^$$' -fuzz=FuzzWireRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/shard -run='^$$' -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/worldstore -run='^$$' -fuzz=FuzzSpillReplay -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzRequestBodies -fuzztime=$(FUZZTIME)
 
 # The end-to-end benchmark's self-test: every perfbench workload runs
 # briefly and its metrics are checked against BENCHMARK.json, including
 # that no replayed layer's self time goes negative.
 bench-selftest:
 	bash perfbench/run.sh --selftest
+
+# The per-push end-to-end smoke: one short seeded perfbench run of
+# krogan-cluster (/v1/cluster on the local path) and of krogan-sharded
+# (the same requests through the shard coordinator). perfbench exits 0
+# even when requests fail, so each run's last line must start
+# {"correct":true, and report "failed":0.
+e2e-smoke:
+	@for w in krogan-cluster krogan-sharded; do \
+		last="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 | tail -n 1)"; \
+		echo "$$w: $$last"; \
+		case "$$last" in '{"correct":true,'*'"failed":0,'*) ;; *) echo "FAIL: $$w smoke"; exit 1;; esac; \
+	done
 
 # Daemon-level benchmarks (cold vs warm world store behind /v1/conn) ->
 # BENCH_server.json.
@@ -160,4 +174,4 @@ bench-server:
 	@rm -f bench-server.out
 	@echo "wrote BENCH_server.json"
 
-ci: build fmt vet short race cover bench-smoke docs-check
+ci: build fmt vet short race cover bench-smoke docs-check e2e-smoke

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -42,18 +43,49 @@ func TestTable1AllDatasets(t *testing.T) {
 	}
 }
 
+// qualityGolden pins every Collins cell of tinyCfg's quality grid: the
+// Figure 1 pmin/pavg and the Figure 2 inner/outer AVPR of each
+// (k, algorithm). Any change to a clustering, its sampling or its
+// scoring shows up here as a changed cell.
+var qualityGolden = []struct {
+	k                    int
+	algo                 string
+	pmin, pavg           float64
+	innerAVPR, outerAVPR float64
+}{
+	{8, "mcl", 0.16666666666666666, 0.9866749174917484, 0.9833202323088092, 0.9711049066317227},
+	{8, "gmm", 0.41666666666666663, 0.9908003300330028, 0.984096372135552, 0.6059674138328088},
+	{8, "mcp", 0.47916666666666663, 0.9915635313531348, 0.9836716020448802, 0.46288796122230824},
+	{8, "acp", 0.16666666666666666, 0.989067656765676, 0.980535616701375, 0.7416839384867326},
+	{65, "mcl", 0.16666666666666666, 0.9897483498349833, 0.9933683259961621, 0.9739796905837735},
+	{65, "gmm", 0.6458333333333333, 0.9930280528052795, 0.998459100465057, 0.9562061962751952},
+	{65, "mcp", 0.6458333333333333, 0.9962046204620457, 0.9932870861310663, 0.8484188037409479},
+	{65, "acp", 0.8541666666666666, 0.9989686468646858, 0.9979709992705726, 0.8118392503400728},
+	{92, "mcl", 0.25, 0.9904496699669963, 0.9962384869577445, 0.9740156073668051},
+	{92, "gmm", 0.8125, 0.9953176567656771, 0.9976963240842243, 0.9707089225228999},
+	{92, "mcp", 0.6458333333333333, 0.9962458745874582, 0.9931799929054269, 0.8886289234192336},
+	{92, "acp", 0.8541666666666666, 0.9989686468646858, 0.9979112994498256, 0.8643068567132292},
+}
+
 func TestQualityGridCollins(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow experiment reproduction; run without -short")
-	}
 	cfg := tinyCfg()
 	cfg.Graphs = []string{"collins"}
 	cells, err := QualityGrid(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) < 8 { // at least 2 inflations x 4 algorithms
-		t.Fatalf("grid has %d cells, want >= 8", len(cells))
+	if len(cells) != len(qualityGolden) { // 3 inflations x 4 algorithms
+		t.Fatalf("grid has %d cells, want %d", len(cells), len(qualityGolden))
+	}
+	// Within 1e-12, not bit for bit: the metrics are float sums, which
+	// Go may contract into fused multiply-adds on other architectures.
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
+	for i, want := range qualityGolden {
+		c := cells[i]
+		if c.K != want.k || c.Algo != want.algo || !near(c.PMin, want.pmin) || !near(c.PAvg, want.pavg) ||
+			!near(c.InnerAVPR, want.innerAVPR) || !near(c.OuterAVPR, want.outerAVPR) {
+			t.Errorf("cell %d = %+v, want %+v", i, c, want)
+		}
 	}
 	algos := map[string]int{}
 	for _, c := range cells {

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -187,6 +188,76 @@ func TestRejectedRequestSpendsNoQuota(t *testing.T) {
 		}
 		if code, body := post(t, ts.URL+tc.path, tc.valid, nil); code != 200 {
 			t.Fatalf("%s valid request after %v: code %d body %s, want 200", tc.path, tc.bad, code, body)
+		}
+	}
+}
+
+// TestClusterAlphaIsPriced: MCP/ACP score max(alpha, 1) candidates per
+// selected center, so admission prices a clustering at k x max(alpha, 1)
+// centers, and an alpha outside [0, n] is a 400 like an out-of-range k.
+func TestClusterAlphaIsPriced(t *testing.T) {
+	g := testGraph(t, 48, 1)
+	const k = 4
+	_, ts := newTestServer(t, g, Options{DefaultSamples: 100, MaxCost: 100 * k})
+	for _, tc := range []struct {
+		alpha, code int
+	}{{0, 200}, {1, 200}, {8, 400}, {-1, 400}, {49, 400}} {
+		for _, algo := range []string{"mcp", "acp"} {
+			if code, body := post(t, ts.URL+"/v1/cluster", map[string]any{
+				"graph": "ring", "algo": algo, "k": k, "alpha": tc.alpha,
+			}, nil); code != tc.code {
+				t.Errorf("%s alpha %d: code %d body %s, want %d", algo, tc.alpha, code, body, tc.code)
+			}
+		}
+	}
+}
+
+// TestAsyncClusterJobHoldsQuotaSlot: an async MCP job queued at a full
+// gate keeps its client's concurrency slot until the job ends — a second
+// request meanwhile gets 429 — and cancelling the job frees it.
+func TestAsyncClusterJobHoldsQuotaSlot(t *testing.T) {
+	g := testGraph(t, 48, 2)
+	s, ts := newTestServer(t, g, Options{Gate: 1, ClientConcurrent: 1})
+	h := s.graphs["ring"]
+	h.gate <- struct{}{} // hold the only gate slot: the job queues
+	releaseGate := sync.OnceFunc(func() { <-h.gate })
+	defer releaseGate()
+
+	req := map[string]any{"graph": "ring", "algo": "mcp", "k": 3, "seed": 4}
+	async := map[string]any{"graph": "ring", "algo": "mcp", "k": 3, "seed": 4, "async": true}
+	var accepted jobView
+	if code, body := post(t, ts.URL+"/v1/cluster", async, &accepted); code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %s", code, body)
+	}
+	if code, body := post(t, ts.URL+"/v1/cluster", req, nil); code != http.StatusTooManyRequests {
+		t.Fatalf("second request while the job queues: code %d body %s, want 429", code, body)
+	}
+	jobURL := ts.URL + "/v1/jobs/" + accepted.ID
+	if code, _ := deleteJob(t, jobURL); code != 200 {
+		t.Fatalf("cancel: code %d", code)
+	}
+	if j := pollUntilTerminal(t, jobURL); j.Status != JobError {
+		t.Fatalf("cancelled job: %+v", j)
+	}
+	releaseGate()
+	if code, body := post(t, ts.URL+"/v1/cluster", req, nil); code != 200 {
+		t.Fatalf("request after the job ended: code %d body %s", code, body)
+	}
+}
+
+// TestClusterBaselinesBypassCostAndGate: mcl, gmm and kpt sample no
+// worlds, so neither the cost cap nor a full admission gate holds them.
+func TestClusterBaselinesBypassCostAndGate(t *testing.T) {
+	g := testGraph(t, 48, 3)
+	s, ts := newTestServer(t, g, Options{Gate: 1, MaxCost: 1})
+	h := s.graphs["ring"]
+	h.gate <- struct{}{}
+	defer func() { <-h.gate }()
+	for _, algo := range []string{"gmm", "mcl", "kpt"} {
+		if code, body := post(t, ts.URL+"/v1/cluster", map[string]any{
+			"graph": "ring", "algo": algo, "k": 3, "timeout_ms": 5000,
+		}, nil); code != 200 {
+			t.Errorf("%s: code %d body %s", algo, code, body)
 		}
 	}
 }

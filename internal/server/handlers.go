@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -245,8 +246,10 @@ type shardsRequest struct {
 // "remove" drains them (their blocks re-stripe to the survivors; requests
 // already in flight fail over through the retry rounds). Because every
 // worker must serve every configured graph, membership changes apply to
-// all graphs at once. Estimates are unaffected — see the bit-identity
-// invariant in docs/SHARD_PROTOCOL.md.
+// all graphs at once, and only after the whole request is checked: a
+// blank address (400) or an unknown one to remove (404) changes nothing.
+// Estimates are unaffected — see the bit-identity invariant in
+// docs/SHARD_PROTOCOL.md.
 func (s *Server) handleShardsPost(w http.ResponseWriter, r *http.Request) {
 	var req shardsRequest
 	if e := decode(r, &req); e != nil {
@@ -257,25 +260,54 @@ func (s *Server) handleShardsPost(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("need \"add\" and/or \"remove\" worker addresses"))
 		return
 	}
-	removed := make(map[string]bool, len(req.Remove))
+	// A remove names a current worker of some graph, or one this request
+	// adds (adds apply first).
+	known := map[string]bool{}
+	for _, name := range s.names {
+		for _, addr := range s.graphs[name].coord.Workers() {
+			known[addr] = true
+		}
+	}
+	blank := badRequest("blank worker address")
+	for _, addr := range req.Add {
+		u := workerURL(addr)
+		if u == "" {
+			s.writeError(w, blank)
+			return
+		}
+		known[u] = true
+	}
+	for _, addr := range req.Remove {
+		switch u := workerURL(addr); {
+		case u == "":
+			s.writeError(w, blank)
+			return
+		case !known[u]:
+			s.writeError(w, &apiError{http.StatusNotFound, fmt.Sprintf("unknown worker %q", addr)})
+			return
+		}
+	}
 	for _, name := range s.names {
 		h := s.graphs[name]
 		for _, addr := range req.Add {
 			h.coord.AddWorker(addr)
 		}
 		for _, addr := range req.Remove {
-			if h.coord.RemoveWorker(addr) {
-				removed[addr] = true
-			}
-		}
-	}
-	for _, addr := range req.Remove {
-		if !removed[addr] {
-			s.writeError(w, &apiError{http.StatusNotFound, fmt.Sprintf("unknown worker %q", addr)})
-			return
+			h.coord.RemoveWorker(addr)
 		}
 	}
 	s.handleShardsGet(w, r)
+}
+
+// workerURL is the base URL a coordinator files a worker address under:
+// spaces and trailing slashes trimmed, "http://" prefixed to a bare
+// "host:port". A blank address yields "".
+func workerURL(addr string) string {
+	u := strings.TrimRight(strings.TrimSpace(addr), "/")
+	if u != "" && !strings.Contains(u, "://") {
+		u = "http://" + u
+	}
+	return u
 }
 
 type graphInfo struct {
@@ -331,11 +363,13 @@ type connRequest struct {
 type query struct {
 	h        *graphHandle
 	endpoint string // the trace name
-	// worlds x centers is the admission price (see requestCost).
+	// worlds x centers is the admission price (see requestCost). A query
+	// with no world demand (worlds == 0) is neither priced nor gated.
 	worlds, centers int
 	timeoutMS       int64
 	explain         bool
 	stream          bool       // answer with SSE frames emitted by estimate
+	job             string     // non-empty: run as an async job of this "algo"
 	attrs           []obs.Attr // trace root attributes beyond graph and samples
 	// estimate computes the answer under the "estimate" span and returns
 	// the JSON body. A streaming query emits its frames through emit
@@ -344,8 +378,9 @@ type query struct {
 }
 
 // endpoint serves one estimating endpoint: decode the JSON body, validate
-// it into a query — every 400 is decided here, before admission charges
-// anything — and run the shared step list.
+// it into a query — every 400, and the 501 for a stream the transport
+// cannot flush, is decided here, before admission charges anything — and
+// run the shared step list.
 func endpoint[T any](s *Server, parse func(*T) (query, *apiError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req T
@@ -357,6 +392,9 @@ func endpoint[T any](s *Server, parse func(*T) (query, *apiError)) http.HandlerF
 		if e == nil {
 			e = checkTimeout(q.timeoutMS)
 		}
+		if _, ok := w.(http.Flusher); e == nil && q.stream && !ok {
+			e = &apiError{http.StatusNotImplemented, "streaming unsupported by this transport"}
+		}
 		if e != nil {
 			s.writeError(w, e)
 			return
@@ -365,15 +403,36 @@ func endpoint[T any](s *Server, parse func(*T) (query, *apiError)) http.HandlerF
 	}
 }
 
-// serve is the step list every estimating endpoint but /v1/cluster
-// shares: cost admission, deadline, trace, admission gate, the estimate
+// serve is the step list every estimating endpoint shares: cost
+// admission, then either an async job (answered 202 at once) or, for
+// the request itself, deadline, trace, admission gate, the estimate
 // span, error mapping, and the answer — JSON (with the trace inline on
 // "explain": true), or for a streaming query the SSE frames with one
 // trailing trace frame on explain.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, q query) {
-	release, e := s.admitCost(r, q.worlds, q.centers)
-	if e != nil {
-		s.writeError(w, e)
+	release := func() {}
+	if q.worlds > 0 {
+		var e *apiError
+		if release, e = s.admitCost(r, q.worlds, q.centers); e != nil {
+			s.writeError(w, e)
+			return
+		}
+	}
+	if q.job != "" {
+		// The job's deadline runs against the background context: the
+		// client disconnects after the 202, the job keeps computing,
+		// untraced, and holds its quota slot until it ends. It has no
+		// response to stream to; clusterQuery rejects stream with async.
+		ctx, cancel := s.deadline(context.Background(), q.timeoutMS)
+		j := s.jobs.create(q.h.name, q.job, cancel)
+		go func() {
+			defer cancel()
+			defer release()
+			body, _, err := q.run(ctx, nil)
+			j.finish(body, err)
+			s.jobs.noteFinished(j.id)
+		}()
+		s.writeJSONStatus(w, http.StatusAccepted, j.view())
 		return
 	}
 	defer release()
@@ -383,23 +442,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q query) {
 	defer s.finishTrace(tr)
 	tr.Root().Set("samples", q.worlds)
 	tr.Root().SetAll(q.attrs...)
-	if err := q.h.admitTraced(ctx); err != nil {
-		s.writeError(w, estimationError(err))
-		return
-	}
-	defer q.h.release()
-	var stream *sse
-	var emit func(any) error
-	if q.stream {
-		if stream, e = startSSE(w); e != nil {
-			s.writeError(w, e)
-			return
-		}
-		emit = stream.frame
-	}
-	ectx, fin := q.h.estimateSpan(ctx)
-	body, err := q.estimate(ectx, emit)
-	fin(err)
+	body, stream, err := q.run(ctx, w)
 	switch {
 	case err != nil && stream != nil:
 		s.failures.Add(1)
@@ -416,6 +459,30 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q query) {
 		}
 		s.writeJSON(w, body)
 	}
+}
+
+// run is the gate-plus-estimate step of a request and of an async job:
+// the graph's admission gate (skipped by a query with no world demand),
+// then — for a streaming query — the switch of w to SSE, then the
+// estimate under its span. A failure before the stream opens returns a
+// nil stream, so the caller still answers with a status code.
+func (q query) run(ctx context.Context, w http.ResponseWriter) (map[string]any, *sse, error) {
+	if q.worlds > 0 {
+		if err := q.h.admitTraced(ctx); err != nil {
+			return nil, nil, err
+		}
+		defer q.h.release()
+	}
+	var stream *sse
+	var emit func(any) error
+	if q.stream {
+		stream = startSSE(w)
+		emit = stream.frame
+	}
+	ectx, fin := q.h.estimateSpan(ctx)
+	body, err := q.estimate(ectx, emit)
+	fin(err)
+	return body, stream, err
 }
 
 // connQuery validates a connection-probability query: a pair query
@@ -525,7 +592,6 @@ type clusterRequest struct {
 	Seed      uint64  `json:"seed,omitempty"` // driver seed (candidate selection)
 	Inflation float64 `json:"inflation,omitempty"`
 	Async     bool    `json:"async,omitempty"`
-	Samples   int     `json:"samples,omitempty"` // unused by mcp/acp (schedule-driven); reserved
 	// Eps/Delta switch MCP/ACP candidate scoring to confidence-target
 	// racing (core.AdaptiveScoring): candidates whose score intervals
 	// separate stop consuming worlds. Stream turns the response into SSE
@@ -536,155 +602,9 @@ type clusterRequest struct {
 	Stream    bool    `json:"stream,omitempty"`
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 	// Explain returns the run's finished trace inline (a "trace" field
-	// on the response, or on the final SSE frame when streaming).
+	// on the response, or one trailing SSE frame when streaming).
 	// Incompatible with async — poll jobs carry no trace.
 	Explain bool `json:"explain,omitempty"`
-}
-
-type clusterStats struct {
-	Invocations int     `json:"invocations"`
-	OracleCalls int     `json:"oracle_calls"`
-	FinalQ      float64 `json:"final_q"`
-	MaxSamples  int     `json:"max_samples"`
-}
-
-type clusterResponse struct {
-	Graph     string        `json:"graph"`
-	Algo      string        `json:"algo"`
-	K         int           `json:"k"`
-	Centers   []int32       `json:"centers"`
-	Assign    []int32       `json:"assign"`
-	Prob      []float64     `json:"prob"`
-	Covered   int           `json:"covered"`
-	MinProb   float64       `json:"min_prob"`
-	AvgProb   float64       `json:"avg_prob"`
-	ElapsedMS int64         `json:"elapsed_ms"`
-	Stats     *clusterStats `json:"stats,omitempty"`
-	// Trace is the run's finished trace when the request asked for
-	// "explain": true; omitted otherwise.
-	Trace *obs.TraceView `json:"trace,omitempty"`
-}
-
-// handleCluster runs a clustering synchronously, or — with "async": true —
-// as a job whose deadline is decoupled from the HTTP request, for runs
-// longer than a client wants to block on. Async responses carry the job ID
-// to poll at GET /v1/jobs/{id} (DELETE cancels).
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	var req clusterRequest
-	if e := decode(r, &req); e != nil {
-		s.writeError(w, e)
-		return
-	}
-	h, e := s.handle(req.Graph)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
-	switch req.Algo {
-	case "", "mcp", "acp", "gmm", "mcl", "kpt":
-	default:
-		s.writeError(w, badRequest(fmt.Sprintf("unknown algorithm %q", req.Algo)))
-		return
-	}
-	if req.Algo == "" {
-		req.Algo = "mcp"
-	}
-	// Validate k up front so a client mistake reports as 400, not as an
-	// estimation failure. MCP/ACP need 1 <= k < n; GMM allows k = n.
-	switch n := h.g.NumNodes(); req.Algo {
-	case "mcp", "acp":
-		if req.K < 1 || req.K >= n {
-			s.writeError(w, badRequest(fmt.Sprintf("\"k\" = %d out of range [1, %d)", req.K, n)))
-			return
-		}
-	case "gmm":
-		if req.K < 1 || req.K > n {
-			s.writeError(w, badRequest(fmt.Sprintf("\"k\" = %d out of range [1, %d]", req.K, n)))
-			return
-		}
-	}
-	if e := checkTimeout(req.TimeoutMS); e != nil {
-		s.writeError(w, e)
-		return
-	}
-	if req.Eps != 0 || req.Delta != 0 {
-		if req.Algo != "mcp" && req.Algo != "acp" {
-			s.writeError(w, badRequest(fmt.Sprintf("\"eps\"/\"delta\" apply to the sampling algorithms (mcp, acp), not %q", req.Algo)))
-			return
-		}
-		// Reuse the conn-side validation and delta defaulting; the budget
-		// for cluster scoring is schedule-driven, so only the target
-		// matters here.
-		ad, e := parseAdaptive(req.Eps, req.Delta, false, 0)
-		if e != nil {
-			s.writeError(w, e)
-			return
-		}
-		req.Eps, req.Delta = ad.params.Eps, ad.params.Delta
-	}
-	if req.Stream && req.Async {
-		s.writeError(w, badRequest("\"stream\" and \"async\" are mutually exclusive: poll /v1/jobs for async runs"))
-		return
-	}
-	if req.Explain && req.Async {
-		s.writeError(w, badRequest("\"explain\" and \"async\" are mutually exclusive: traces attach to the request that ran the query"))
-		return
-	}
-	if req.Stream && req.Algo != "mcp" && req.Algo != "acp" {
-		s.writeError(w, badRequest(fmt.Sprintf("\"stream\" applies to the sampling algorithms (mcp, acp), not %q", req.Algo)))
-		return
-	}
-
-	// Cost-based admission: a clustering's world demand is schedule-driven,
-	// so price it at the default sample budget per center driven. An async
-	// job holds its client-quota slot until the job finishes, not until
-	// the 202 goes out.
-	release := func() {}
-	if req.Algo == "mcp" || req.Algo == "acp" {
-		var e *apiError
-		if release, e = s.admitCost(r, s.opts.DefaultSamples, req.K); e != nil {
-			s.writeError(w, e)
-			return
-		}
-	}
-
-	if req.Async {
-		// The job's deadline runs against the background context: the
-		// client disconnects after the 202, the job keeps computing.
-		ctx, cancel := s.deadline(context.Background(), req.TimeoutMS)
-		j := s.jobs.create(h.name, req.Algo, cancel)
-		go func() {
-			defer cancel()
-			defer release()
-			res, err := s.runCluster(ctx, h, req, nil)
-			j.finish(res, err)
-			s.jobs.noteFinished(j.id)
-		}()
-		s.writeJSONStatus(w, http.StatusAccepted, j.view())
-		return
-	}
-	defer release()
-
-	ctx, cancel := s.deadline(r.Context(), req.TimeoutMS)
-	defer cancel()
-	ctx, tr := s.startTrace(ctx, "/v1/cluster", h.name)
-	defer s.finishTrace(tr)
-	tr.Root().Set("algo", req.Algo)
-	tr.Root().Set("k", req.K)
-	if req.Stream {
-		s.streamCluster(ctx, w, h, req)
-		return
-	}
-	res, err := s.runCluster(ctx, h, req, nil)
-	if err != nil {
-		s.writeError(w, estimationError(err))
-		return
-	}
-	if req.Explain {
-		v := explainView(tr)
-		res.Trace = &v
-	}
-	s.writeJSON(w, res)
 }
 
 // shardScoreChunk is the min-partial scoring batch size a sharded
@@ -694,7 +614,10 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // clustering (see core.PartialParams.ScoreChunk).
 const shardScoreChunk = 256
 
-// runCluster executes one clustering request under the admission gate.
+// clusterQuery validates a clustering request: synchronous, streamed
+// (SSE progress frames, one per selected center, then the result), or —
+// with "async": true — a job whose deadline is decoupled from the HTTP
+// request, polled at GET /v1/jobs/{id} (DELETE cancels).
 //
 // MCP/ACP runs fork a PRIVATE estimator over the graph's long-lived
 // coordinator: the expensive substrate (sampled worlds and their labels,
@@ -703,86 +626,143 @@ const shardScoreChunk = 256
 // (graph, seed, request) — bit-identical to core.MCPCtx with a fresh
 // conn.NewMonteCarlo(g, seed) — never on which center queries other
 // clients happened to warm first. In a sharded deployment the fork keeps
-// scattering to the same workers; only the cache is fresh.
-func (s *Server) runCluster(ctx context.Context, h *graphHandle, req clusterRequest, progress func(core.ProgressEvent)) (*clusterResponse, error) {
-	// Only the sampling algorithms drive world materialization; the
-	// deterministic baselines (mcl/gmm/kpt) never touch the store, so they
-	// bypass the admission gate instead of occupying the slots it reserves
-	// for store traffic.
-	if req.Algo == "mcp" || req.Algo == "acp" {
-		if err := h.admitTraced(ctx); err != nil {
-			return nil, err
-		}
-		defer h.release()
+// scattering to the same workers; only the cache is fresh. The
+// deterministic baselines (mcl/gmm/kpt) sample no worlds, so their query
+// demands none and serve neither prices nor gates them.
+func (s *Server) clusterQuery(req *clusterRequest) (query, *apiError) {
+	h, e := s.handle(req.Graph)
+	if e != nil {
+		return query{}, e
 	}
-
+	if req.Algo == "" {
+		req.Algo = "mcp"
+	}
+	sampling := req.Algo == "mcp" || req.Algo == "acp"
+	// Validate k and alpha up front so a client mistake reports as 400,
+	// not as an estimation failure: MCP, ACP and GMM all need 1 <= k < n,
+	// and MCP/ACP score alpha in [0, n] candidates per selection (0 is
+	// the default 1, n every uncovered node).
+	n := h.g.NumNodes()
+	switch req.Algo {
+	case "mcp", "acp", "gmm":
+		if req.K < 1 || req.K >= n {
+			return query{}, badRequest(fmt.Sprintf("\"k\" = %d out of range [1, %d)", req.K, n))
+		}
+	case "mcl", "kpt":
+	default:
+		return query{}, badRequest(fmt.Sprintf("unknown algorithm %q", req.Algo))
+	}
+	if sampling && (req.Alpha < 0 || req.Alpha > n) {
+		return query{}, badRequest(fmt.Sprintf("\"alpha\" = %d out of range [0, %d]", req.Alpha, n))
+	}
+	if req.Eps != 0 || req.Delta != 0 {
+		if !sampling {
+			return query{}, badRequest(fmt.Sprintf("\"eps\"/\"delta\" apply to the sampling algorithms (mcp, acp), not %q", req.Algo))
+		}
+		// Reuse the conn-side validation and delta defaulting; the budget
+		// for cluster scoring is schedule-driven, so only the target
+		// matters here.
+		ad, e := parseAdaptive(req.Eps, req.Delta, false, 0)
+		if e != nil {
+			return query{}, e
+		}
+		req.Eps, req.Delta = ad.params.Eps, ad.params.Delta
+	}
+	switch {
+	case req.Stream && req.Async:
+		return query{}, badRequest("\"stream\" and \"async\" are mutually exclusive: poll /v1/jobs for async runs")
+	case req.Explain && req.Async:
+		return query{}, badRequest("\"explain\" and \"async\" are mutually exclusive: traces attach to the request that ran the query")
+	case req.Stream && !sampling:
+		return query{}, badRequest(fmt.Sprintf("\"stream\" applies to the sampling algorithms (mcp, acp), not %q", req.Algo))
+	}
+	q := query{h: h, endpoint: "/v1/cluster", timeoutMS: req.TimeoutMS, explain: req.Explain, stream: req.Stream,
+		attrs: []obs.Attr{{Key: "algo", Value: req.Algo}, {Key: "k", Value: req.K}}}
+	if req.Async {
+		q.job = req.Algo
+	}
+	if sampling {
+		// A clustering's world demand is schedule-driven, so admission
+		// prices it at the default sample budget per candidate center
+		// scored: k selections of max(alpha, 1) candidates each.
+		q.worlds, q.centers = s.opts.DefaultSamples, req.K*max(req.Alpha, 1)
+	}
 	depth := req.Depth
 	if depth <= 0 {
 		depth = conn.Unlimited
 	}
-	t0 := time.Now()
-	ctx, fin := h.estimateSpan(ctx)
-	var (
-		cl  *core.Clustering
-		st  *clusterStats
-		err error
-	)
-	switch req.Algo {
-	case "mcp", "acp":
-		oracle := h.coord.Fork()
-		opt := core.Options{
-			Seed: req.Seed, Depth: depth, Alpha: req.Alpha,
-			Parallelism: s.opts.Parallelism,
-			Progress:    progress,
+	q.estimate = func(ctx context.Context, emit func(any) error) (map[string]any, error) {
+		t0 := time.Now()
+		var (
+			cl    *core.Clustering
+			stats map[string]any
+			err   error
+		)
+		switch req.Algo {
+		case "mcp", "acp":
+			oracle := h.coord.Fork()
+			opt := core.Options{Seed: req.Seed, Depth: depth, Alpha: req.Alpha, Parallelism: s.opts.Parallelism}
+			if oracle.Sharded() {
+				opt.ScoreChunk = shardScoreChunk
+			}
+			if req.Eps > 0 {
+				opt.Adaptive = &core.AdaptiveScoring{Eps: req.Eps, Delta: req.Delta}
+			}
+			if emit != nil {
+				// A write error means the client left; its context then
+				// cancels the run, so the frame is simply dropped.
+				opt.Progress = func(ev core.ProgressEvent) {
+					_ = emit(map[string]any{
+						"graph": h.name, "algo": req.Algo,
+						"centers": ev.Centers, "k": ev.K,
+						"covered": ev.Covered, "nodes": ev.Nodes,
+						"oracle_calls": ev.OracleCalls,
+						"score_worlds": ev.ScoreWorlds,
+						"final":        false,
+					})
+				}
+			}
+			run := core.MCPCtx
+			if req.Algo == "acp" {
+				run = core.ACPCtx
+			}
+			var st core.Stats
+			cl, st, err = run(ctx, oracle, req.K, opt)
+			stats = map[string]any{
+				"invocations": st.Invocations, "oracle_calls": st.OracleCalls,
+				"final_q": st.FinalQ, "max_samples": st.MaxSamples,
+			}
+		case "mcl":
+			if err = ctx.Err(); err == nil {
+				cl = mcl.Cluster(h.g, mcl.Options{Inflation: req.Inflation}).Clustering
+			}
+		case "gmm":
+			if err = ctx.Err(); err == nil {
+				cl, err = gmm.Cluster(h.g, req.K, req.Seed)
+			}
+		case "kpt":
+			if err = ctx.Err(); err == nil {
+				cl = kpt.Cluster(h.g, req.Seed)
+			}
 		}
-		if oracle.Sharded() {
-			opt.ScoreChunk = shardScoreChunk
+		if err != nil {
+			return nil, err
 		}
-		if req.Eps > 0 {
-			opt.Adaptive = &core.AdaptiveScoring{Eps: req.Eps, Delta: req.Delta}
+		body := map[string]any{
+			"graph": h.name, "algo": req.Algo, "k": cl.K(),
+			"centers": cl.Centers, "assign": cl.Assign, "prob": cl.Prob,
+			"covered": cl.Covered(), "min_prob": cl.MinProb(), "avg_prob": cl.AvgProb(),
+			"elapsed_ms": time.Since(t0).Milliseconds(),
 		}
-		var cst core.Stats
-		if req.Algo == "acp" {
-			cl, cst, err = core.ACPCtx(ctx, oracle, req.K, opt)
-		} else {
-			cl, cst, err = core.MCPCtx(ctx, oracle, req.K, opt)
+		if stats != nil {
+			body["stats"] = stats
 		}
-		st = &clusterStats{
-			Invocations: cst.Invocations,
-			OracleCalls: cst.OracleCalls,
-			FinalQ:      cst.FinalQ,
-			MaxSamples:  cst.MaxSamples,
+		if emit != nil {
+			return nil, emit(map[string]any{"final": true, "result": body})
 		}
-	case "mcl":
-		if err = ctx.Err(); err == nil {
-			cl = mcl.Cluster(h.g, mcl.Options{Inflation: req.Inflation}).Clustering
-		}
-	case "gmm":
-		if err = ctx.Err(); err == nil {
-			cl, err = gmm.Cluster(h.g, req.K, req.Seed)
-		}
-	case "kpt":
-		if err = ctx.Err(); err == nil {
-			cl = kpt.Cluster(h.g, req.Seed)
-		}
+		return body, nil
 	}
-	fin(err)
-	if err != nil {
-		return nil, err
-	}
-	return &clusterResponse{
-		Graph:     h.name,
-		Algo:      req.Algo,
-		K:         cl.K(),
-		Centers:   cl.Centers,
-		Assign:    cl.Assign,
-		Prob:      cl.Prob,
-		Covered:   cl.Covered(),
-		MinProb:   cl.MinProb(),
-		AvgProb:   cl.AvgProb(),
-		ElapsedMS: time.Since(t0).Milliseconds(),
-		Stats:     st,
-	}, nil
+	return q, nil
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {

@@ -17,14 +17,14 @@ const (
 
 // jobView is the JSON snapshot of an async clustering job.
 type jobView struct {
-	ID         string           `json:"id"`
-	Graph      string           `json:"graph"`
-	Algo       string           `json:"algo"`
-	Status     string           `json:"status"`
-	CreatedAt  time.Time        `json:"created_at"`
-	FinishedAt *time.Time       `json:"finished_at,omitempty"`
-	Error      string           `json:"error,omitempty"`
-	Result     *clusterResponse `json:"result,omitempty"`
+	ID         string         `json:"id"`
+	Graph      string         `json:"graph"`
+	Algo       string         `json:"algo"`
+	Status     string         `json:"status"`
+	CreatedAt  time.Time      `json:"created_at"`
+	FinishedAt *time.Time     `json:"finished_at,omitempty"`
+	Error      string         `json:"error,omitempty"`
+	Result     map[string]any `json:"result,omitempty"`
 }
 
 // job is one async clustering run.
@@ -39,7 +39,7 @@ type job struct {
 	created  time.Time
 	finished time.Time
 	err      string
-	result   *clusterResponse
+	result   map[string]any // the answer body, as a synchronous run returns it
 }
 
 // view snapshots the job for JSON encoding.
@@ -64,7 +64,7 @@ func (j *job) view() jobView {
 
 // finish records the outcome (first writer wins; a cancellation racing a
 // natural completion keeps whichever landed first).
-func (j *job) finish(res *clusterResponse, err error) {
+func (j *job) finish(res map[string]any, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status != JobRunning {

@@ -11,19 +11,20 @@ import (
 	"ucgraph/internal/obs"
 )
 
-// Observability surface of the daemon: every estimating request
-// (/v1/conn, /v1/cluster, /v1/knn, /v1/influence, /v1/reliability) runs
-// under an obs.Trace whose spans cover admission, the estimate itself
-// (with world-store tier attribution), and — through the context — the
-// coordinator's scatter rounds, per-worker attempts and adaptive rounds.
-// /v1/conn and /v1/cluster also return the trace inline on "explain":
-// true; the other three take no explain field. Finished traces feed
-// the per-stage latency histograms, the /debug/traces ring, and (past
-// Options.SlowQuery) a one-line JSON slog record. /metricsz renders the
-// same counters /statsz reports, plus the latency histograms, in
-// Prometheus text format. The standing invariant of internal/obs holds
-// here too: observation never alters estimation — traced and untraced
-// requests compute bit-identical answers.
+// Observability surface of the daemon: Server.serve, the step list of
+// every estimating endpoint (/v1/conn, /v1/cluster, /v1/knn,
+// /v1/influence, /v1/reliability), runs each request under an obs.Trace
+// whose spans cover admission, the estimate itself (with world-store
+// tier attribution), and — through the context — the coordinator's
+// scatter rounds, per-worker attempts and adaptive rounds. Async
+// clustering jobs run untraced. /v1/conn and /v1/cluster also return the
+// trace inline on "explain": true; the other three take no explain
+// field. Finished traces feed the per-stage latency histograms, the
+// /debug/traces ring, and (past Options.SlowQuery) a one-line JSON slog
+// record. /metricsz renders the same counters /statsz reports, plus the
+// latency histograms, in Prometheus text format. The standing invariant
+// of internal/obs holds here too: observation never alters estimation —
+// traced and untraced requests compute bit-identical answers.
 
 // serverMetrics owns the accumulating metric state (histograms); the
 // scrape-time gauges and counters are read straight from the same

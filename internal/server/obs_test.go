@@ -230,6 +230,36 @@ func TestExplainClusterTrace(t *testing.T) {
 	}
 }
 
+// TestExplainClusterStream: a streamed, explained clustering ends like
+// every streamed answer — the "final": true result frame, then one
+// trailing {"explain": true, "trace": ...} frame.
+func TestExplainClusterStream(t *testing.T) {
+	g := testGraph(t, 48, 3)
+	_, ts := newTestServer(t, g, Options{})
+	frames, errEvent := sseFrames(t, ts.URL+"/v1/cluster", map[string]any{
+		"graph": "ring", "algo": "mcp", "k": 3, "seed": 11, "stream": true, "explain": true,
+	})
+	if errEvent != nil || len(frames) < 2 {
+		t.Fatalf("stream: %d frames, error %v", len(frames), errEvent)
+	}
+	last, prev := frames[len(frames)-1], frames[len(frames)-2]
+	if last["explain"] != true || last["trace"] == nil || len(last) != 2 {
+		t.Fatalf("last frame is not the trace frame: keys %v", keys(last))
+	}
+	if prev["final"] != true || prev["result"] == nil || prev["trace"] != nil {
+		t.Fatalf("frame before the trace frame: keys %v", keys(prev))
+	}
+}
+
+func keys(m map[string]any) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestMetricszPrometheusParses scrapes a sharded daemon after real
 // traffic and validates the exposition against the strict parser —
 // counters, gauges, per-graph families, and the latency histograms.

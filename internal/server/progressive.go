@@ -7,9 +7,7 @@ import (
 	"net/http"
 
 	"ucgraph/internal/conn"
-	"ucgraph/internal/core"
 	"ucgraph/internal/graph"
-	"ucgraph/internal/obs"
 )
 
 // Progressive mode: /v1/conn and /v1/cluster requests that carry a
@@ -74,19 +72,15 @@ type sse struct {
 	fl http.Flusher
 }
 
-// startSSE switches the response to text/event-stream. It fails with 501
-// only when the ResponseWriter cannot flush (no streaming transport).
-func startSSE(w http.ResponseWriter) (*sse, *apiError) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		return nil, &apiError{http.StatusNotImplemented, "streaming unsupported by this transport"}
-	}
+// startSSE switches the response to text/event-stream. endpoint has
+// answered 501 to a streaming request whose transport cannot flush.
+func startSSE(w http.ResponseWriter) *sse {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no") // tell reverse proxies not to buffer
 	w.WriteHeader(http.StatusOK)
-	return &sse{w: w, fl: fl}, nil
+	return &sse{w: w, fl: w.(http.Flusher)}
 }
 
 // frame writes one data frame and flushes it to the client.
@@ -167,59 +161,4 @@ func (s *Server) adaptiveConn(h *graphHandle, reqDepth, depth int, centers, targ
 			Converged: st.Converged, Final: true,
 		}), nil
 	}
-}
-
-// streamCluster runs one clustering request with progress streaming: one
-// SSE frame per selected center (from the core.Progress hook), then a
-// final frame embedding the regular cluster response.
-func (s *Server) streamCluster(ctx context.Context, w http.ResponseWriter, h *graphHandle, req clusterRequest) {
-	stream, e := startSSE(w)
-	if e != nil {
-		s.writeError(w, e)
-		return
-	}
-	events := make(chan core.ProgressEvent, 64)
-	type outcome struct {
-		res *clusterResponse
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := s.runCluster(ctx, h, req, func(ev core.ProgressEvent) {
-			// Drop frames rather than stall the driver if the writer
-			// falls behind: progress frames are advisory, the final
-			// frame is the answer.
-			select {
-			case events <- ev:
-			default:
-			}
-		})
-		close(events)
-		done <- outcome{res, err}
-	}()
-	for ev := range events {
-		if err := stream.frame(map[string]any{
-			"graph": h.name, "algo": req.Algo,
-			"centers": ev.Centers, "k": ev.K,
-			"covered": ev.Covered, "nodes": ev.Nodes,
-			"oracle_calls": ev.OracleCalls,
-			"score_worlds": ev.ScoreWorlds,
-			"final":        false,
-		}); err != nil {
-			// Client went away; the estimator aborts through ctx when the
-			// connection drops, so just stop writing.
-			break
-		}
-	}
-	o := <-done
-	if o.err != nil {
-		s.failures.Add(1)
-		stream.errorFrame(estimationError(o.err))
-		return
-	}
-	final := map[string]any{"final": true, "result": o.res}
-	if req.Explain {
-		final["trace"] = explainView(obs.SpanFromContext(ctx).Trace())
-	}
-	_ = stream.frame(final)
 }

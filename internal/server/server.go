@@ -6,18 +6,25 @@
 //
 // The daemon exposes the estimator surface as JSON endpoints:
 //
-//	GET  /healthz          liveness
+//	GET  /healthz          liveness (readiness on a sharded coordinator)
 //	GET  /statsz           server + per-graph world-store counters
+//	GET  /metricsz         the same counters and latency histograms, Prometheus text
 //	GET  /v1/graphs        the served graphs
 //	POST /v1/conn          connection probabilities (pair or multi-center)
-//	POST /v1/cluster       MCP/ACP/MCL/GMM/KPT clustering (sync or async)
+//	POST /v1/cluster       MCP/ACP/MCL/GMM/KPT clustering (sync, streamed or async)
 //	GET  /v1/jobs/{id}     async clustering job status/result
 //	DELETE /v1/jobs/{id}   cancel an async job
 //	POST /v1/knn           k-nearest neighbors under probabilistic distances
 //	POST /v1/influence     influence spread / greedy maximization
 //	POST /v1/reliability   network-reliability statistics
+//	GET  /v1/shards        shard membership and health
+//	POST /v1/shards        add or remove shard workers
+//	GET  /debug/traces     recent query traces (/{id} for one)
 //
-// Every estimating request carries a sample budget and a deadline, enforced
+// The five estimating endpoints (conn, cluster, knn, influence,
+// reliability) validate their body into a query and share one step
+// list, Server.serve. Every estimating request carries a deadline and a
+// world budget (a clustering's follows the sampling schedule), enforced
 // through the context-aware entry points added across the library
 // (worldstore.ScanCtx, conn.ContextOracle, core.MCPCtx/ACPCtx, ...): a
 // request past its deadline aborts at the next chunk of sampled worlds and
@@ -127,8 +134,9 @@ type Options struct {
 	WorldCacheDir string
 	// MaxCost caps the estimated cost of one estimating request, measured
 	// in world-extensions: the sample (or adaptive world) budget times the
-	// number of centers it drives (a pair query counts one center, a
-	// clustering request its k). Requests above the cap are rejected with
+	// number of centers it drives (a pair query counts one center, an
+	// MCP/ACP clustering request its k x max(alpha, 1) candidates, at
+	// DefaultSamples worlds each). Requests above the cap are rejected with
 	// 400 before touching the store — the cost-based admission layer on
 	// top of the concurrency gate. <= 0 selects 1 << 28.
 	MaxCost int64
@@ -203,7 +211,7 @@ type graphHandle struct {
 	// requests, which is the point of a daemon: repeated centers answer
 	// from cached (or higher-precision) tallies. Clustering requests fork
 	// a private coordinator instead, so their results never depend on
-	// what other clients warmed (see runCluster).
+	// what other clients warmed (see clusterQuery).
 	coord *shard.Coordinator
 	// gate is the admission semaphore bounding concurrent materialization.
 	gate chan struct{}
@@ -329,7 +337,7 @@ func New(graphs []GraphConfig, opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleGraphs)
 	s.mux.HandleFunc("POST /v1/conn", endpoint(s, s.connQuery))
-	s.mux.HandleFunc("POST /v1/cluster", s.handleCluster)
+	s.mux.HandleFunc("POST /v1/cluster", endpoint(s, s.clusterQuery))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	s.mux.HandleFunc("POST /v1/knn", endpoint(s, s.knnQuery))

@@ -18,6 +18,7 @@ import (
 	"ucgraph/internal/influence"
 	"ucgraph/internal/knn"
 	"ucgraph/internal/metrics"
+	"ucgraph/internal/obs"
 	"ucgraph/internal/rng"
 )
 
@@ -240,6 +241,31 @@ func libraryCluster(t testing.TB, g *graph.Uncertain, algo string, k int, driver
 	return cl, st
 }
 
+type clusterStats struct {
+	Invocations int     `json:"invocations"`
+	OracleCalls int     `json:"oracle_calls"`
+	FinalQ      float64 `json:"final_q"`
+	MaxSamples  int     `json:"max_samples"`
+}
+
+// clusterResponse decodes a /v1/cluster answer body.
+type clusterResponse struct {
+	Graph     string        `json:"graph"`
+	Algo      string        `json:"algo"`
+	K         int           `json:"k"`
+	Centers   []int32       `json:"centers"`
+	Assign    []int32       `json:"assign"`
+	Prob      []float64     `json:"prob"`
+	Covered   int           `json:"covered"`
+	MinProb   float64       `json:"min_prob"`
+	AvgProb   float64       `json:"avg_prob"`
+	ElapsedMS int64         `json:"elapsed_ms"`
+	Stats     *clusterStats `json:"stats,omitempty"`
+	// Trace is the run's finished trace when the request asked for
+	// "explain": true; omitted otherwise.
+	Trace *obs.TraceView `json:"trace,omitempty"`
+}
+
 func checkClusterMatch(t testing.TB, resp *clusterResponse, want *core.Clustering, wantSt core.Stats) {
 	t.Helper()
 	if len(resp.Centers) != len(want.Centers) {
@@ -409,7 +435,13 @@ func TestClusterAsyncJobLifecycle(t *testing.T) {
 	if j.Status != JobDone || j.Result == nil {
 		t.Fatalf("job did not finish cleanly: %+v", j)
 	}
-	checkClusterMatch(t, j.Result, want, wantSt)
+	raw, err := json.Marshal(j.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res clusterResponse
+	mustUnmarshal(t, string(raw), &res)
+	checkClusterMatch(t, &res, want, wantSt)
 
 	if code := get(t, ts.URL+"/v1/jobs/nope", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job: code %d", code)
@@ -606,6 +638,7 @@ func TestValidation(t *testing.T) {
 		{"k omitted", "/v1/cluster", map[string]any{"graph": "ring", "algo": "mcp"}, 400},
 		{"k too large", "/v1/cluster", map[string]any{"graph": "ring", "algo": "mcp", "k": 32}, 400},
 		{"gmm k over n", "/v1/cluster", map[string]any{"graph": "ring", "algo": "gmm", "k": 33}, 400},
+		{"gmm k equal n", "/v1/cluster", map[string]any{"graph": "ring", "algo": "gmm", "k": 32}, 400},
 		{"bad measure", "/v1/knn", map[string]any{"graph": "ring", "source": 0, "measure": "zap"}, 400},
 		{"bad kind", "/v1/reliability", map[string]any{"graph": "ring", "kind": "zap"}, 400},
 		{"empty set", "/v1/reliability", map[string]any{"graph": "ring", "kind": "set"}, 400},
@@ -627,7 +660,7 @@ func TestJobTableRetainsBoundedFinishedJobs(t *testing.T) {
 		if first == nil {
 			first = j
 		}
-		j.finish(&clusterResponse{}, nil)
+		j.finish(map[string]any{}, nil)
 		tb.noteFinished(j.id)
 	}
 	if _, ok := tb.get(first.id); ok {

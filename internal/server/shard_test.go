@@ -233,6 +233,42 @@ func TestShardsMembershipEndpoint(t *testing.T) {
 	if code, _ := post(t, ts.URL+"/v1/shards", map[string]any{}, nil); code != 400 {
 		t.Fatalf("empty membership post: code %d", code)
 	}
+	// A rejected request changes nothing, even the parts that were valid:
+	// the 404 for "nope:1" leaves workers[0] removed and workers[1] up,
+	// and a blank address is a 400, not a worker.
+	membershipStates := func() map[string]string {
+		t.Helper()
+		var m struct {
+			Graphs map[string]struct {
+				Workers []shardStats `json:"workers"`
+			} `json:"graphs"`
+		}
+		if code := get(t, ts.URL+"/v1/shards", &m); code != 200 {
+			t.Fatalf("GET /v1/shards: code %d", code)
+		}
+		out := map[string]string{}
+		for _, wk := range m.Graphs["ring"].Workers {
+			out[wk.Addr] = wk.State
+		}
+		return out
+	}
+	before := membershipStates()
+	for _, tc := range []struct {
+		body map[string]any
+		code int
+	}{
+		{map[string]any{"add": []string{workers[0]}, "remove": []string{workers[1], "nope:1"}}, 404},
+		{map[string]any{"add": []string{"  "}}, 400},
+		{map[string]any{"add": []string{workers[0]}, "remove": []string{""}}, 400},
+	} {
+		if code, _ := post(t, ts.URL+"/v1/shards", tc.body, nil); code != tc.code {
+			t.Fatalf("%v: code %d, want %d", tc.body, code, tc.code)
+		}
+	}
+	if after := membershipStates(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected requests changed the membership: %v, was %v", after, before)
+	}
+	check("after rejected requests")
 	var gotShards struct {
 		Graphs map[string]struct {
 			Workers []shardStats `json:"workers"`
