@@ -139,14 +139,18 @@ bench-dblp:
 
 # Fuzz the byte decoders beyond their checked-in corpora (each corpus
 # itself runs as seeds in every plain `go test`): the shard wire codec,
-# the world store's disk-tier directory log and the daemon's HTTP request
-# bodies. FUZZTIME extends a run.
+# the world store's disk-tier directory log, the daemon's HTTP request
+# bodies and the graph, clustering and ground-truth file parsers.
+# FUZZTIME extends a run.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/shard -run='^$$' -fuzz=FuzzWireRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/shard -run='^$$' -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/worldstore -run='^$$' -fuzz=FuzzSpillReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzRequestBodies -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/gio -run='^$$' -fuzz=FuzzReadGraph -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/gio -run='^$$' -fuzz=FuzzReadClusters -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/gio -run='^$$' -fuzz=FuzzReadGroundTruth -fuzztime=$(FUZZTIME)
 
 # The end-to-end benchmark's self-test: every perfbench workload runs
 # briefly and its metrics are checked against BENCHMARK.json, including

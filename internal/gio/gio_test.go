@@ -45,6 +45,24 @@ func TestReadGraphErrors(t *testing.T) {
 	}
 }
 
+// TestReadGraphRejectsOverflowingIDs: a node id whose node count plus one
+// overflows an int32 is an error naming the id and the line, not a panic
+// in the builder's allocation or a "no nodes" graph.
+func TestReadGraphRejectsOverflowingIDs(t *testing.T) {
+	for _, id := range []string{"2147483646", "2147483647"} {
+		in := "# one edge\n0 " + id + " 0.5\n"
+		_, err := ReadGraph(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), id) {
+			t.Errorf("ReadGraph(%q) error %v, want one naming line 2 and id %s", in, err, id)
+		}
+	}
+	// The largest id still accepted (the builder allocates on Build only).
+	b := graph.NewBuilder(0)
+	if err := b.AddEdge(0, 2147483645, 0.5); err != nil || b.NumNodes() != 2147483646 {
+		t.Fatalf("AddEdge(0, 2147483645): %v, %d nodes", err, b.NumNodes())
+	}
+}
+
 func TestGraphRoundTrip(t *testing.T) {
 	g, err := graph.FromEdges(5, []graph.Edge{
 		{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.25},

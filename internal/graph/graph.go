@@ -13,6 +13,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -91,15 +92,20 @@ func (b *Builder) EnsureNode(id NodeID) {
 }
 
 // AddEdge records the undirected edge {u, v} with probability p.
-// Self loops and out-of-range probabilities are rejected. Adding an edge
-// that already exists replaces its probability (last write wins), matching
-// the behaviour of the paper's datasets where each pair appears once.
+// Self loops, negative ids, ids of math.MaxInt32-1 and above (the node
+// count plus one must fit an int32) and out-of-range probabilities are
+// rejected. Adding an edge that already exists replaces its probability
+// (last write wins), matching the behaviour of the paper's datasets where
+// each pair appears once.
 func (b *Builder) AddEdge(u, v NodeID, p float64) error {
 	if u == v {
 		return fmt.Errorf("graph: self loop on node %d", u)
 	}
 	if u < 0 || v < 0 {
 		return fmt.Errorf("graph: negative node id (%d, %d)", u, v)
+	}
+	if id := max(u, v); id >= math.MaxInt32-1 {
+		return fmt.Errorf("graph: node id %d too large: ids stop at %d", id, math.MaxInt32-2)
 	}
 	if !(p > 0 && p <= 1) {
 		return fmt.Errorf("graph: edge {%d,%d} probability %v outside (0,1]", u, v, p)

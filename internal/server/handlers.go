@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,6 +16,7 @@ import (
 	"ucgraph/internal/kpt"
 	"ucgraph/internal/mcl"
 	"ucgraph/internal/obs"
+	"ucgraph/internal/shard"
 )
 
 // ---- /healthz, /statsz, /v1/graphs ------------------------------------
@@ -71,126 +71,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, body)
 }
 
-// storeStats mirrors worldstore.Stats with stable JSON names.
-type storeStats struct {
-	Worlds               int    `json:"worlds"`
-	ResidentBlocks       int    `json:"resident_blocks"`
-	ResidentLabelBlocks  int    `json:"resident_label_blocks"`
-	ResidentBitmapBlocks int    `json:"resident_bitmap_blocks"`
-	ResidentBytes        int64  `json:"resident_bytes"`
-	BlockWorlds          int    `json:"block_worlds"`
-	Hits                 uint64 `json:"hits"`
-	Materializations     uint64 `json:"materializations"`
-	Recomputes           uint64 `json:"recomputes"`
-	ColdRecomputes       uint64 `json:"cold_recomputes"`
-	PostSpillRecomputes  uint64 `json:"post_spill_recomputes"`
-	Evictions            uint64 `json:"evictions"`
-	DiskHits             uint64 `json:"disk_hits"`
-	DiskBytes            int64  `json:"disk_bytes"`
-	SpillWrites          uint64 `json:"spill_writes"`
-	CorruptDropped       uint64 `json:"corrupt_dropped"`
-	AccumWorlds          uint64 `json:"accum_worlds"`
-	AccumFlushes         uint64 `json:"accum_flushes"`
-	DirectWorlds         uint64 `json:"direct_worlds"`
-	CacheDir             string `json:"cache_dir,omitempty"`
-}
-
-func (h *graphHandle) storeStats() storeStats {
-	st := h.store.Stats()
-	return storeStats{
-		Worlds:               st.Worlds,
-		ResidentBlocks:       st.ResidentBlocks,
-		ResidentLabelBlocks:  st.ResidentLabelBlocks,
-		ResidentBitmapBlocks: st.ResidentBitmapBlocks,
-		ResidentBytes:        st.ResidentBytes,
-		BlockWorlds:          st.BlockWorlds,
-		Hits:                 st.Hits,
-		Materializations:     st.Materializations,
-		Recomputes:           st.Recomputes,
-		ColdRecomputes:       st.ColdRecomputes,
-		PostSpillRecomputes:  st.PostSpillRecomputes,
-		Evictions:            st.Evictions,
-		DiskHits:             st.DiskHits,
-		DiskBytes:            st.DiskBytes,
-		SpillWrites:          st.SpillWrites,
-		CorruptDropped:       st.CorruptDropped,
-		AccumWorlds:          st.AccumWorlds,
-		AccumFlushes:         st.AccumFlushes,
-		DirectWorlds:         st.DirectWorlds,
-		CacheDir:             st.CacheDir,
-	}
-}
-
-// shardStats mirrors shard.WorkerStats with stable JSON names — the
-// per-graph shard health block of /statsz.
-type shardStats struct {
-	Addr             string `json:"addr"`
-	State            string `json:"state"`
-	Requests         uint64 `json:"requests"`
-	Failures         uint64 `json:"failures"`
-	Duplicates       uint64 `json:"duplicates"`
-	RangesServed     uint64 `json:"ranges_served"`
-	WorldsServed     uint64 `json:"worlds_served"`
-	BreakerTrips     uint64 `json:"breaker_trips,omitempty"`
-	BreakerOpen      bool   `json:"breaker_open,omitempty"`
-	IntegrityRejects uint64 `json:"integrity_rejects,omitempty"`
-	LastRTTMS        int64  `json:"last_rtt_ms"`
-	LastOKMS         int64  `json:"last_ok_unix_ms,omitempty"`
-	LastErr          string `json:"last_err,omitempty"`
-}
-
-func (h *graphHandle) shardStats() []shardStats {
-	ws := h.coord.WorkerStats()
-	out := make([]shardStats, len(ws))
-	for i, st := range ws {
-		out[i] = shardStats{
-			Addr:             st.Addr,
-			State:            st.State,
-			Requests:         st.Requests,
-			Failures:         st.Failures,
-			Duplicates:       st.Duplicates,
-			RangesServed:     st.RangesServed,
-			WorldsServed:     st.WorldsServed,
-			BreakerTrips:     st.BreakerTrips,
-			BreakerOpen:      st.BreakerOpen,
-			IntegrityRejects: st.IntegrityRejects,
-			LastRTTMS:        st.LastRTT.Milliseconds(),
-			LastErr:          st.LastErr,
-		}
-		if !st.LastOK.IsZero() {
-			out[i].LastOKMS = st.LastOK.UnixMilli()
-		}
-	}
-	return out
-}
-
-// fabricStats mirrors shard.FabricStats — coordinator-wide hedging and
-// re-scatter counters for one graph.
-type fabricStats struct {
-	Hedges           uint64 `json:"hedges"`
-	Duplicates       uint64 `json:"duplicates"`
-	Rescatters       uint64 `json:"rescatters"`
-	BreakerTrips     uint64 `json:"breaker_trips"`
-	Quarantines      uint64 `json:"quarantines"`
-	IntegrityRejects uint64 `json:"integrity_rejects"`
-	Audits           uint64 `json:"audits"`
-	AuditDivergences uint64 `json:"audit_divergences"`
-}
-
-func (h *graphHandle) fabricStats() fabricStats {
-	fs := h.coord.FabricStats()
-	return fabricStats{
-		Hedges:           fs.Hedges,
-		Duplicates:       fs.Duplicates,
-		Rescatters:       fs.Rescatters,
-		BreakerTrips:     fs.BreakerTrips,
-		Quarantines:      fs.Quarantines,
-		IntegrityRejects: fs.IntegrityRejects,
-		Audits:           fs.Audits,
-		AuditDivergences: fs.AuditDivergences,
-	}
-}
-
+// handleStatsz renders the stat tables over one snapshot of each source,
+// with every graph's identity beside its store, fabric and worker blocks.
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	graphs := make(map[string]any, len(s.graphs))
 	for name, h := range s.graphs {
@@ -198,25 +80,17 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"nodes": h.g.NumNodes(),
 			"edges": h.g.NumEdges(),
 			"seed":  h.seed,
-			"store": h.storeStats(),
+			"store": statsObject(storeTable, h.store.Stats()),
 		}
 		if h.coord.Sharded() {
-			gm["shards"] = h.shardStats()
-			gm["fabric"] = h.fabricStats()
+			gm["shards"] = statsObjects(workerTable, h.coord.WorkerStats())
+			gm["fabric"] = statsObject(fabricTable, h.coord.FabricStats())
 		}
 		graphs[name] = gm
 	}
-	s.writeJSON(w, map[string]any{
-		"uptime_ms":        time.Since(s.start).Milliseconds(),
-		"build":            obs.BuildInfo(),
-		"draining":         s.draining.Load(),
-		"requests":         s.requests.Load(),
-		"failures":         s.failures.Load(),
-		"adaptive_queries": s.adaptiveQueries.Load(),
-		"worlds_saved":     s.worldsSaved.Load(),
-		"jobs":             s.jobs.counts(),
-		"graphs":           graphs,
-	})
+	body := statsObject(serverTable, s)
+	body["graphs"] = graphs
+	s.writeJSON(w, body)
 }
 
 // ---- /v1/shards ---------------------------------------------------------
@@ -228,8 +102,8 @@ func (s *Server) handleShardsGet(w http.ResponseWriter, r *http.Request) {
 	graphs := make(map[string]any, len(s.graphs))
 	for name, h := range s.graphs {
 		graphs[name] = map[string]any{
-			"workers": h.shardStats(),
-			"fabric":  h.fabricStats(),
+			"workers": statsObjects(workerTable, h.coord.WorkerStats()),
+			"fabric":  statsObject(fabricTable, h.coord.FabricStats()),
 		}
 	}
 	s.writeJSON(w, map[string]any{"graphs": graphs})
@@ -270,7 +144,7 @@ func (s *Server) handleShardsPost(w http.ResponseWriter, r *http.Request) {
 	}
 	blank := badRequest("blank worker address")
 	for _, addr := range req.Add {
-		u := workerURL(addr)
+		u := shard.NormalizeAddr(addr)
 		if u == "" {
 			s.writeError(w, blank)
 			return
@@ -278,7 +152,7 @@ func (s *Server) handleShardsPost(w http.ResponseWriter, r *http.Request) {
 		known[u] = true
 	}
 	for _, addr := range req.Remove {
-		switch u := workerURL(addr); {
+		switch u := shard.NormalizeAddr(addr); {
 		case u == "":
 			s.writeError(w, blank)
 			return
@@ -297,17 +171,6 @@ func (s *Server) handleShardsPost(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.handleShardsGet(w, r)
-}
-
-// workerURL is the base URL a coordinator files a worker address under:
-// spaces and trailing slashes trimmed, "http://" prefixed to a bare
-// "host:port". A blank address yields "".
-func workerURL(addr string) string {
-	u := strings.TrimRight(strings.TrimSpace(addr), "/")
-	if u != "" && !strings.Contains(u, "://") {
-		u = "http://" + u
-	}
-	return u
 }
 
 type graphInfo struct {

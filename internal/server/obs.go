@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"ucgraph/internal/obs"
+	"ucgraph/internal/shard"
+	"ucgraph/internal/worldstore"
 )
 
 // Observability surface of the daemon: Server.serve, the step list of
@@ -27,8 +29,8 @@ import (
 // traced and untraced requests compute bit-identical answers.
 
 // serverMetrics owns the accumulating metric state (histograms); the
-// scrape-time gauges and counters are read straight from the same
-// atomics /statsz reports, so the two endpoints can never disagree.
+// scrape-time gauges and counters are rendered from the stat tables,
+// which /statsz renders too.
 type serverMetrics struct {
 	reg *obs.Registry
 	// request observes total request latency per endpoint pattern.
@@ -55,19 +57,12 @@ func newServerMetrics() *serverMetrics {
 	}
 }
 
-// endpointLabel normalizes a request path to a bounded label set so the
-// request histogram's cardinality cannot be driven by clients.
-func endpointLabel(path string) string {
-	switch {
-	case strings.HasPrefix(path, "/v1/jobs/"):
-		return "/v1/jobs"
-	case strings.HasPrefix(path, "/debug/traces"):
-		return "/debug/traces"
-	}
-	switch path {
-	case "/healthz", "/statsz", "/metricsz", "/v1/graphs", "/v1/conn",
-		"/v1/cluster", "/v1/knn", "/v1/influence", "/v1/reliability",
-		"/v1/shards":
+// endpointLabel is the request histogram's label for a request the mux
+// has served: the path of the route pattern it matched ("/v1/jobs/{id}"
+// for every job), or "other" when no route matched (a 404 or a 405), so
+// clients cannot drive the label set past the registered routes.
+func endpointLabel(pattern string) string {
+	if path := pattern[strings.IndexByte(pattern, ' ')+1:]; path != "" {
 		return path
 	}
 	return "other"
@@ -152,145 +147,212 @@ func explainView(tr *obs.Trace) obs.TraceView {
 	return tr.View()
 }
 
-// ---- /metricsz ----------------------------------------------------------
+// ---- /metricsz and the stat tables ----------------------------------------
 
 // handleMetricsz serves the Prometheus text exposition: build info, the
-// daemon counters and per-graph store/fabric/worker counters mirrored
-// from the same atomics /statsz reads, and the latency histograms. The
-// output is validated against the strict parser in internal/obs by the
-// server tests, so a scrape always parses.
+// stat tables' families over one snapshot of each counter source, and the
+// latency histograms. The output is validated against the strict parser
+// in internal/obs by the server tests, so a scrape always parses.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw := obs.NewWriter(w)
 
 	b := obs.BuildInfo()
-	pw.Family("ucgraph_build_info", "Build metadata; value is always 1.", "gauge")
+	pw.Family("ucgraph_build_info", "Build metadata; value is always 1.", gauge)
 	pw.Sample("ucgraph_build_info", []obs.Label{
 		{Name: "version", Value: b.Version},
 		{Name: "commit", Value: b.Commit},
 		{Name: "go_version", Value: b.GoVersion},
 	}, 1)
+	writeFamilies(pw, serverTable, labelled[*Server]{snap: s})
 
-	pw.Family("ucgraph_uptime_seconds", "Seconds since the daemon started.", "gauge")
-	pw.Sample("ucgraph_uptime_seconds", nil, time.Since(s.start).Seconds())
-	pw.Family("ucgraph_inflight_requests", "Requests currently being served.", "gauge")
-	pw.Sample("ucgraph_inflight_requests", nil, float64(s.inflight.Load()))
-	pw.Family("ucgraph_draining", "1 while the daemon is draining for shutdown.", "gauge")
-	pw.Sample("ucgraph_draining", nil, b2f(s.draining.Load()))
-	pw.Family("ucgraph_requests_total", "HTTP requests served.", "counter")
-	pw.Sample("ucgraph_requests_total", nil, float64(s.requests.Load()))
-	pw.Family("ucgraph_failures_total", "Requests answered with an error.", "counter")
-	pw.Sample("ucgraph_failures_total", nil, float64(s.failures.Load()))
-	pw.Family("ucgraph_adaptive_queries_total", "Completed confidence-target queries.", "counter")
-	pw.Sample("ucgraph_adaptive_queries_total", nil, float64(s.adaptiveQueries.Load()))
-	pw.Family("ucgraph_worlds_saved_total", "Worlds saved by adaptive early stopping.", "counter")
-	pw.Sample("ucgraph_worlds_saved_total", nil, float64(s.worldsSaved.Load()))
-
-	pw.Family("ucgraph_jobs", "Async clustering jobs by state.", "gauge")
-	for _, state := range [...]string{"running", "done", "error", "cancelled"} {
-		pw.Sample("ucgraph_jobs", []obs.Label{{Name: "state", Value: state}}, float64(s.jobs.counts()[state]))
+	var (
+		stores  []labelled[worldstore.Stats]
+		fabrics []labelled[shard.FabricStats]
+		workers []labelled[shard.WorkerStats]
+	)
+	for _, name := range s.names {
+		h := s.graphs[name]
+		graph := obs.Label{Name: "graph", Value: name}
+		stores = append(stores, labelled[worldstore.Stats]{[]obs.Label{graph}, h.store.Stats()})
+		if !h.coord.Sharded() {
+			continue
+		}
+		fabrics = append(fabrics, labelled[shard.FabricStats]{[]obs.Label{graph}, h.coord.FabricStats()})
+		for _, ws := range h.coord.WorkerStats() {
+			workers = append(workers, labelled[shard.WorkerStats]{[]obs.Label{graph, {Name: "worker", Value: ws.Addr}}, ws})
+		}
 	}
-
-	s.writeStoreMetrics(pw)
-	s.writeFabricMetrics(pw)
+	writeFamilies(pw, storeTable, stores...)
+	if len(fabrics) > 0 {
+		writeFamilies(pw, fabricTable, fabrics...)
+		writeFamilies(pw, workerTable, workers...)
+	}
 	s.metrics.reg.WriteTo(pw)
 }
 
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+// Metric types of the stat tables.
+const (
+	counter = "counter"
+	gauge   = "gauge"
+)
+
+// stat is one number the daemon reports about a counter source S: its
+// /statsz key, its /metricsz family, and how to read it from one snapshot
+// of S. An empty key or family leaves the number off that surface. val
+// returns an integer, a float or a bool (0 or 1 in /metricsz); a stat
+// with no family may return any JSON value, and the job counts return
+// one count per state. Families are named ucgraph_<key> for the server,
+// ucgraph_store_<key>, ucgraph_fabric_<key> and
+// ucgraph_shard_worker_<key> for the other sources, with _total on
+// counters; docs/SERVER.md lists the exceptions.
+type stat[S any] struct {
+	key, metric, typ, help string
+	val                    func(S) any
 }
 
-// storeMetricCols maps one storeStats snapshot onto Prometheus families.
-// Counters and gauges are split so # TYPE stays truthful.
-var storeMetricCols = []struct {
-	name, help, typ string
-	val             func(storeStats) float64
-}{
-	{"ucgraph_store_worlds", "Worlds materialized in the store so far.", "gauge", func(st storeStats) float64 { return float64(st.Worlds) }},
-	{"ucgraph_store_resident_blocks", "World blocks resident in RAM.", "gauge", func(st storeStats) float64 { return float64(st.ResidentBlocks) }},
-	{"ucgraph_store_resident_bytes", "Bytes of resident world data.", "gauge", func(st storeStats) float64 { return float64(st.ResidentBytes) }},
-	{"ucgraph_store_hits_total", "Block requests answered from RAM.", "counter", func(st storeStats) float64 { return float64(st.Hits) }},
-	{"ucgraph_store_materializations_total", "Blocks sampled for the first time.", "counter", func(st storeStats) float64 { return float64(st.Materializations) }},
-	{"ucgraph_store_recomputes_total", "Blocks recomputed after eviction.", "counter", func(st storeStats) float64 { return float64(st.Recomputes) }},
-	{"ucgraph_store_evictions_total", "Blocks evicted under the memory budget.", "counter", func(st storeStats) float64 { return float64(st.Evictions) }},
-	{"ucgraph_store_disk_hits_total", "Blocks served from the disk tier.", "counter", func(st storeStats) float64 { return float64(st.DiskHits) }},
-	{"ucgraph_store_spill_writes_total", "Blocks spilled to the disk tier.", "counter", func(st storeStats) float64 { return float64(st.SpillWrites) }},
-	{"ucgraph_store_corrupt_dropped_total", "Disk-tier blocks dropped on checksum mismatch.", "counter", func(st storeStats) float64 { return float64(st.CorruptDropped) }},
+// serverTable holds the daemon-wide numbers; its source is the Server.
+var serverTable = []stat[*Server]{
+	{"uptime_ms", "", "", "", func(s *Server) any { return time.Since(s.start).Milliseconds() }},
+	{"", "ucgraph_uptime_seconds", gauge, "Seconds since the daemon started.", func(s *Server) any { return time.Since(s.start).Seconds() }},
+	{"build", "", "", "", func(*Server) any { return obs.BuildInfo() }},
+	{"", "ucgraph_inflight_requests", gauge, "Requests currently being served.", func(s *Server) any { return s.inflight.Load() }},
+	{"draining", "ucgraph_draining", gauge, "1 while the daemon is draining for shutdown.", func(s *Server) any { return s.draining.Load() }},
+	{"requests", "ucgraph_requests_total", counter, "HTTP requests served.", func(s *Server) any { return s.requests.Load() }},
+	{"failures", "ucgraph_failures_total", counter, "Requests answered with an error.", func(s *Server) any { return s.failures.Load() }},
+	{"adaptive_queries", "ucgraph_adaptive_queries_total", counter, "Completed confidence-target queries.", func(s *Server) any { return s.adaptiveQueries.Load() }},
+	{"worlds_saved", "ucgraph_worlds_saved_total", counter, "Worlds saved by adaptive early stopping.", func(s *Server) any { return s.worldsSaved.Load() }},
+	{"jobs", "ucgraph_jobs", gauge, "Async clustering jobs by state.", func(s *Server) any { return s.jobs.counts() }},
 }
 
-func (s *Server) writeStoreMetrics(pw *obs.Writer) {
-	for _, col := range storeMetricCols {
-		pw.Family(col.name, col.help, col.typ)
-		for _, name := range s.names {
-			st := s.graphs[name].storeStats()
-			pw.Sample(col.name, []obs.Label{{Name: "graph", Value: name}}, col.val(st))
+// storeTable holds a graph's world-store numbers.
+var storeTable = []stat[worldstore.Stats]{
+	{"worlds", "ucgraph_store_worlds", gauge, "Worlds materialized in the store so far.", func(st worldstore.Stats) any { return st.Worlds }},
+	{"resident_blocks", "ucgraph_store_resident_blocks", gauge, "World blocks resident in RAM.", func(st worldstore.Stats) any { return st.ResidentBlocks }},
+	{"resident_label_blocks", "ucgraph_store_resident_label_blocks", gauge, "Label blocks resident in RAM.", func(st worldstore.Stats) any { return st.ResidentLabelBlocks }},
+	{"resident_bitmap_blocks", "ucgraph_store_resident_bitmap_blocks", gauge, "Edge-bitmap blocks resident in RAM.", func(st worldstore.Stats) any { return st.ResidentBitmapBlocks }},
+	{"resident_bytes", "ucgraph_store_resident_bytes", gauge, "Bytes of resident world data.", func(st worldstore.Stats) any { return st.ResidentBytes }},
+	{"block_worlds", "ucgraph_store_block_worlds", gauge, "Worlds per block.", func(st worldstore.Stats) any { return st.BlockWorlds }},
+	{"hits", "ucgraph_store_hits_total", counter, "Block requests answered from RAM.", func(st worldstore.Stats) any { return st.Hits }},
+	{"materializations", "ucgraph_store_materializations_total", counter, "Blocks sampled for the first time.", func(st worldstore.Stats) any { return st.Materializations }},
+	{"recomputes", "ucgraph_store_recomputes_total", counter, "Blocks recomputed after eviction.", func(st worldstore.Stats) any { return st.Recomputes }},
+	{"cold_recomputes", "ucgraph_store_cold_recomputes_total", counter, "Recomputes with no spilled copy to load.", func(st worldstore.Stats) any { return st.ColdRecomputes }},
+	{"post_spill_recomputes", "ucgraph_store_post_spill_recomputes_total", counter, "Recomputes after a spilled copy failed validation.", func(st worldstore.Stats) any { return st.PostSpillRecomputes }},
+	{"evictions", "ucgraph_store_evictions_total", counter, "Blocks evicted under the memory budget.", func(st worldstore.Stats) any { return st.Evictions }},
+	{"disk_hits", "ucgraph_store_disk_hits_total", counter, "Blocks served from the disk tier.", func(st worldstore.Stats) any { return st.DiskHits }},
+	{"disk_bytes", "ucgraph_store_disk_bytes", gauge, "Live payload bytes of the disk tier.", func(st worldstore.Stats) any { return st.DiskBytes }},
+	{"spill_writes", "ucgraph_store_spill_writes_total", counter, "Blocks spilled to the disk tier.", func(st worldstore.Stats) any { return st.SpillWrites }},
+	{"corrupt_dropped", "ucgraph_store_corrupt_dropped_total", counter, "Disk-tier blocks dropped on checksum mismatch.", func(st worldstore.Stats) any { return st.CorruptDropped }},
+	{"accum_worlds", "ucgraph_store_accum_worlds_total", counter, "Worlds tallied by the accumulate-mode depth-limited kernel.", func(st worldstore.Stats) any { return st.AccumWorlds }},
+	{"accum_flushes", "ucgraph_store_accum_flushes_total", counter, "Flushes of the depth-limited kernel's bit-sliced accumulator.", func(st worldstore.Stats) any { return st.AccumFlushes }},
+	{"direct_worlds", "ucgraph_store_direct_worlds_total", counter, "Worlds tallied by the per-world direct depth-limited kernel.", func(st worldstore.Stats) any { return st.DirectWorlds }},
+	{"cache_dir", "", "", "", func(st worldstore.Stats) any { return st.CacheDir }},
+}
+
+// fabricTable holds a sharded graph's coordinator-wide fabric numbers.
+var fabricTable = []stat[shard.FabricStats]{
+	{"hedges", "ucgraph_fabric_hedges_total", counter, "Hedged scatter requests armed.", func(fs shard.FabricStats) any { return fs.Hedges }},
+	{"duplicates", "ucgraph_fabric_duplicates_total", counter, "Suppressed duplicate tally responses.", func(fs shard.FabricStats) any { return fs.Duplicates }},
+	{"rescatters", "ucgraph_fabric_rescatters_total", counter, "Scatter blocks re-striped through retry rounds.", func(fs shard.FabricStats) any { return fs.Rescatters }},
+	{"breaker_trips", "ucgraph_fabric_breaker_trips_total", counter, "Worker circuit breakers tripped.", func(fs shard.FabricStats) any { return fs.BreakerTrips }},
+	{"quarantines", "ucgraph_fabric_quarantines_total", counter, "Workers quarantined for flapping or audit divergence.", func(fs shard.FabricStats) any { return fs.Quarantines }},
+	{"integrity_rejects", "ucgraph_fabric_integrity_rejects_total", counter, "Frames rejected by wire integrity checks.", func(fs shard.FabricStats) any { return fs.IntegrityRejects }},
+	{"audits", "ucgraph_fabric_audits_total", counter, "Scatter groups re-executed for audit.", func(fs shard.FabricStats) any { return fs.Audits }},
+	{"audit_divergences", "ucgraph_fabric_audit_divergences_total", counter, "Audits that observed divergent tallies.", func(fs shard.FabricStats) any { return fs.AuditDivergences }},
+}
+
+// workerTable holds one shard worker's health numbers, as its
+// coordinator sees them.
+var workerTable = []stat[shard.WorkerStats]{
+	{"addr", "", "", "", func(ws shard.WorkerStats) any { return ws.Addr }},
+	{"state", "", "", "", func(ws shard.WorkerStats) any { return ws.State }},
+	{"", "ucgraph_shard_worker_up", gauge, "1 while the worker is marked up.", func(ws shard.WorkerStats) any { return ws.State == "up" }},
+	{"requests", "ucgraph_shard_worker_requests_total", counter, "Tally requests sent to the worker.", func(ws shard.WorkerStats) any { return ws.Requests }},
+	{"failures", "ucgraph_shard_worker_failures_total", counter, "Tally requests the worker failed.", func(ws shard.WorkerStats) any { return ws.Failures }},
+	{"duplicates", "ucgraph_shard_worker_duplicates_total", counter, "Hedged answers from the worker suppressed as duplicates.", func(ws shard.WorkerStats) any { return ws.Duplicates }},
+	{"ranges_served", "ucgraph_shard_worker_ranges_served_total", counter, "World ranges tallied by the worker.", func(ws shard.WorkerStats) any { return ws.RangesServed }},
+	{"worlds_served", "ucgraph_shard_worker_worlds_served_total", counter, "Worlds tallied by the worker.", func(ws shard.WorkerStats) any { return ws.WorldsServed }},
+	{"breaker_trips", "ucgraph_shard_worker_breaker_trips_total", counter, "Trips of the worker's circuit breaker.", func(ws shard.WorkerStats) any { return ws.BreakerTrips }},
+	{"breaker_open", "ucgraph_shard_worker_breaker_open", gauge, "1 while the worker's circuit breaker is open.", func(ws shard.WorkerStats) any { return ws.BreakerOpen }},
+	{"integrity_rejects", "ucgraph_shard_worker_integrity_rejects_total", counter, "Worker frames rejected by wire integrity checks.", func(ws shard.WorkerStats) any { return ws.IntegrityRejects }},
+	{"last_rtt_ms", "ucgraph_shard_worker_last_rtt_ms", gauge, "Round trip of the last successful request, in milliseconds.", func(ws shard.WorkerStats) any { return ws.LastRTT.Milliseconds() }},
+	{"last_ok_unix_ms", "ucgraph_shard_worker_last_ok_unix_ms", gauge, "Unix time of the last successful request, in milliseconds; 0 before the first.", func(ws shard.WorkerStats) any {
+		if ws.LastOK.IsZero() {
+			return int64(0)
+		}
+		return ws.LastOK.UnixMilli()
+	}},
+	{"last_err", "", "", "", func(ws shard.WorkerStats) any { return ws.LastErr }},
+}
+
+// statsObject renders one snapshot of a source as a /statsz object.
+func statsObject[S any](tab []stat[S], snap S) map[string]any {
+	out := make(map[string]any, len(tab))
+	for _, st := range tab {
+		if st.key != "" {
+			out[st.key] = st.val(snap)
 		}
 	}
+	return out
 }
 
-// fabricMetricCols maps the coordinator-wide fabric counters of every
-// sharded graph onto Prometheus counter families.
-var fabricMetricCols = []struct {
-	name, help string
-	val        func(fabricStats) float64
-}{
-	{"ucgraph_fabric_hedges_total", "Hedged scatter requests armed.", func(fs fabricStats) float64 { return float64(fs.Hedges) }},
-	{"ucgraph_fabric_duplicates_total", "Suppressed duplicate tally responses.", func(fs fabricStats) float64 { return float64(fs.Duplicates) }},
-	{"ucgraph_fabric_rescatters_total", "Scatter blocks re-striped through retry rounds.", func(fs fabricStats) float64 { return float64(fs.Rescatters) }},
-	{"ucgraph_fabric_breaker_trips_total", "Worker circuit breakers tripped.", func(fs fabricStats) float64 { return float64(fs.BreakerTrips) }},
-	{"ucgraph_fabric_quarantines_total", "Workers quarantined after audit divergence.", func(fs fabricStats) float64 { return float64(fs.Quarantines) }},
-	{"ucgraph_fabric_integrity_rejects_total", "Frames rejected by wire integrity checks.", func(fs fabricStats) float64 { return float64(fs.IntegrityRejects) }},
-	{"ucgraph_fabric_audits_total", "Scatter groups re-executed for audit.", func(fs fabricStats) float64 { return float64(fs.Audits) }},
-	{"ucgraph_fabric_audit_divergences_total", "Audits that observed divergent tallies.", func(fs fabricStats) float64 { return float64(fs.AuditDivergences) }},
+// statsObjects renders a list of snapshots as a JSON array of objects
+// (empty, not null, for no snapshots).
+func statsObjects[S any](tab []stat[S], snaps []S) []map[string]any {
+	out := make([]map[string]any, len(snaps))
+	for i, snap := range snaps {
+		out[i] = statsObject(tab, snap)
+	}
+	return out
 }
 
-func (s *Server) writeFabricMetrics(pw *obs.Writer) {
-	sharded := false
-	for _, name := range s.names {
-		if s.graphs[name].coord.Sharded() {
-			sharded = true
-			break
+// labelled is one snapshot of a source and the labels of its samples.
+type labelled[S any] struct {
+	labels []obs.Label
+	snap   S
+}
+
+// jobStates labels the job counts' samples. A cancelled job ends in the
+// error state, so "cancelled" always reads 0; it stays for dashboards
+// built on earlier releases.
+var jobStates = [...]string{JobRunning, JobDone, JobError, "cancelled"}
+
+// writeFamilies renders a table's families, one sample per snapshot.
+func writeFamilies[S any](pw *obs.Writer, tab []stat[S], snaps ...labelled[S]) {
+	for _, st := range tab {
+		if st.metric == "" {
+			continue
 		}
-	}
-	if !sharded {
-		return
-	}
-	for _, col := range fabricMetricCols {
-		pw.Family(col.name, col.help, "counter")
-		for _, name := range s.names {
-			h := s.graphs[name]
-			if !h.coord.Sharded() {
+		pw.Family(st.metric, st.help, st.typ)
+		for _, sn := range snaps {
+			v := st.val(sn.snap)
+			if byState, ok := v.(map[string]int); ok { // the job counts
+				for _, state := range jobStates {
+					pw.Sample(st.metric, []obs.Label{{Name: "state", Value: state}}, float64(byState[state]))
+				}
 				continue
 			}
-			pw.Sample(col.name, []obs.Label{{Name: "graph", Value: name}}, col.val(h.fabricStats()))
+			pw.Sample(st.metric, sn.labels, sample(v))
 		}
 	}
-	for _, col := range []struct {
-		name, help, typ string
-		val             func(shardStats) float64
-	}{
-		{"ucgraph_shard_worker_up", "1 while the worker is marked up.", "gauge", func(ws shardStats) float64 { return b2f(ws.State == "up") }},
-		{"ucgraph_shard_worker_requests_total", "Tally requests sent to the worker.", "counter", func(ws shardStats) float64 { return float64(ws.Requests) }},
-		{"ucgraph_shard_worker_failures_total", "Tally requests the worker failed.", "counter", func(ws shardStats) float64 { return float64(ws.Failures) }},
-		{"ucgraph_shard_worker_worlds_served_total", "Worlds tallied by the worker.", "counter", func(ws shardStats) float64 { return float64(ws.WorldsServed) }},
-	} {
-		pw.Family(col.name, col.help, col.typ)
-		for _, name := range s.names {
-			h := s.graphs[name]
-			if !h.coord.Sharded() {
-				continue
-			}
-			for _, ws := range h.shardStats() {
-				pw.Sample(col.name, []obs.Label{
-					{Name: "graph", Value: name},
-					{Name: "worker", Value: ws.Addr},
-				}, col.val(ws))
-			}
+}
+
+// sample is a stat value as a /metricsz sample value.
+func sample(v any) float64 {
+	switch x := v.(type) {
+	case bool:
+		if x {
+			return 1
 		}
+		return 0
+	case int:
+		return float64(x)
+	case int64:
+		return float64(x)
+	case uint64:
+		return float64(x)
 	}
+	return v.(float64)
 }
 
 // ---- /debug/traces ------------------------------------------------------

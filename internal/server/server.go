@@ -394,7 +394,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 	t0 := time.Now()
 	s.mux.ServeHTTP(w, r)
-	s.metrics.request.Observe(time.Since(t0).Seconds(), endpointLabel(r.URL.Path))
+	s.metrics.request.Observe(time.Since(t0).Seconds(), endpointLabel(r.Pattern))
 }
 
 // handle resolves the graph named in a request.

@@ -170,9 +170,10 @@ type workerClient struct {
 	stats WorkerStats
 }
 
-// normalizeAddr turns "host:port" or a full URL into a base URL with no
-// trailing slash.
-func normalizeAddr(addr string) string {
+// NormalizeAddr is the base URL a coordinator files a worker address
+// under: spaces and trailing slashes trimmed, "http://" prefixed to a bare
+// "host:port". A blank address yields "".
+func NormalizeAddr(addr string) string {
 	base := strings.TrimRight(strings.TrimSpace(addr), "/")
 	if base != "" && !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -183,7 +184,7 @@ func normalizeAddr(addr string) string {
 // newWorkerClient normalizes addr ("host:port" or a full URL) into a
 // client.
 func newWorkerClient(addr string, client *http.Client) *workerClient {
-	base := normalizeAddr(addr)
+	base := NormalizeAddr(addr)
 	wc := &workerClient{base: base, client: client, stats: WorkerStats{Addr: base}}
 	wc.stream, wc.streamErr = newStreamClient(base)
 	return wc
@@ -439,7 +440,7 @@ func newFleet(addrs []string, client *http.Client) *fleet {
 // add registers (or revives) the worker at addr and returns its
 // normalized base URL.
 func (f *fleet) add(addr string) string {
-	base := normalizeAddr(addr)
+	base := NormalizeAddr(addr)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, m := range f.members {
@@ -461,7 +462,7 @@ func (f *fleet) add(addr string) string {
 // remove marks the worker at addr as removed and closes its stream;
 // reports whether it was a member.
 func (f *fleet) remove(addr string) bool {
-	base := normalizeAddr(addr)
+	base := NormalizeAddr(addr)
 	f.mu.Lock()
 	var gone *member
 	for _, m := range f.members {
