@@ -1,10 +1,11 @@
 # Developer and CI entry points. `make ci` is exactly what the GitHub
-# workflow runs; `make bench` and `make bench-core` track the perf
-# trajectory in BENCH_conn.json / BENCH_core.json.
+# workflow runs; `make bench` records the paper's yardsticks in
+# BENCH_conn.json and `make bench-store` the storage-tier kernels in
+# BENCH_store.json. The end-to-end benchmark is perfbench/ (BENCHMARK.json).
 
 GO ?= go
 
-.PHONY: build fmt vet test short race chaos cover bench bench-core bench-depth bench-server bench-shard bench-store bench-dblp bench-obs bench-smoke bench-selftest e2e-smoke fuzz serve docs-check ci
+.PHONY: build fmt vet test short race chaos cover bench bench-store bench-dblp bench-smoke bench-selftest e2e-smoke fuzz serve docs-check ci
 
 build:
 	$(GO) build ./...
@@ -31,7 +32,7 @@ short:
 # conformance harness exercises server+shard+conn together, so it rides
 # in this gate too).
 race:
-	$(GO) test -race -short ./internal/worldstore ./internal/conn ./internal/sampler ./internal/core ./internal/server ./internal/shard ./internal/stattest ./internal/faultinject ./internal/obs
+	$(GO) test -race -short ./internal/par ./internal/worldstore ./internal/conn ./internal/sampler ./internal/core ./internal/mcl ./internal/server ./internal/shard ./internal/stattest ./internal/faultinject ./internal/obs
 
 # Seeded chaos suite under the race detector: fault-injection proxies
 # (internal/faultinject) kill, delay and corrupt the coordinator-worker
@@ -74,46 +75,10 @@ bench:
 	@rm -f bench.out
 	@echo "wrote BENCH_conn.json"
 
-# Algorithm-level benchmarks (MCP/ACP end to end, batched vs serial
-# candidate scoring) -> BENCH_core.json.
-bench-core:
-	$(GO) test -bench='EndToEnd|FromCenters|MinPartial' -benchmem -run='^$$' ./internal/core | tee bench-core.out
-	$(GO) run ./cmd/benchjson -suite core < bench-core.out > BENCH_core.json
-	@rm -f bench-core.out
-	@echo "wrote BENCH_core.json"
-
-# Depth-limited scoring benchmarks (alpha=64, depth=2: the batched
-# edge-bitmap engine vs the per-center BFS loop), merged into
-# BENCH_core.json without disturbing the rest of the core suite.
-bench-depth:
-	$(GO) test -bench='FromCentersDepth2|MinPartialDepth2' -benchmem -run='^$$' ./internal/core | tee bench-depth.out
-	$(GO) run ./cmd/benchjson -suite core -update BENCH_core.json < bench-depth.out
-	@rm -f bench-depth.out
-	@echo "merged depth suite into BENCH_core.json"
-
 # Compile-and-run-once smoke over every benchmark, so bench code cannot
 # rot between recorded runs. -benchtime=1x keeps it to seconds.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -short ./...
-
-# Sharding benchmarks (coordinator scatter/gather over loopback workers
-# vs in-process execution) -> BENCH_shard.json, merged in place so partial
-# reruns keep the rest of the suite.
-bench-shard:
-	$(GO) test -bench='Scatter' -benchmem -run='^$$' ./internal/shard | tee bench-shard.out
-	$(GO) run ./cmd/benchjson -suite shard -update BENCH_shard.json < bench-shard.out
-	@rm -f bench-shard.out
-	@echo "merged scatter suite into BENCH_shard.json"
-
-# Tracing-overhead benchmark: the warm 4-worker scatter with a live
-# trace per query (span tree + wire trace sections) next to the
-# untraced ScatterWorkers/workers=4 baseline, merged into
-# BENCH_shard.json. The acceptance bar is <5% overhead.
-bench-obs:
-	$(GO) test -bench='ScatterWorkers' -benchmem -run='^$$' ./internal/shard | tee bench-obs.out
-	$(GO) run ./cmd/benchjson -suite shard -update BENCH_shard.json < bench-obs.out
-	@rm -f bench-obs.out
-	@echo "merged tracing-overhead suite into BENCH_shard.json"
 
 # Storage-tier benchmarks (cold vs spilled-warm vs recompute block
 # materialization, the single-center connection count on the
@@ -169,13 +134,5 @@ e2e-smoke:
 		echo "$$w: $$last"; \
 		case "$$last" in '{"correct":true,'*'"failed":0,'*) ;; *) echo "FAIL: $$w smoke"; exit 1;; esac; \
 	done
-
-# Daemon-level benchmarks (cold vs warm world store behind /v1/conn) ->
-# BENCH_server.json.
-bench-server:
-	$(GO) test -bench='ConnColdStore|ConnWarmStore|ConnAdaptive' -benchmem -run='^$$' ./internal/server | tee bench-server.out
-	$(GO) run ./cmd/benchjson -suite server < bench-server.out > BENCH_server.json
-	@rm -f bench-server.out
-	@echo "wrote BENCH_server.json"
 
 ci: build fmt vet short race cover bench-smoke docs-check e2e-smoke

@@ -10,6 +10,7 @@ package ucgraph
 // is `go run ./cmd/ucexp`.
 
 import (
+	"runtime"
 	"testing"
 
 	"ucgraph/internal/conn"
@@ -222,16 +223,22 @@ func BenchmarkEstimatorFromCenter(b *testing.B) {
 	}
 }
 
-// benchFromCenterWorkers times fresh-center oracle queries (1024 worlds,
-// world cache pre-warmed so tally accumulation dominates) at a fixed
-// engine worker count. Once every center has been queried the estimator
-// is rebuilt off the clock: otherwise iterations beyond NumNodes-1 are
-// pure tally-cache hits and would skew the serial-vs-parallel comparison.
-func benchFromCenterWorkers(b *testing.B, workers, depth int) {
+// serialBench pins GOMAXPROCS, the worker budget of every fan-out, to 1
+// for the rest of b's run.
+func serialBench(b *testing.B) {
+	prev := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// benchFromCenter times fresh-center oracle queries (1024 worlds, world
+// cache pre-warmed so tally accumulation dominates). Once every center has
+// been queried the estimator is rebuilt off the clock: otherwise
+// iterations beyond NumNodes-1 are pure tally-cache hits and would skew
+// the serial-vs-parallel comparison.
+func benchFromCenter(b *testing.B, depth int) {
 	g := kroganGraph(b)
 	newEst := func() *Estimator {
 		est := NewEstimator(g, 1)
-		est.SetParallelism(workers)
 		est.FromCenter(0, Unlimited, 1024) // materialize the worlds
 		return est
 	}
@@ -250,33 +257,19 @@ func benchFromCenterWorkers(b *testing.B, workers, depth int) {
 }
 
 // BenchmarkFromCenterSerial is the single-threaded engine baseline —
-// compare against BenchmarkFromCenterParallel for the speedup trajectory.
-func BenchmarkFromCenterSerial(b *testing.B)   { benchFromCenterWorkers(b, 1, Unlimited) }
-func BenchmarkFromCenterParallel(b *testing.B) { benchFromCenterWorkers(b, 0, Unlimited) }
+// compare against BenchmarkFromCenterParallel (GOMAXPROCS as set by the
+// environment or -cpu) for the speedup trajectory.
+func BenchmarkFromCenterSerial(b *testing.B)   { serialBench(b); benchFromCenter(b, Unlimited) }
+func BenchmarkFromCenterParallel(b *testing.B) { benchFromCenter(b, Unlimited) }
 
 // Depth-bounded BFS variants of the same comparison.
-func BenchmarkFromCenterDepth3Serial(b *testing.B)   { benchFromCenterWorkers(b, 1, 3) }
-func BenchmarkFromCenterDepth3Parallel(b *testing.B) { benchFromCenterWorkers(b, 0, 3) }
+func BenchmarkFromCenterDepth3Serial(b *testing.B)   { serialBench(b); benchFromCenter(b, 3) }
+func BenchmarkFromCenterDepth3Parallel(b *testing.B) { benchFromCenter(b, 3) }
 
-// benchMCPWorkers times one full MCP run (k = 100) at a fixed worker count
-// for both the oracle engine and the candidate fan-out.
-func benchMCPWorkers(b *testing.B, par int) {
-	g := kroganGraph(b)
-	sched := Schedule{Min: 50, Max: 384, Coef: 8}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oracle := conn.NewMonteCarlo(g, uint64(i))
-		oracle.SetParallelism(par)
-		if _, _, err := core.MCP(oracle, 100, Options{Seed: uint64(i), Schedule: sched, Parallelism: par}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMCPKroganSerial pins everything to one worker — the
-// single-threaded seed behaviour; BenchmarkMCPKrogan above uses the
-// defaults (all CPUs).
-func BenchmarkMCPKroganSerial(b *testing.B) { benchMCPWorkers(b, 1) }
+// BenchmarkMCPKroganSerial is BenchmarkMCPKrogan with GOMAXPROCS pinned
+// to 1 — the single-threaded seed behaviour; BenchmarkMCPKrogan uses all
+// CPUs.
+func BenchmarkMCPKroganSerial(b *testing.B) { serialBench(b); BenchmarkMCPKrogan(b) }
 
 // BenchmarkWorldSampling times materializing one possible world's
 // component labels on the Krogan-like graph.

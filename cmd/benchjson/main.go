@@ -1,13 +1,13 @@
 // Command benchjson converts `go test -bench` text output (read from
 // stdin) into a stable JSON document on stdout, so benchmark runs can be
-// committed (BENCH_conn.json, BENCH_core.json) and diffed across changes.
+// committed (BENCH_conn.json, BENCH_store.json) and diffed across changes.
 //
 // Usage:
 //
 //	go test -bench=. -benchmem -run='^$' . | go run ./cmd/benchjson -suite conn
 //
 // The -suite flag labels the document, so multiple benchmark files (the
-// estimator-level conn suite, the algorithm-level core suite) stay
+// estimator-level conn suite, the storage-tier store suite) stay
 // distinguishable after archiving. Standard columns (ns/op, B/op,
 // allocs/op) get dedicated fields; every other "value unit" pair —
 // including b.ReportMetric custom metrics — lands in the metrics map keyed
@@ -16,9 +16,9 @@
 // With -update FILE, the parsed benchmarks are merged into an existing
 // report file instead of emitted on stdout: entries whose names match are
 // replaced, new names are appended, and everything else in the file is
-// preserved. This is how partial benchmark targets (`make bench-depth`)
-// refresh their slice of BENCH_core.json without rerunning — or
-// discarding — the rest of the suite.
+// preserved. This is how partial benchmark targets (`make bench-store`,
+// `make bench-dblp`) refresh their slice of BENCH_store.json without
+// rerunning — or discarding — the rest of the suite.
 package main
 
 import (

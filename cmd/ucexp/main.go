@@ -34,7 +34,6 @@ func main() {
 		dblp     = flag.Int("dblp", 6000, "authors in the synthetic DBLP instance")
 		graphs   = flag.String("graphs", "", "comma-separated dataset subset (default all)")
 		runs     = flag.Int("runs", 1, "average randomized algorithms over this many runs")
-		par      = flag.Int("par", 0, "worker pool size for mcp/acp (0 = all CPUs, 1 = serial)")
 		worldmem = flag.Int("worldmem", 0, "world-label memory budget per store in MiB (0 = unbounded); results are identical either way")
 	)
 	flag.Parse()
@@ -45,7 +44,6 @@ func main() {
 		ScheduleMax:      *schedMx,
 		DBLPAuthors:      *dblp,
 		Runs:             *runs,
-		Parallelism:      *par,
 		WorldMemBudgetMB: *worldmem,
 	}
 	if *graphs != "" {

@@ -39,7 +39,6 @@ func main() {
 		inflation = flag.Float64("inflation", 2.0, "mcl inflation parameter")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		samples   = flag.Int("samples", 256, "worlds used to score the clustering")
-		par       = flag.Int("par", 0, "worker pool size for mcp/acp (0 = all CPUs, 1 = serial)")
 		worldmem  = flag.Int("worldmem", 0, "world-label memory budget per store in MiB (0 = unbounded); results are identical either way")
 		eps       = flag.Float64("eps", 0, "adaptive candidate scoring: stop refining a selection once its score interval is narrower than eps (mcp, acp; 0 = fixed budget)")
 		delta     = flag.Float64("delta", 0, "confidence for -eps intervals (default 0.05 when -eps is set)")
@@ -65,8 +64,7 @@ func main() {
 	switch *algo {
 	case "mcp", "acp":
 		oracle := conn.NewMonteCarlo(g, *seed)
-		oracle.SetParallelism(*par)
-		opts := core.Options{Seed: *seed, Depth: *depth, Parallelism: *par}
+		opts := core.Options{Seed: *seed, Depth: *depth}
 		if *depth == 0 {
 			opts.Depth = conn.Unlimited
 		}

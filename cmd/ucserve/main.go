@@ -7,7 +7,7 @@
 //
 //	ucserve -graph social=social.txt -graph ppi=collins.txt
 //	ucserve -synthetic collins -synthetic gavin -worldmem 256 -listen :8080
-//	ucserve -graph g=graph.txt -seed 7 -gate 4 -par 8
+//	ucserve -graph g=graph.txt -seed 7 -gate 4
 //
 // Each -graph flag is name=path with path a "u v p" edge-list file; each
 // -synthetic flag serves a built-in dataset (collins, gavin, krogan, dblp)
@@ -69,7 +69,6 @@ func main() {
 	var (
 		listen     = flag.String("listen", ":8080", "address to serve HTTP on")
 		seed       = flag.Uint64("seed", 1, "world-stream seed shared by all served graphs")
-		par        = flag.Int("par", 0, "estimator worker pool size (0 = all CPUs, 1 = serial)")
 		worldmem   = flag.Int("worldmem", 0, "world-label memory budget per store in MiB (0 = unbounded); results are identical either way")
 		worldcache = flag.String("worldcache", "", "directory for the world-store disk tier: evicted blocks spill to <dir>/<graph>/ and a restart re-attaches them; results are identical either way")
 		gate       = flag.Int("gate", 2, "max concurrent world-materializing requests per graph")
@@ -218,7 +217,6 @@ func main() {
 			DefaultTimeout:        *timeout,
 			MaxTimeout:            *maxTime,
 			Gate:                  *gate,
-			Parallelism:           *par,
 			Shards:                shardAddrs,
 			ShardRetries:          *shardRetries,
 			ShardRequestTimeout:   *shardTimeout,

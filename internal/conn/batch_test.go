@@ -17,7 +17,6 @@ func TestFromCentersMatchesFromCenter(t *testing.T) {
 	for _, depth := range []int{Unlimited, 2} {
 		batched := NewMonteCarlo(g, seed)
 		serial := NewMonteCarlo(g, seed)
-		serial.SetParallelism(1)
 
 		// Pre-warm some tallies at different precisions so the batch mixes
 		// fresh centers, partially covered ones, and over-covered ones.
@@ -31,16 +30,19 @@ func TestFromCentersMatchesFromCenter(t *testing.T) {
 			t.Fatalf("depth=%d: got %d vectors for %d centers", depth, len(got), len(cs))
 		}
 		for j, c := range cs {
-			want := serial.FromCenter(c, depth, r)
-			// Center 10 was pre-warmed past r; the batch serves the
-			// higher precision, like FromCenter does.
-			if c == 10 {
-				want = serial.FromCenter(c, depth, 500)
-			}
-			if c == 3 {
-				// Pre-warmed below r: must have been extended to exactly r.
+			var want []float64
+			withProcs(1, func() {
 				want = serial.FromCenter(c, depth, r)
-			}
+				// Center 10 was pre-warmed past r; the batch serves the
+				// higher precision, like FromCenter does.
+				if c == 10 {
+					want = serial.FromCenter(c, depth, 500)
+				}
+				if c == 3 {
+					// Pre-warmed below r: must have been extended to exactly r.
+					want = serial.FromCenter(c, depth, r)
+				}
+			})
 			for u := range want {
 				if got[j][u] != want[u] {
 					t.Fatalf("depth=%d center %d node %d: batched %v != serial %v",
@@ -70,13 +72,15 @@ func TestFromCentersDeterministicAcrossWorkers(t *testing.T) {
 		cs[i] = graph.NodeID(i * 4)
 	}
 	ref := NewMonteCarlo(g, seed)
-	ref.SetParallelism(1)
-	want := ref.FromCenters(cs, Unlimited, 400)
+	var want [][]float64
+	withProcs(1, func() { want = ref.FromCenters(cs, Unlimited, 400) })
 	for _, workers := range []int{2, 4, 16} {
 		mc := NewMonteCarlo(g, seed)
-		mc.SetParallelism(workers)
-		mc.FromCenters(cs[:8], Unlimited, 64) // prime a prefix, then extend
-		got := mc.FromCenters(cs, Unlimited, 400)
+		var got [][]float64
+		withProcs(workers, func() {
+			mc.FromCenters(cs[:8], Unlimited, 64) // prime a prefix, then extend
+			got = mc.FromCenters(cs, Unlimited, 400)
+		})
 		for j := range want {
 			for u := range want[j] {
 				if got[j][u] != want[j][u] {
@@ -115,12 +119,12 @@ func TestFromCentersConcurrentBatches(t *testing.T) {
 	}
 	wg.Wait()
 	serial := NewMonteCarlo(g, seed)
-	serial.SetParallelism(1)
 	for rep := 0; rep < 4; rep++ {
 		for bi, cs := range batches {
 			got := results[rep*len(batches)+bi]
 			for j, c := range cs {
-				want := serial.FromCenter(c, Unlimited, r)
+				var want []float64
+				withProcs(1, func() { want = serial.FromCenter(c, Unlimited, r) })
 				for u := range want {
 					if got[j][u] != want[u] {
 						t.Fatalf("batch %d center %d node %d: %v != %v", bi, c, u, got[j][u], want[u])

@@ -1,6 +1,7 @@
 package conn
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -35,6 +36,13 @@ func gridGraph(t *testing.T, w, h int, p float64) *graph.Uncertain {
 	return g
 }
 
+// withProcs runs fn with GOMAXPROCS, the worker budget of every fan-out,
+// set to n, and restores the previous value afterwards.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 // TestFromCenterDeterministicAcrossWorkers is the engine's core contract:
 // for a fixed seed the estimates are bit-identical whether the per-world
 // tallies are accumulated serially or sharded across 4 or 16 workers, for
@@ -46,15 +54,19 @@ func TestFromCenterDeterministicAcrossWorkers(t *testing.T) {
 	for _, depth := range []int{Unlimited, 3} {
 		// Reference: serial accumulation, with an incremental extension.
 		ref := NewMonteCarlo(g, seed)
-		ref.SetParallelism(1)
-		ref.FromCenter(5, depth, 64)
-		want := ref.FromCenter(5, depth, 777)
+		var want []float64
+		withProcs(1, func() {
+			ref.FromCenter(5, depth, 64)
+			want = ref.FromCenter(5, depth, 777)
+		})
 
 		for _, workers := range []int{4, 16} {
 			mc := NewMonteCarlo(g, seed)
-			mc.SetParallelism(workers)
-			mc.FromCenter(5, depth, 64) // prime the tally, then extend
-			got := mc.FromCenter(5, depth, 777)
+			var got []float64
+			withProcs(workers, func() {
+				mc.FromCenter(5, depth, 64) // prime the tally, then extend
+				got = mc.FromCenter(5, depth, 777)
+			})
 			for u := range want {
 				if got[u] != want[u] {
 					t.Fatalf("depth=%d workers=%d node %d: %v != serial %v",
@@ -131,8 +143,7 @@ func TestFromCenterConcurrentHammer(t *testing.T) {
 	want := make(map[int][]float64, len(keys))
 	for ki, q := range keys {
 		serial := NewMonteCarlo(g, seed)
-		serial.SetParallelism(1)
-		want[ki] = serial.FromCenter(q.c, q.depth, q.r)
+		withProcs(1, func() { want[ki] = serial.FromCenter(q.c, q.depth, q.r) })
 	}
 	for i := range picks {
 		for j, ki := range picks[i] {
@@ -162,9 +173,9 @@ func TestStoreConcurrentGrow(t *testing.T) {
 	}
 	wg.Wait()
 	want := NewMonteCarlo(g, 3)
-	want.SetParallelism(1)
 	a := mc.FromCenter(0, Unlimited, 450)
-	b := want.FromCenter(0, Unlimited, 450)
+	var b []float64
+	withProcs(1, func() { b = want.FromCenter(0, Unlimited, 450) })
 	for u := range a {
 		if a[u] != b[u] {
 			t.Fatalf("node %d: %v != %v", u, a[u], b[u])

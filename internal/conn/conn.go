@@ -30,9 +30,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ucgraph/internal/graph"
+	"ucgraph/internal/par"
 	"ucgraph/internal/worldstore"
 )
 
@@ -99,13 +99,14 @@ var (
 //
 // MonteCarlo is safe for concurrent use: the tally cache is mutex-guarded
 // and each tally serializes its own extensions. FromCenter is internally
-// parallel — the per-world tally accumulation is sharded across a worker
-// pool (see SetParallelism) with per-worker scratch buffers merged at the
-// end — and FromCenters shards a candidate batch across the same pool,
-// each worker scanning world blocks once for its whole center subset. The
-// per-world counts are integers, so the totals — and therefore the
-// returned estimates — are bit-identical for every worker count and every
-// store memory budget: same seed means same estimates, serial or parallel,
+// parallel — the per-world tally accumulation is split across goroutines
+// of the process-wide par.Split budget (GOMAXPROCS workers, shared with
+// every other fan-out) with per-share scratch buffers merged at the end —
+// and FromCenters splits a candidate batch the same way, each share
+// scanning world blocks once for its whole center subset. The per-world
+// counts are integers, so the totals — and therefore the returned
+// estimates — are bit-identical for every worker count and every store
+// memory budget: same seed means same estimates, serial or parallel,
 // bounded or unbounded.
 //
 // One boundary on that guarantee: when the tally cache overflows maxCache
@@ -120,15 +121,6 @@ type MonteCarlo struct {
 	g     *graph.Uncertain
 	seed  uint64
 	store *worldstore.Store
-
-	par atomic.Int32 // configured worker count; <= 0 selects GOMAXPROCS
-
-	// shardSem bounds the extra goroutines spawned across ALL concurrent
-	// FromCenter/FromCenters extensions, so callers that already fan
-	// queries out do not multiply into Parallelism^2 workers. Sized once at
-	// first use.
-	semOnce  sync.Once
-	shardSem chan struct{}
 
 	// ext, when non-nil, counts the missing worlds of every pending
 	// tally instead of the local store (NewMonteCarloExtended).
@@ -201,39 +193,6 @@ func NewMonteCarloExtended(g *graph.Uncertain, seed uint64, ext Extender) *Monte
 	mc := NewMonteCarlo(g, seed)
 	mc.ext = ext
 	return mc
-}
-
-// SetParallelism sets the number of workers FromCenter and FromCenters
-// shard work across. p <= 0 (the default) selects GOMAXPROCS; p == 1
-// forces serial accumulation. Estimates do not depend on the setting.
-// Configure it before the first query: the global shard-worker budget is
-// sized once, at first use, to max(p, GOMAXPROCS), so later raises beyond
-// that budget only take partial effect.
-func (mc *MonteCarlo) SetParallelism(p int) {
-	mc.par.Store(int32(p))
-}
-
-// sem returns the shard-worker token bucket, sizing it on first use.
-func (mc *MonteCarlo) sem() chan struct{} {
-	mc.semOnce.Do(func() {
-		capacity := mc.Parallelism()
-		if g := runtime.GOMAXPROCS(0); capacity < g {
-			capacity = g
-		}
-		mc.shardSem = make(chan struct{}, capacity)
-		for i := 0; i < capacity; i++ {
-			mc.shardSem <- struct{}{}
-		}
-	})
-	return mc.shardSem
-}
-
-// Parallelism returns the effective worker count.
-func (mc *MonteCarlo) Parallelism() int {
-	if p := int(mc.par.Load()); p > 0 {
-		return p
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // NumNodes returns the number of nodes of the underlying graph.
@@ -338,8 +297,8 @@ func (mc *MonteCarlo) extendChunked(ctx context.Context, key cacheKey, tally *ce
 // FromCenters implements the batched Oracle query: one estimate vector per
 // center, equal to FromCenter(c, depth, r) for each c. The batch shares
 // the per-center tally cache with FromCenter; centers whose tallies need
-// extension are answered together, sharded across the worker pool, each
-// worker handing its whole center subset to one store call — label
+// extension are answered together, split across goroutines, each share
+// handing its whole center subset to one store call — label
 // blocks (worldstore.CountConnectedFromMulti) for unlimited depth,
 // edge-bitmap blocks (worldstore.CountWithinMulti, whose kernel the store
 // picks for its block width) for depth-limited queries. Workers write
@@ -498,32 +457,31 @@ func (mc *MonteCarlo) extendBatchChunked(ctx context.Context, pending []*batchSl
 }
 
 // extendBatch brings every pending tally up to r worlds of counts. The
-// pending centers are split into contiguous subsets, one per worker; each
-// worker answers its subset with a single store call —
+// pending centers are split into contiguous subsets, one per share of
+// par.Split; each share answers its subset with a single store call —
 // CountConnectedFromMulti (label scans) for unlimited depth,
 // CountWithinMulti (edge-bitmap BFS) for depth-limited queries — writing
-// directly into its tallies' count vectors. No two workers touch the same
+// directly into its tallies' count vectors. No two shares touch the same
 // tally and each tally's counts depend only on (store, depth, lo, r), so
 // the result is independent of the partition. The caller holds every
 // pending tally's lock; all slots share one depth (FromCenters batches are
-// per-depth). Extra workers draw tokens from the estimator-wide semaphore,
-// and a token shortage degrades to fewer, larger subsets — never to
-// blocking.
+// per-depth).
 func (mc *MonteCarlo) extendBatch(pending []*batchSlot, r int) {
 	mc.store.Grow(r)
 	depth := pending[0].key.depth
-	workers := mc.Parallelism()
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	run := func(subset []*batchSlot) {
+	par.Split(len(pending), func(i, k int) {
+		chunk := (len(pending) + k - 1) / k
+		subset := pending[min(i*chunk, len(pending)):min((i+1)*chunk, len(pending))]
+		if len(subset) == 0 {
+			return
+		}
 		cs := make([]graph.NodeID, len(subset))
 		lo := make([]int, len(subset))
 		counts := make([][]int32, len(subset))
-		for i, sl := range subset {
-			cs[i] = sl.key.c
-			lo[i] = sl.tally.rDone
-			counts[i] = sl.tally.counts
+		for j, sl := range subset {
+			cs[j] = sl.key.c
+			lo[j] = sl.tally.rDone
+			counts[j] = sl.tally.counts
 		}
 		if depth < 0 {
 			mc.store.CountConnectedFromMulti(cs, lo, r, counts)
@@ -533,77 +491,25 @@ func (mc *MonteCarlo) extendBatch(pending []*batchSlot, r int) {
 		for _, sl := range subset {
 			sl.tally.rDone = r
 		}
-	}
-	if workers <= 1 {
-		run(pending)
-		return
-	}
-	// Reserve tokens for the extra workers, non-blocking.
-	sem := mc.sem()
-	extra := 0
-	for extra < workers-1 {
-		select {
-		case <-sem:
-			extra++
-			continue
-		default:
-		}
-		break
-	}
-	if extra == 0 {
-		run(pending)
-		return
-	}
-	workers = extra + 1
-	chunk := (len(pending) + workers - 1) / workers
-	var wg sync.WaitGroup
-	spawned := 0
-	for start := chunk; start < len(pending); start += chunk {
-		end := start + chunk
-		if end > len(pending) {
-			end = len(pending)
-		}
-		spawned++
-		wg.Add(1)
-		go func(subset []*batchSlot) {
-			defer wg.Done()
-			defer func() { sem <- struct{}{} }()
-			run(subset)
-		}(pending[start:end])
-	}
-	// Return tokens chunk rounding left unused.
-	for ; spawned < extra; spawned++ {
-		sem <- struct{}{}
-	}
-	first := chunk
-	if first > len(pending) {
-		first = len(pending)
-	}
-	run(pending[:first])
-	wg.Wait()
+	})
 }
 
 // minShardSpan is the smallest world range worth fanning out; below it the
 // goroutine overhead dominates the per-world scans.
 const minShardSpan = 16
 
-// extend accumulates worlds [tally.rDone, r) into tally.counts, sharding
-// the range across the worker pool. Each worker tallies its contiguous
-// chunk of worlds into a private scratch buffer; the buffers are then
-// merged serially. Integer addition is associative and commutative, so the
-// merged counts equal the serial counts exactly, for any worker count.
+// extend accumulates worlds [tally.rDone, r) into tally.counts, splitting
+// the range into contiguous chunks of worlds, one per share of par.Split.
+// Share 0 tallies its chunk straight into tally.counts, every other share
+// into a private scratch buffer; the buffers are then merged serially.
+// Integer addition is associative and commutative, so the merged counts
+// equal the serial counts exactly, for any worker count.
 //
 // Chunks are cut at block boundaries: within one block the store answers
 // from the block's index (the largest-component index for unlimited depth,
 // the presence index for depth-limited queries) in microseconds, less than
 // a goroutine, an n-entry scratch buffer and an n-long merge cost, so a
-// range inside one block is counted serially.
-//
-// Extra shard goroutines draw tokens from the estimator-wide semaphore
-// (the calling goroutine always works its own chunk token-free), so
-// concurrent FromCenter callers share one worker budget instead of
-// multiplying theirs by ours. A token shortage degrades to fewer, larger
-// chunks — never to blocking. The caller holds tally.mu.
+// range inside one block is counted serially. The caller holds tally.mu.
 func (mc *MonteCarlo) extend(key cacheKey, tally *centerTally, r int) {
 	lo, hi := tally.rDone, r
 	mc.store.Grow(hi)
@@ -611,58 +517,28 @@ func (mc *MonteCarlo) extend(key cacheKey, tally *centerTally, r int) {
 	// cut rounds a chunk boundary up to the alignment, within the range.
 	cut := func(x int) int { return min((x+align-1)/align*align, hi) }
 	span := hi - lo
-	workers := mc.Parallelism()
-	if workers > span {
-		workers = span
-	}
-	if workers <= 1 || span < minShardSpan || cut(lo+(span+workers-1)/workers) >= hi {
+	want := min(runtime.GOMAXPROCS(0), span)
+	if want <= 1 || span < minShardSpan || cut(lo+(span+want-1)/want) >= hi {
 		mc.countRange(key, lo, hi, tally.counts)
 		return
 	}
-	// Reserve tokens for the extra workers, non-blocking.
-	sem := mc.sem()
-	extra := 0
-	for extra < workers-1 {
-		got := false
-		select {
-		case <-sem:
-			extra++
-			got = true
-		default:
+	scratch := make([][]int32, want)
+	par.Split(want, func(i, k int) {
+		chunk := (span + k - 1) / k
+		start := lo
+		for j := 0; j < i; j++ {
+			start = cut(start + chunk)
 		}
-		if !got {
-			break
+		if start >= hi {
+			return
 		}
-	}
-	if extra == 0 {
-		mc.countRange(key, lo, hi, tally.counts)
-		return
-	}
-	workers = extra + 1
-	chunk := (span + workers - 1) / workers
-	scratch := make([][]int32, 0, workers-1)
-	var wg sync.WaitGroup
-	// The first chunk belongs to this goroutine; the rest fan out.
-	first := cut(lo + chunk)
-	for start := first; start < hi; {
-		end := cut(start + chunk)
-		buf := make([]int32, len(tally.counts))
-		scratch = append(scratch, buf)
-		wg.Add(1)
-		go func(start, end int, buf []int32) {
-			defer wg.Done()
-			defer func() { sem <- struct{}{} }()
-			mc.countRange(key, start, end, buf)
-		}(start, end, buf)
-		start = end
-	}
-	mc.countRange(key, lo, first, tally.counts)
-	wg.Wait()
-	// Return any tokens not consumed by spawned goroutines (possible when
-	// chunk rounding used fewer shards than reserved).
-	for spawned := len(scratch); spawned < extra; spawned++ {
-		sem <- struct{}{}
-	}
+		counts := tally.counts
+		if i > 0 {
+			scratch[i] = make([]int32, len(tally.counts))
+			counts = scratch[i]
+		}
+		mc.countRange(key, start, cut(start+chunk), counts)
+	})
 	for _, buf := range scratch {
 		for u, cnt := range buf {
 			tally.counts[u] += cnt

@@ -18,11 +18,12 @@ import (
 // estimator — the per-center loop the batched path replaced.
 func depthSerialReference(g *graph.Uncertain, seed uint64, cs []graph.NodeID, depth, r int) [][]float64 {
 	serial := NewMonteCarlo(g, seed)
-	serial.SetParallelism(1)
 	out := make([][]float64, len(cs))
-	for j, c := range cs {
-		out[j] = serial.FromCenter(c, depth, r)
-	}
+	withProcs(1, func() {
+		for j, c := range cs {
+			out[j] = serial.FromCenter(c, depth, r)
+		}
+	})
 	return out
 }
 
@@ -46,14 +47,16 @@ func TestDepthBatchBitIdenticalAcrossWorkersAndBudgets(t *testing.T) {
 			// registry from handing every estimator the same store.
 			g2 := identicalGraph(t, g)
 			mc := NewMonteCarlo(g2, seed)
-			mc.SetParallelism(workers)
 			if bounded {
 				// One resident block of any family: every batch chunk churns
 				// bitmap blocks through eviction and recompute.
 				mc.Store().SetBudget(1)
 			}
-			mc.FromCenters(cs[:6], depth, 64) // prime a prefix, then extend
-			got := mc.FromCenters(cs, depth, r)
+			var got [][]float64
+			withProcs(workers, func() {
+				mc.FromCenters(cs[:6], depth, 64) // prime a prefix, then extend
+				got = mc.FromCenters(cs, depth, r)
+			})
 			for j := range want {
 				for u := range want[j] {
 					if got[j][u] != want[j][u] {
@@ -85,13 +88,13 @@ func TestDepthBatchMixedTallyStates(t *testing.T) {
 	got := mc.FromCenters(cs, depth, r)
 
 	serial := NewMonteCarlo(g, seed)
-	serial.SetParallelism(1)
 	for j, c := range cs {
 		rWant := r
 		if c == 10 {
 			rWant = 900
 		}
-		want := serial.FromCenter(c, depth, rWant)
+		var want []float64
+		withProcs(1, func() { want = serial.FromCenter(c, depth, rWant) })
 		for u := range want {
 			if got[j][u] != want[u] {
 				t.Fatalf("center %d node %d: batched %v != serial %v", c, u, got[j][u], want[u])

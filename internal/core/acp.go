@@ -69,7 +69,7 @@ func ACPCtx(ctx context.Context, o conn.Oracle, k int, opt Options) (*Clustering
 		res, err := MinPartialCtx(ctx, o, rnd, PartialParams{
 			K: k, Q: rem, QBar: sel, Alpha: alpha,
 			Depth: opt.Depth, DepthSel: depthSel,
-			R: r, Eps: opt.Eps, Parallelism: opt.Parallelism,
+			R: r, Eps: opt.Eps,
 			ScoreChunk: opt.ScoreChunk,
 			Adaptive:   opt.Adaptive,
 			Progress:   opt.Progress,

@@ -1,9 +1,9 @@
 package core
 
-// Benchmarks recorded in BENCH_core.json (see `make bench-core`): the
-// MCP/ACP drivers end to end, and the min-partial candidate-scoring shape
-// comparing the batched FromCenters oracle query against the per-center
-// FromCenter loop it replaced.
+// Benchmarks of the MCP/ACP drivers end to end, and of the min-partial
+// candidate-scoring shape comparing the batched FromCenters oracle query
+// against the per-center FromCenter loop it replaced. No file records
+// them; `make bench-smoke` runs each once.
 
 import (
 	"runtime"

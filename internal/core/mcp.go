@@ -43,13 +43,6 @@ type Options struct {
 	// q <- q/(1+Gamma) instead of the accelerated Section 5 schedule
 	// q_i = max{1 - Gamma*2^i, PL} with final binary search.
 	Geometric bool
-	// Parallelism caps the goroutines used to score candidate centers
-	// concurrently. <= 0 selects GOMAXPROCS; 1 forces serial execution.
-	// Callers that want the oracle pinned too should hand the same value
-	// to its SetParallelism — the oracle's internal shard budget is
-	// shared, not multiplied, when both fan out. Results are identical
-	// for every setting.
-	Parallelism int
 	// ScoreChunk bounds how many candidates one batched FromCenters
 	// scoring query carries (<= 0 selects the default, 64; see
 	// PartialParams.ScoreChunk). Larger chunks suit oracles with
@@ -144,7 +137,7 @@ func mcpRun(ctx context.Context, o conn.Oracle, k int, opt Options, rnd *rng.Xos
 		res, err := MinPartialCtx(ctx, o, rnd, PartialParams{
 			K: k, Q: q, QBar: q, Alpha: opt.Alpha,
 			Depth: opt.Depth, DepthSel: depthSel,
-			R: r, Eps: opt.Eps, Parallelism: opt.Parallelism,
+			R: r, Eps: opt.Eps,
 			ScoreChunk: opt.ScoreChunk,
 			Adaptive:   opt.Adaptive,
 			Progress:   opt.Progress,

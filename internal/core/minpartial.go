@@ -2,12 +2,11 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"ucgraph/internal/conn"
 	"ucgraph/internal/graph"
+	"ucgraph/internal/par"
 	"ucgraph/internal/rng"
 )
 
@@ -37,15 +36,6 @@ type PartialParams struct {
 	// Eps is the estimation slack of Section 4.1: thresholds t are tested
 	// as estimate >= (1 - Eps/2) * t. Zero means exact thresholding.
 	Eps float64
-	// Parallelism caps the number of goroutines scoring the estimate
-	// vectors returned by the batched candidate queries (lines 5-6); the
-	// oracle queries themselves are batched through conn.Oracle.FromCenters
-	// and parallelized inside the oracle. <= 0 selects GOMAXPROCS; 1
-	// forces the serial loop. The selected centers — and hence the
-	// clustering — do not depend on the setting as long as the oracle
-	// itself answers identically under concurrency (conn.MonteCarlo does,
-	// up to the tally-cache overflow boundary documented on it).
-	Parallelism int
 	// ScoreChunk bounds how many candidates one batched FromCenters
 	// scoring query carries (<= 0 selects the default, 64). Larger chunks
 	// trade peak memory (chunk * n floats of estimate vectors alive at
@@ -70,14 +60,6 @@ type PartialParams struct {
 // chunking caps the scoring working set at scoreChunk * n floats even when
 // alpha is "all uncovered nodes". The chunk size does not affect results.
 const scoreChunk = 64
-
-// workers resolves the effective candidate-scoring worker count.
-func (p PartialParams) workers() int {
-	if p.Parallelism > 0 {
-		return p.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // chunk resolves the effective scoring-batch size.
 func (p PartialParams) chunk() int {
@@ -234,8 +216,8 @@ func MinPartialCtx(ctx context.Context, o conn.Oracle, rnd *rng.Xoshiro256, p Pa
 		// (see conn.MonteCarlo.FromCenters); chunking
 		// bounds the estimate vectors held in memory to scoreChunk * n
 		// floats even when alpha is the whole uncovered set. Scoring each
-		// returned vector against the uncovered set fans out across the
-		// worker pool into fixed slots of the scores array, and the
+		// returned vector against the uncovered set fans out through
+		// par.Split into fixed slots of the scores array, and the
 		// argmax scans in T order, so the selected center is identical
 		// for every worker count and chunking is invisible (FromCenters
 		// itself matches a serial FromCenter loop). OracleCalls counts
@@ -274,32 +256,13 @@ func MinPartialCtx(ctx context.Context, o conn.Oracle, rnd *rng.Xoshiro256, p Pa
 					}
 					scores[i] = score
 				}
-				if workers := p.workers(); workers > 1 && end-base > 1 {
-					if workers > end-base {
-						workers = end - base
-					}
-					var next atomic.Int64
-					next.Store(int64(base))
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for {
-								i := int(next.Add(1)) - 1
-								if i >= end {
-									return
-								}
-								scoreAt(i)
-							}
-						}()
-					}
-					wg.Wait()
-				} else {
-					for i := base; i < end; i++ {
+				var next atomic.Int64
+				next.Store(int64(base))
+				par.Split(end-base, func(int, int) {
+					for i := int(next.Add(1)) - 1; i < end; i = int(next.Add(1)) - 1 {
 						scoreAt(i)
 					}
-				}
+				})
 				for i := base; i < end; i++ {
 					if best < 0 || scores[i] > scores[best] {
 						best, bestSelEst = i, ests[i-base]

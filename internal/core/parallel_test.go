@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"ucgraph/internal/conn"
@@ -38,10 +39,11 @@ func communityGraph(t *testing.T, c, s int, seed uint64) *graph.Uncertain {
 	return g
 }
 
-// TestClusteringDeterministicAcrossParallelism runs MCP and ACP with the
-// worker pool forced to 1, 4 and 16 and requires bit-identical clusterings:
-// the concurrent oracle engine and the candidate fan-out must not leak the
-// worker count into results. Alpha > 1 makes the candidate fan-out real.
+// TestClusteringDeterministicAcrossParallelism runs MCP and ACP with
+// GOMAXPROCS, the worker budget, set to 1, 4 and 16 and requires
+// bit-identical clusterings: the concurrent oracle engine and the
+// candidate fan-out must not leak the worker count into results. Alpha > 1
+// makes the candidate fan-out real.
 func TestClusteringDeterministicAcrossParallelism(t *testing.T) {
 	g := communityGraph(t, 4, 12, 9)
 	sched := conn.Schedule{Min: 32, Max: 256, Coef: 8}
@@ -50,12 +52,12 @@ func TestClusteringDeterministicAcrossParallelism(t *testing.T) {
 		var ref *Clustering
 		for _, par := range []int{1, 4, 16} {
 			oracle := conn.NewMonteCarlo(g, 77)
-			oracle.SetParallelism(par)
-			opt := Options{Seed: 5, Alpha: 4, Schedule: sched, Parallelism: par}
+			opt := Options{Seed: 5, Alpha: 4, Schedule: sched}
 			var (
 				cl  *Clustering
 				err error
 			)
+			prev := runtime.GOMAXPROCS(par)
 			switch algo {
 			case "mcp":
 				cl, _, err = MCP(oracle, 4, opt)
@@ -65,6 +67,7 @@ func TestClusteringDeterministicAcrossParallelism(t *testing.T) {
 				opt.Geometric = true
 				cl, _, err = ACP(oracle, 4, opt)
 			}
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatalf("%s par=%d: %v", algo, par, err)
 			}

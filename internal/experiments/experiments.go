@@ -23,7 +23,6 @@ import (
 	"ucgraph/internal/core"
 	"ucgraph/internal/datasets"
 	"ucgraph/internal/gmm"
-	"ucgraph/internal/graph"
 	"ucgraph/internal/kpt"
 	"ucgraph/internal/mcl"
 	"ucgraph/internal/metrics"
@@ -51,10 +50,6 @@ type Config struct {
 	// Runs averages the randomized algorithms (gmm, mcp, acp) over this
 	// many seeds per cell (default 1; the paper averages >= 100).
 	Runs int
-	// Parallelism bounds the worker pool of the Monte Carlo oracles and
-	// the mcp/acp candidate fan-out (<= 0 selects GOMAXPROCS, 1 forces
-	// serial execution). Results are identical for every setting.
-	Parallelism int
 	// WorldMemBudgetMB, when positive, bounds the label memory of every
 	// world store the run creates (oracles and metric scoring alike) to
 	// this many MiB per store; evicted label blocks are recomputed on
@@ -67,13 +62,6 @@ type Config struct {
 // budget never leaks into a later run in the same process.
 func (c Config) applyBudget() {
 	worldstore.SetDefaultBudget(int64(c.WorldMemBudgetMB) << 20)
-}
-
-// newOracle builds a Monte Carlo oracle honoring cfg.Parallelism.
-func newOracle(g *graph.Uncertain, seed uint64, cfg Config) *conn.MonteCarlo {
-	o := conn.NewMonteCarlo(g, seed)
-	o.SetParallelism(cfg.Parallelism)
-	return o
 }
 
 func (c Config) withDefaults() Config {
@@ -184,9 +172,8 @@ func QualityGrid(cfg Config) ([]Cell, error) {
 		ws := worldstore.Shared(g, cfg.Seed+0x5eed)
 		ws.Grow(cfg.MetricSamples)
 		opts := core.Options{
-			Seed:        cfg.Seed,
-			Schedule:    conn.Schedule{Min: 50, Max: cfg.ScheduleMax, Coef: 8},
-			Parallelism: cfg.Parallelism,
+			Seed:     cfg.Seed,
+			Schedule: conn.Schedule{Min: 50, Max: cfg.ScheduleMax, Coef: 8},
 		}
 		for _, inf := range inflations(name) {
 			// mcl first: it defines the granularity target.
@@ -212,7 +199,7 @@ func QualityGrid(cfg Config) ([]Cell, error) {
 			averaged, err = averageRuns(cfg, name, k, "mcp", ws, func(seed uint64) (*core.Clustering, error) {
 				o := opts
 				o.Seed = seed
-				cl, _, err := core.MCP(newOracle(g, seed+1, cfg), k, o)
+				cl, _, err := core.MCP(conn.NewMonteCarlo(g, seed+1), k, o)
 				return cl, err
 			})
 			if err != nil {
@@ -223,7 +210,7 @@ func QualityGrid(cfg Config) ([]Cell, error) {
 			averaged, err = averageRuns(cfg, name, k, "acp", ws, func(seed uint64) (*core.Clustering, error) {
 				o := opts
 				o.Seed = seed
-				cl, _, err := core.ACP(newOracle(g, seed+2, cfg), k, o)
+				cl, _, err := core.ACP(conn.NewMonteCarlo(g, seed+2), k, o)
 				return cl, err
 			})
 			if err != nil {
@@ -319,9 +306,8 @@ func Figure4(cfg Config) ([]ScalePoint, error) {
 	ratios := []float64{0.0004, 0.0008, 0.0016, 0.0029, 0.0083, 0.024}
 	var out []ScalePoint
 	opts := core.Options{
-		Seed:        cfg.Seed,
-		Schedule:    conn.Schedule{Min: 50, Max: cfg.ScheduleMax, Coef: 8},
-		Parallelism: cfg.Parallelism,
+		Seed:     cfg.Seed,
+		Schedule: conn.Schedule{Min: 50, Max: cfg.ScheduleMax, Coef: 8},
 	}
 	seenK := map[int]bool{}
 	for _, ratio := range ratios {
@@ -334,7 +320,7 @@ func Figure4(cfg Config) ([]ScalePoint, error) {
 		}
 		seenK[k] = true
 		t0 := time.Now()
-		oracle := newOracle(g, cfg.Seed+3, cfg)
+		oracle := conn.NewMonteCarlo(g, cfg.Seed+3)
 		if _, _, err := core.MCP(oracle, k, opts); err != nil {
 			return nil, fmt.Errorf("experiments: figure4 mcp k=%d: %v", k, err)
 		}
@@ -392,14 +378,13 @@ func Table2(cfg Config) ([]PredictionRow, error) {
 
 	var out []PredictionRow
 	opts := core.Options{
-		Seed:        cfg.Seed,
-		Schedule:    conn.Schedule{Min: 50, Max: cfg.ScheduleMax, Coef: 8},
-		Parallelism: cfg.Parallelism,
+		Seed:     cfg.Seed,
+		Schedule: conn.Schedule{Min: 50, Max: cfg.ScheduleMax, Coef: 8},
 	}
 	for _, d := range []int{2, 3, 4, 6, 8} {
 		dOpts := opts
 		dOpts.Depth = d
-		oracle := newOracle(g, cfg.Seed+10, cfg)
+		oracle := conn.NewMonteCarlo(g, cfg.Seed+10)
 		mcpCl, _, err := core.MCP(oracle, k, dOpts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table2 mcp d=%d: %v", d, err)
@@ -407,7 +392,7 @@ func Table2(cfg Config) ([]PredictionRow, error) {
 		conf := metrics.PairConfusion(mcpCl, truth)
 		out = append(out, PredictionRow{Algo: "mcp", Depth: d, TPR: conf.TPR(), FPR: conf.FPR()})
 
-		oracle = newOracle(g, cfg.Seed+11, cfg)
+		oracle = conn.NewMonteCarlo(g, cfg.Seed+11)
 		acpCl, _, err := core.ACP(oracle, k, dOpts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table2 acp d=%d: %v", d, err)

@@ -56,18 +56,18 @@ type Uncertain struct {
 // Builder accumulates edges and produces an Uncertain graph.
 // The zero value is ready to use after SetNumNodes or AddNode calls.
 type Builder struct {
-	n     int32
+	n     int
 	edges []Edge
 	seen  map[[2]NodeID]int // maps normalized endpoints to index in edges
 }
 
 // NewBuilder returns a builder for a graph with n nodes.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: int32(n), seen: make(map[[2]NodeID]int)}
+	return &Builder{n: n, seen: make(map[[2]NodeID]int)}
 }
 
 // NumNodes returns the current number of nodes.
-func (b *Builder) NumNodes() int { return int(b.n) }
+func (b *Builder) NumNodes() int { return b.n }
 
 // NumEdges returns the number of distinct edges added so far.
 func (b *Builder) NumEdges() int { return len(b.edges) }
@@ -86,8 +86,8 @@ func (b *Builder) HasEdge(u, v NodeID) (float64, bool) {
 
 // EnsureNode grows the node set so that id is a valid node.
 func (b *Builder) EnsureNode(id NodeID) {
-	if id >= b.n {
-		b.n = id + 1
+	if int(id) >= b.n {
+		b.n = int(id) + 1
 	}
 }
 
@@ -125,12 +125,16 @@ func (b *Builder) AddEdge(u, v NodeID, p float64) error {
 	return nil
 }
 
-// Build finalizes the builder into an immutable CSR graph.
+// Build finalizes the builder into an immutable CSR graph. The node count
+// must be positive and below math.MaxInt32, the bound AddEdge puts on ids.
 func (b *Builder) Build() (*Uncertain, error) {
-	if b.n <= 0 {
+	if b.n == 0 {
 		return nil, errors.New("graph: cannot build a graph with no nodes")
 	}
-	g := &Uncertain{n: b.n, edges: make([]Edge, len(b.edges))}
+	if b.n < 0 || b.n >= math.MaxInt32 {
+		return nil, fmt.Errorf("graph: node count %d outside [1, %d]", b.n, math.MaxInt32-1)
+	}
+	g := &Uncertain{n: int32(b.n), edges: make([]Edge, len(b.edges))}
 	copy(g.edges, b.edges)
 	// Deterministic edge IDs: sort by endpoints.
 	sort.Slice(g.edges, func(i, j int) bool {

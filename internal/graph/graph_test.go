@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -563,5 +564,26 @@ func TestDigestStableAndDiscriminates(t *testing.T) {
 	}
 	if d.Digest() == a.Digest() {
 		t.Fatal("changing an endpoint left the digest unchanged")
+	}
+}
+
+// TestBuildRejectsOverflowingNodeCount: a node count that the int32 CSR
+// arrays cannot hold is an error naming the count, not a panic in Build's
+// allocation or a truncated count. Build checks before it allocates.
+func TestBuildRejectsOverflowingNodeCount(t *testing.T) {
+	ensured := NewBuilder(1)
+	ensured.EnsureNode(math.MaxInt32 - 1)
+	for _, c := range []struct {
+		b     *Builder
+		count string
+	}{
+		{NewBuilder(math.MaxInt32), "2147483647"},
+		{ensured, "2147483647"},
+		{NewBuilder(1 << 31), "2147483648"},
+		{NewBuilder(-3), "-3"},
+	} {
+		if _, err := c.b.Build(); err == nil || !strings.Contains(err.Error(), c.count) {
+			t.Errorf("Build() with %s nodes: error %v, want one naming the count", c.count, err)
+		}
 	}
 }

@@ -21,10 +21,10 @@ package mcl
 
 import (
 	"runtime"
-	"sync"
 
 	"ucgraph/internal/core"
 	"ucgraph/internal/graph"
+	"ucgraph/internal/par"
 )
 
 // Options configures an MCL run. Zero fields take the documented defaults.
@@ -114,54 +114,44 @@ func Cluster(g *graph.Uncertain, opt Options) *Result {
 	m.normalize()
 
 	res := &Result{}
-	workers := runtime.GOMAXPROCS(0)
 	for iter := 0; iter < opt.MaxIterations; iter++ {
 		res.Iterations = iter + 1
 		next := newMatrix(n)
-		chaosCh := make(chan float64, workers)
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > n {
-				hi = n
-			}
+		// Each share expands a contiguous range of columns and reports the
+		// largest chaos among them; the maximum does not depend on the split.
+		shareChaos := make([]float64, runtime.GOMAXPROCS(0))
+		par.Split(len(shareChaos), func(i, k int) {
+			chunk := (n + k - 1) / k
+			lo, hi := min(i*chunk, n), min((i+1)*chunk, n)
 			if lo >= hi {
-				chaosCh <- 0
-				continue
+				return
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				acc := make([]float64, n)
-				touched := make([]int32, 0, 1024)
-				scratch := make([]entry, 0, 1024)
-				localChaos := 0.0
-				for j := lo; j < hi; j++ {
-					scratch = m.squareColumn(int32(j), acc, touched, scratch)
-					col := make([]entry, len(scratch))
-					copy(col, scratch)
-					col = inflateColumn(col, opt.Inflation, opt.PruneThreshold)
-					col = truncateColumn(col, opt.MaxNNZPerColumn)
-					next.cols[j] = col
-					max, sumSq := 0.0, 0.0
-					for _, e := range col {
-						if e.val > max {
-							max = e.val
-						}
-						sumSq += e.val * e.val
+			acc := make([]float64, n)
+			touched := make([]int32, 0, 1024)
+			scratch := make([]entry, 0, 1024)
+			localChaos := 0.0
+			for j := lo; j < hi; j++ {
+				scratch = m.squareColumn(int32(j), acc, touched, scratch)
+				col := make([]entry, len(scratch))
+				copy(col, scratch)
+				col = inflateColumn(col, opt.Inflation, opt.PruneThreshold)
+				col = truncateColumn(col, opt.MaxNNZPerColumn)
+				next.cols[j] = col
+				max, sumSq := 0.0, 0.0
+				for _, e := range col {
+					if e.val > max {
+						max = e.val
 					}
-					if c := max - sumSq; c > localChaos {
-						localChaos = c
-					}
+					sumSq += e.val * e.val
 				}
-				chaosCh <- localChaos
-			}(lo, hi)
-		}
-		wg.Wait()
-		close(chaosCh)
+				if c := max - sumSq; c > localChaos {
+					localChaos = c
+				}
+			}
+			shareChaos[i] = localChaos
+		})
 		chaos := 0.0
-		for c := range chaosCh {
+		for _, c := range shareChaos {
 			if c > chaos {
 				chaos = c
 			}

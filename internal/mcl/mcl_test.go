@@ -2,9 +2,12 @@ package mcl
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ucgraph/internal/graph"
+	"ucgraph/internal/rng"
 )
 
 func mustGraph(t *testing.T, n int, edges []graph.Edge) *graph.Uncertain {
@@ -300,5 +303,52 @@ func TestMCLAttractorCenters(t *testing.T) {
 	}
 	if msg := cl.Validate(); msg != "" {
 		t.Fatal(msg)
+	}
+}
+
+// TestMCLDeterministicAcrossWorkers runs MCL with GOMAXPROCS, the worker
+// budget of the expansion step, at 1, 2 and 4 and requires identical
+// clusterings, iteration counts and chaos.
+func TestMCLDeterministicAcrossWorkers(t *testing.T) {
+	// Twelve 25-node communities with random inner edges and a ring of
+	// weak bridges: enough columns that every share expands several.
+	x := rng.NewXoshiro256(11)
+	var edges []graph.Edge
+	const groups, size = 12, 25
+	for c := 0; c < groups; c++ {
+		base := int32(c * size)
+		for i := int32(0); i < size; i++ {
+			for j := i + 1; j < size; j++ {
+				if x.Float64() < 0.3 {
+					edges = append(edges, graph.Edge{U: base + i, V: base + j, P: 0.4 + 0.5*x.Float64()})
+				}
+			}
+		}
+		edges = append(edges, graph.Edge{U: base, V: int32((c + 1) % groups * size), P: 0.1})
+	}
+	g := mustGraph(t, groups*size, edges)
+
+	var ref *Result
+	for _, procs := range []int{1, 2, 4} {
+		var res *Result
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			res = Cluster(g, Options{})
+		}()
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if res.Iterations != ref.Iterations || res.Chaos != ref.Chaos || res.Converged != ref.Converged {
+			t.Fatalf("GOMAXPROCS=%d: %d iterations, chaos %v, converged %v; serial %d, %v, %v",
+				procs, res.Iterations, res.Chaos, res.Converged, ref.Iterations, ref.Chaos, ref.Converged)
+		}
+		if !slices.Equal(res.Clustering.Centers, ref.Clustering.Centers) ||
+			!slices.Equal(res.Clustering.Assign, ref.Clustering.Assign) {
+			t.Fatalf("GOMAXPROCS=%d: clustering differs from the serial run", procs)
+		}
+	}
+	if ref.Clustering.K() < 2 {
+		t.Fatalf("fixture clustered into %d cluster(s); the comparison needs several", ref.Clustering.K())
 	}
 }

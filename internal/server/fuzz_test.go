@@ -48,7 +48,6 @@ func FuzzRequestBodies(f *testing.F) {
 		MaxCost:        2048,
 		DefaultTimeout: time.Second,
 		MaxTimeout:     time.Second,
-		Parallelism:    1,
 	})
 	if err != nil {
 		f.Fatal(err)

@@ -564,7 +564,7 @@ func (s *Server) clusterQuery(req *clusterRequest) (query, *apiError) {
 		switch req.Algo {
 		case "mcp", "acp":
 			oracle := h.coord.Fork()
-			opt := core.Options{Seed: req.Seed, Depth: depth, Alpha: req.Alpha, Parallelism: s.opts.Parallelism}
+			opt := core.Options{Seed: req.Seed, Depth: depth, Alpha: req.Alpha}
 			if oracle.Sharded() {
 				opt.ScoreChunk = shardScoreChunk
 			}

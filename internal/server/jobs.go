@@ -15,6 +15,10 @@ const (
 	JobError   = "error"
 )
 
+// jobStates lists every job state, in lifecycle order: the state labels of
+// the ucgraph_jobs samples.
+var jobStates = [...]string{JobRunning, JobDone, JobError}
+
 // jobView is the JSON snapshot of an async clustering job.
 type jobView struct {
 	ID         string         `json:"id"`

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 	"strings"
 	"sync"
@@ -212,5 +213,47 @@ func TestJobCompletionRacesConcurrentPollAndCancel(t *testing.T) {
 		default:
 			t.Fatalf("non-terminal final state: %+v", final)
 		}
+	}
+}
+
+// TestJobsMetricStates: ucgraph_jobs carries exactly one sample per job
+// state, and a DELETE-cancelled job counts under error.
+func TestJobsMetricStates(t *testing.T) {
+	g := testGraph(t, 64, 9)
+	s, ts := newTestServer(t, g, Options{Gate: 1})
+	async := map[string]any{"graph": "ring", "algo": "mcp", "k": 3, "async": true}
+
+	var finished jobView
+	if code, body := post(t, ts.URL+"/v1/cluster", async, &finished); code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %s", code, body)
+	}
+	if j := pollUntilTerminal(t, ts.URL+"/v1/jobs/"+finished.ID); j.Status != JobDone {
+		t.Fatalf("finished job: %+v", j)
+	}
+
+	// Hold the graph's only admission slot so the second job stays
+	// cancellable.
+	h := s.graphs["ring"]
+	h.gate <- struct{}{}
+	defer func() { <-h.gate }()
+	var cancelled jobView
+	if code, body := post(t, ts.URL+"/v1/cluster", async, &cancelled); code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %s", code, body)
+	}
+	jobURL := ts.URL + "/v1/jobs/" + cancelled.ID
+	if code, _ := deleteJob(t, jobURL); code != 200 {
+		t.Fatalf("cancel: code %d", code)
+	}
+	if j := pollUntilTerminal(t, jobURL); j.Status != JobError {
+		t.Fatalf("cancelled job: %+v", j)
+	}
+
+	got := map[string]float64{}
+	for _, smp := range scrapeMetrics(t, ts.URL).samples["ucgraph_jobs"] {
+		got[smp.labels["state"]] = smp.value
+	}
+	want := map[string]float64{JobRunning: 0, JobDone: 1, JobError: 1}
+	if !maps.Equal(got, want) {
+		t.Fatalf("ucgraph_jobs samples by state = %v, want %v", got, want)
 	}
 }

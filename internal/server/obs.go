@@ -312,11 +312,6 @@ type labelled[S any] struct {
 	snap   S
 }
 
-// jobStates labels the job counts' samples. A cancelled job ends in the
-// error state, so "cancelled" always reads 0; it stays for dashboards
-// built on earlier releases.
-var jobStates = [...]string{JobRunning, JobDone, JobError, "cancelled"}
-
 // writeFamilies renders a table's families, one sample per snapshot.
 func writeFamilies[S any](pw *obs.Writer, tab []stat[S], snaps ...labelled[S]) {
 	for _, st := range tab {

@@ -76,9 +76,6 @@ type Options struct {
 	// still honoring their deadlines, so the store's memory budget holds
 	// under bursts.
 	Gate int
-	// Parallelism is handed to every estimator the daemon builds (<= 0
-	// selects GOMAXPROCS). Results do not depend on it.
-	Parallelism int
 	// Shards lists shard-worker base URLs ("host:port" or full URLs).
 	// When non-empty the daemon runs as the scatter/gather coordinator of
 	// a sharded deployment: /v1/conn, /v1/cluster (its min-partial
@@ -300,7 +297,6 @@ func New(graphs []GraphConfig, opts Options) (*Server, error) {
 			return nil, fmt.Errorf("server: duplicate graph name %q", gc.Name)
 		}
 		coord := shard.NewCoordinator(gc.Name, gc.Graph, gc.Seed, opts.Shards, shard.CoordinatorOptions{
-			Parallelism:      opts.Parallelism,
 			Retries:          opts.ShardRetries,
 			RequestTimeout:   opts.ShardRequestTimeout,
 			HedgeDelay:       opts.ShardHedge,

@@ -10,13 +10,13 @@ import (
 	"ucgraph/internal/obs"
 )
 
-// The bench-shard suite records the scatter/gather overhead of the
+// The scatter benchmarks time the scatter/gather overhead of the
 // coordinator against in-process execution over the same (warm) world
 // stream: each iteration answers a fresh 32-center batch (a private tally
 // cache, like one clustering run's scoring query), so the measured cost is
 // per-query — partition, HTTP round-trips, JSON tallies, merge — not
 // amortized cache hits. Workers run in-process over loopback HTTP, so the
-// recorded overhead is a floor: real deployments add network latency but
+// measured overhead is a floor: real deployments add network latency but
 // also real parallel hardware.
 
 func benchCenters(n int) []graph.NodeID {

@@ -46,10 +46,6 @@ type CoordinatorOptions struct {
 	// failure, and never double-merged (the group's win flag admits
 	// exactly one answer). Zero disables hedging.
 	HedgeDelay time.Duration
-	// Parallelism is handed to the local fallback estimator (<= 0 selects
-	// GOMAXPROCS). Results do not depend on it.
-	Parallelism int
-
 	// BreakerThreshold is the consecutive tally-failure count that trips a
 	// worker's circuit breaker (default 3). While open, the worker gets no
 	// new block assignments, hedges or audits; the breaker half-opens when
@@ -678,7 +674,6 @@ func NewCoordinator(name string, g *graph.Uncertain, seed uint64, workerAddrs []
 // newEstimators gives c a fresh, empty pair of center-query estimators.
 func (c *Coordinator) newEstimators() {
 	c.local = conn.NewMonteCarlo(c.g, c.seed)
-	c.local.SetParallelism(c.opts.Parallelism)
 	c.remote = conn.NewMonteCarloExtended(c.g, c.seed, c.extend)
 }
 

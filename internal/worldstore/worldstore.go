@@ -49,6 +49,7 @@ import (
 	"weak"
 
 	"ucgraph/internal/graph"
+	"ucgraph/internal/par"
 	"ucgraph/internal/sampler"
 )
 
@@ -744,88 +745,21 @@ func (s *Store) writeSpills(victims []*block) {
 	}
 }
 
-// matSem bounds the extra goroutines spawned by concurrent block
-// materializations across ALL stores in the process, so consumers that
-// already fan block accesses out (the oracle's sharded tally workers) do
-// not multiply into workers^2 goroutines. A token shortage degrades to
-// fewer, larger shares of the block — never to blocking.
-var (
-	matSemOnce sync.Once
-	matSem     chan struct{}
-)
-
-func materializeSem() chan struct{} {
-	matSemOnce.Do(func() {
-		capacity := runtime.GOMAXPROCS(0)
-		matSem = make(chan struct{}, capacity)
-		for i := 0; i < capacity; i++ {
-			matSem <- struct{}{}
-		}
-	})
-	return matSem
-}
-
 // fanOutWorlds runs a per-world computation for every index in [lo, hi),
-// fanning across available workers. Each worker calls worker() once to
+// split across goroutines by par.Split. Each share calls worker() once to
 // bind its private scratch and then invokes the returned function for the
-// indices it steals off a shared cursor. Extra workers draw tokens from
-// the process-wide materialization semaphore; a token shortage degrades to
-// fewer workers — never to blocking. Stealing only changes which worker
+// indices it steals off a shared cursor. Stealing only changes which share
 // computes a world, never the result: every world writes a disjoint slice
 // of the output.
 func fanOutWorlds(lo, hi int, worker func() func(i int)) {
-	span := hi - lo
-	workers := runtime.GOMAXPROCS(0)
-	if workers > span {
-		workers = span
-	}
-	extra := 0
-	if workers > 1 {
-		sem := materializeSem()
-		for extra < workers-1 {
-			select {
-			case <-sem:
-				extra++
-				continue
-			default:
-			}
-			break
-		}
-	}
-	if extra == 0 {
-		compute := worker()
-		for i := lo; i < hi; i++ {
-			compute(i)
-		}
-		return
-	}
 	var next atomic.Int64
 	next.Store(int64(lo))
-	var wg sync.WaitGroup
-	for w := 0; w < extra; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { matSem <- struct{}{} }()
-			compute := worker()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= hi {
-					return
-				}
-				compute(i)
-			}
-		}()
-	}
-	compute := worker()
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= hi {
-			break
+	par.Split(hi-lo, func(int, int) {
+		compute := worker()
+		for i := int(next.Add(1)) - 1; i < hi; i = int(next.Add(1)) - 1 {
+			compute(i)
 		}
-		compute(i)
-	}
-	wg.Wait()
+	})
 }
 
 // computeWorlds materializes worlds [lo, hi) of block bi into labels.

@@ -92,12 +92,11 @@ type Clustering = core.Clustering
 // Options configures the MCP and ACP drivers; the zero value selects the
 // defaults used in the paper's experiments (gamma 0.1, floor 1e-4,
 // alpha 1, accelerated guess schedule with binary search).
-// Options.Parallelism bounds the worker pool of both the Monte Carlo
-// estimator and the candidate-scoring fan-out (<= 0 selects GOMAXPROCS,
-// 1 forces serial execution) when MCP/ACP build the estimator themselves;
-// the WithOracle variants apply it to the fan-out only. Results are
-// bit-identical for every setting up to the estimator's tally-cache
-// overflow boundary (see Estimator).
+// The estimator and the candidate-scoring fan-out share one process-wide
+// budget of GOMAXPROCS worker goroutines (set it with the GOMAXPROCS
+// environment variable or runtime.GOMAXPROCS; 1 runs serially). Results
+// are bit-identical for every worker count up to the estimator's
+// tally-cache overflow boundary (see Estimator).
 type Options = core.Options
 
 // Stats reports the work performed by an MCP/ACP run.
@@ -112,7 +111,7 @@ type Schedule = conn.Schedule
 // against it — and against every other consumer of that pair — are
 // mutually consistent and reproducible. Estimators are safe for concurrent
 // use and internally parallel: estimates do not depend on the worker count
-// (see Estimator.SetParallelism) or the store's memory budget.
+// (GOMAXPROCS) or the store's memory budget.
 type Estimator = conn.MonteCarlo
 
 // WorldStore is the shared, memory-bounded store of sampled possible
@@ -191,24 +190,18 @@ func SetWorldMemoryBudget(bytes int64) { worldstore.SetDefaultBudget(bytes) }
 //
 //	min-prob(C) >= (1-eps) * p_opt-min(k)^2 / (1+gamma).
 func MCP(g *Graph, k int, opt Options) (*Clustering, Stats, error) {
-	oracle := conn.NewMonteCarlo(g, estimatorSeed(opt.Seed))
-	oracle.SetParallelism(opt.Parallelism)
-	return core.MCP(oracle, k, opt)
+	return core.MCP(conn.NewMonteCarlo(g, estimatorSeed(opt.Seed)), k, opt)
 }
 
 // MCPCtx is MCP with cooperative cancellation: the run aborts at the next
 // chunk of sampled worlds once ctx is cancelled or past its deadline,
 // returning ctx's error. A nil-error run is bit-identical to MCP.
 func MCPCtx(ctx context.Context, g *Graph, k int, opt Options) (*Clustering, Stats, error) {
-	oracle := conn.NewMonteCarlo(g, estimatorSeed(opt.Seed))
-	oracle.SetParallelism(opt.Parallelism)
-	return core.MCPCtx(ctx, oracle, k, opt)
+	return core.MCPCtx(ctx, conn.NewMonteCarlo(g, estimatorSeed(opt.Seed)), k, opt)
 }
 
 // MCPWithOracle runs MCP against a caller-supplied estimator, so repeated
-// runs can share sampled worlds. The estimator's own parallelism setting
-// is left untouched — opt.Parallelism only governs the candidate fan-out;
-// configure the estimator with SetParallelism if you want both pinned.
+// runs can share sampled worlds.
 func MCPWithOracle(oracle *Estimator, k int, opt Options) (*Clustering, Stats, error) {
 	return core.MCP(oracle, k, opt)
 }
@@ -219,21 +212,17 @@ func MCPWithOracle(oracle *Estimator, k int, opt Options) (*Clustering, Stats, e
 //
 //	avg-prob(C) >= (1-eps) * (p_opt-avg(k) / ((1+gamma) H(n)))^3.
 func ACP(g *Graph, k int, opt Options) (*Clustering, Stats, error) {
-	oracle := conn.NewMonteCarlo(g, estimatorSeed(opt.Seed))
-	oracle.SetParallelism(opt.Parallelism)
-	return core.ACP(oracle, k, opt)
+	return core.ACP(conn.NewMonteCarlo(g, estimatorSeed(opt.Seed)), k, opt)
 }
 
 // ACPCtx is ACP with cooperative cancellation, under the same contract as
 // MCPCtx: ctx's error on abort, bit-identical results on success.
 func ACPCtx(ctx context.Context, g *Graph, k int, opt Options) (*Clustering, Stats, error) {
-	oracle := conn.NewMonteCarlo(g, estimatorSeed(opt.Seed))
-	oracle.SetParallelism(opt.Parallelism)
-	return core.ACPCtx(ctx, oracle, k, opt)
+	return core.ACPCtx(ctx, conn.NewMonteCarlo(g, estimatorSeed(opt.Seed)), k, opt)
 }
 
-// ACPWithOracle runs ACP against a caller-supplied estimator. Like
-// MCPWithOracle, it leaves the estimator's own parallelism untouched.
+// ACPWithOracle runs ACP against a caller-supplied estimator, so repeated
+// runs can share sampled worlds.
 func ACPWithOracle(oracle *Estimator, k int, opt Options) (*Clustering, Stats, error) {
 	return core.ACP(oracle, k, opt)
 }
