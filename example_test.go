@@ -1,6 +1,7 @@
 package ucgraph_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -119,6 +120,22 @@ func ExampleSampleDistances() {
 	// Output:
 	// node 1 at median distance 1
 	// node 2 at median distance 2
+}
+
+func ExampleAdaptiveConnectionProbability() {
+	b := ucgraph.NewBuilder(2)
+	b.AddEdge(0, 1, 0.8)
+	g, _ := b.Build()
+	// Relative error 10% with confidence 99%, no lower bound on Pr(0 ~ 1).
+	p, st, err := ucgraph.AdaptiveConnectionProbability(context.Background(), g, 0, 1,
+		ucgraph.AdaptiveParams{Eps: 0.1, Delta: 0.01}, 7)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("converged=%v after %d worlds: Pr(0 ~ 1) = %.2f\n", st.Converged, st.Worlds, p)
+	// Output:
+	// converged=true after 1024 worlds: Pr(0 ~ 1) = 0.80
 }
 
 func ExampleMostProbableWorld() {

@@ -12,27 +12,36 @@ import (
 
 // This file implements confidence-target ("adaptive") estimation over any
 // ContextOracle: instead of a fixed world budget, the caller supplies an
-// additive accuracy target (eps, delta) and the driver consumes worlds from
-// the shared deterministic stream in block-aligned doubling rounds, stopping
-// as soon as every tracked estimate's confidence interval has half-width at
-// most eps. Because each round is an ordinary FromCentersCtx call, the
-// estimates at every round are bit-identical to the fixed-budget path at the
-// same consumed-world count — the same tallies over the same worlds — for
-// every oracle that honors the standing determinism invariant (MonteCarlo
-// locally, shard.Coordinator across a fleet: each round extends the cached
-// tallies, so a sharded adaptive round scatters only the not-yet-consumed
-// world range to the workers).
+// accuracy target (eps, delta) and the estimator consumes worlds from the
+// shared deterministic stream in block-aligned doubling rounds, stopping as
+// soon as every tracked estimate's confidence interval meets the run's
+// acceptance rule. Because each round is an ordinary FromCentersCtx call,
+// the estimates at every round are bit-identical to the fixed-budget path
+// at the same consumed-world count — the same tallies over the same worlds
+// — for every oracle that honors the standing determinism invariant
+// (MonteCarlo locally, shard.Coordinator across a fleet: each round extends
+// the cached tallies, so a sharded adaptive round scatters only the
+// not-yet-consumed world range to the workers).
 //
-// The guarantee is additive, unlike the relative-error stopping rule in
-// adaptive.go: with probability at least 1-delta, EVERY tracked quantity
-// (each (center, target) pair; all nodes when no targets are given)
-// satisfies |estimate - p| <= eps at the round the driver reports
-// convergence. The confidence budget is union-bounded across rounds and
-// tracked quantities, and each individual interval is the tighter of a
-// Hoeffding bound and a Maurer-Pontil empirical-Bernstein bound — the
-// latter is what makes early stopping pay off: probabilities near 0 or 1
-// have small empirical variance and converge in far fewer worlds than the
-// distribution-free Hoeffding rate.
+// The confidence budget is union-bounded across rounds and tracked
+// quantities (each (center, target) pair; all nodes when no targets are
+// given), and each individual interval is the tighter of a Hoeffding bound
+// and a Maurer-Pontil empirical-Bernstein bound — the latter is what makes
+// early stopping pay off: probabilities near 0 or 1 have small empirical
+// variance and converge in far fewer worlds than the distribution-free
+// Hoeffding rate. On that union-bounded event, which holds with
+// probability at least 1-delta, every tracked estimate e with half-width h
+// satisfies |e - p| <= h, and the entry point picks one of two acceptance
+// rules over it:
+//
+//   - additive (AdaptiveFromCenters, AdaptivePairInterval): h <= eps for
+//     every quantity, so |e - p| <= eps;
+//   - relative (AdaptivePairRelative): h <= eps*(e - h) for every
+//     quantity, so p >= e - h and |e - p| <= eps*p. This is the
+//     progressive sampling without a lower bound pL sketched at the end of
+//     Section 4.2 of the paper: the world count adapts to the unknown
+//     probability, roughly ln(1/delta)/(eps^2 p), and a pair that never
+//     connects stops unconverged at MaxWorlds.
 
 // DefaultAdaptiveMaxWorlds caps an adaptive run when AdaptiveParams leaves
 // MaxWorlds unset.
@@ -40,9 +49,9 @@ const DefaultAdaptiveMaxWorlds = 1 << 20
 
 // AdaptiveParams configures a confidence-target estimation run.
 type AdaptiveParams struct {
-	// Eps is the additive accuracy target: the run converges when every
-	// tracked estimate is within Eps of the true probability with
-	// confidence 1-Delta. Must be in (0, 1).
+	// Eps is the accuracy target: the run converges when every tracked
+	// estimate is within Eps of the true probability (Eps times it, for
+	// AdaptivePairRelative) with confidence 1-Delta. Must be in (0, 1).
 	Eps float64
 	// Delta is the failure probability budget, union-bounded across all
 	// rounds and tracked quantities. Must be in (0, 1).
@@ -61,18 +70,10 @@ type AdaptiveParams struct {
 // rejected explicitly: NaN fails every ordered comparison, so a plain
 // range check would silently accept it.
 func (p AdaptiveParams) Validate() error {
-	if !validEpsDelta(p.Eps, p.Delta) {
+	if math.IsNaN(p.Eps) || math.IsNaN(p.Delta) || p.Eps <= 0 || p.Eps >= 1 || p.Delta <= 0 || p.Delta >= 1 {
 		return fmt.Errorf("conn: adaptive eps=%v delta=%v must both be in (0,1)", p.Eps, p.Delta)
 	}
 	return nil
-}
-
-// validEpsDelta checks eps, delta in (0,1), treating NaN as invalid.
-func validEpsDelta(eps, delta float64) bool {
-	if math.IsNaN(eps) || math.IsNaN(delta) {
-		return false
-	}
-	return eps > 0 && eps < 1 && delta > 0 && delta < 1
 }
 
 // maxWorlds resolves the effective budget.
@@ -94,7 +95,8 @@ type AdaptiveSnapshot struct {
 	HalfWidth float64
 	// Worlds is the number of worlds consumed so far.
 	Worlds int
-	// Converged reports whether HalfWidth <= Eps.
+	// Converged reports whether every tracked quantity met the run's
+	// acceptance rule.
 	Converged bool
 	// Final marks the last snapshot of the run (converged or budget hit).
 	Final bool
@@ -108,8 +110,8 @@ type AdaptiveStats struct {
 	Worlds, Budget int
 	// Rounds counts the refinement rounds executed.
 	Rounds int
-	// HalfWidth is the final maximum half-width; Converged whether it
-	// reached Eps within the budget.
+	// HalfWidth is the final maximum half-width; Converged whether every
+	// tracked quantity met the run's acceptance rule within the budget.
 	HalfWidth float64
 	Converged bool
 }
@@ -209,6 +211,14 @@ func halfWidth(phat float64, r int, delta float64) float64 {
 // the schedule, the per-round estimates, and therefore the stopping round
 // are all pure functions of those inputs.
 func AdaptiveFromCenters(ctx context.Context, o ContextOracle, cs []graph.NodeID, depth int, targets []graph.NodeID, p AdaptiveParams, progress func(AdaptiveSnapshot) error) ([][]float64, AdaptiveStats, error) {
+	return adaptiveRun(ctx, o, cs, depth, targets, p, false, progress)
+}
+
+// adaptiveRun is the round loop behind every adaptive entry point;
+// relative picks the acceptance rule (see the file comment). The rule only
+// decides when to stop: the schedule, the per-round estimates and the
+// half-widths are the same under both.
+func adaptiveRun(ctx context.Context, o ContextOracle, cs []graph.NodeID, depth int, targets []graph.NodeID, p AdaptiveParams, relative bool, progress func(AdaptiveSnapshot) error) ([][]float64, AdaptiveStats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, AdaptiveStats{}, err
 	}
@@ -247,24 +257,35 @@ func AdaptiveFromCenters(ctx context.Context, o ContextOracle, cs []graph.NodeID
 		}
 		st.Rounds++
 		st.Worlds = r
-		hw := 0.0
+		// Under the relative rule h <= eps*(e-h) <= eps, so the additive
+		// test stays and the relative one adds a check on a loop-invariant
+		// flag.
+		hw, met := 0.0, true
 		for _, est := range ests {
 			if len(targets) > 0 {
 				for _, t := range targets {
-					if h := halfWidth(est[t], r, deltaQ); h > hw {
+					h := halfWidth(est[t], r, deltaQ)
+					if h > hw {
 						hw = h
+					}
+					if relative && h > p.Eps*(est[t]-h) {
+						met = false
 					}
 				}
 			} else {
 				for _, e := range est {
-					if h := halfWidth(e, r, deltaQ); h > hw {
+					h := halfWidth(e, r, deltaQ)
+					if h > hw {
 						hw = h
+					}
+					if relative && h > p.Eps*(e-h) {
+						met = false
 					}
 				}
 			}
 		}
 		st.HalfWidth = hw
-		st.Converged = hw <= p.Eps
+		st.Converged = met && hw <= p.Eps
 		final := st.Converged || r >= budget
 		sp.Set("half_width", hw)
 		sp.Set("converged", st.Converged)
@@ -295,7 +316,21 @@ func AdaptiveFromCenters(ctx context.Context, o ContextOracle, cs []graph.NodeID
 // instead of rescanning. The returned probability equals
 // o.FromCenter(u, depth, stats.Worlds)[v] bit-for-bit.
 func AdaptivePairInterval(ctx context.Context, o ContextOracle, u, v graph.NodeID, depth int, p AdaptiveParams, progress func(AdaptiveSnapshot) error) (float64, AdaptiveStats, error) {
-	ests, st, err := AdaptiveFromCenters(ctx, o, []graph.NodeID{u}, depth, []graph.NodeID{v}, p, progress)
+	return adaptivePair(ctx, o, u, v, depth, p, false, progress)
+}
+
+// AdaptivePairRelative is AdaptivePairInterval under the relative rule: it
+// estimates Pr(u ~depth v) to relative error eps with confidence 1-delta,
+// needing no lower bound on the probability. A pair that never connects
+// within p.MaxWorlds stops with Converged = false and estimate 0. The
+// returned probability equals o.FromCenter(u, depth, stats.Worlds)[v]
+// bit-for-bit.
+func AdaptivePairRelative(ctx context.Context, o ContextOracle, u, v graph.NodeID, depth int, p AdaptiveParams, progress func(AdaptiveSnapshot) error) (float64, AdaptiveStats, error) {
+	return adaptivePair(ctx, o, u, v, depth, p, true, progress)
+}
+
+func adaptivePair(ctx context.Context, o ContextOracle, u, v graph.NodeID, depth int, p AdaptiveParams, relative bool, progress func(AdaptiveSnapshot) error) (float64, AdaptiveStats, error) {
+	ests, st, err := adaptiveRun(ctx, o, []graph.NodeID{u}, depth, []graph.NodeID{v}, p, relative, progress)
 	if err != nil {
 		return 0, st, err
 	}

@@ -10,45 +10,6 @@ import (
 	"ucgraph/internal/graph"
 )
 
-func TestStoppingRuleThresholdTable(t *testing.T) {
-	// Pin Upsilon = ceil(1 + 4(e-2)(1+eps)ln(2/delta)/eps^2) for known
-	// (eps, delta) pairs, so any change to the constant — deliberate or
-	// accidental — shows up as a diff against the published bound.
-	cases := []struct {
-		eps, delta float64
-		want       int
-	}{
-		{0.5, 0.5, 25},
-		{0.2, 0.1, 260},
-		{0.1, 0.1, 948},
-		{0.1, 0.05, 1167},
-		{0.05, 0.05, 4453},
-		{0.05, 0.01, 6395},
-		{0.01, 0.01, 153751},
-	}
-	for _, c := range cases {
-		if got := StoppingRuleThreshold(c.eps, c.delta); got != c.want {
-			t.Errorf("StoppingRuleThreshold(%v, %v) = %d, want %d", c.eps, c.delta, got, c.want)
-		}
-	}
-}
-
-func TestStoppingRuleThresholdRejectsNaN(t *testing.T) {
-	// NaN fails every ordered comparison, so a plain range guard would
-	// accept it and return a garbage threshold.
-	nan := math.NaN()
-	for _, args := range [][2]float64{{nan, 0.1}, {0.1, nan}, {nan, nan}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic for eps=%v delta=%v", args[0], args[1])
-				}
-			}()
-			StoppingRuleThreshold(args[0], args[1])
-		}()
-	}
-}
-
 func TestAdaptiveParamsValidate(t *testing.T) {
 	bad := []AdaptiveParams{
 		{Eps: 0, Delta: 0.1},
@@ -246,6 +207,110 @@ func TestAdaptivePairIntervalMatchesCenterTally(t *testing.T) {
 	want := NewMonteCarlo(g, 23).FromCenter(0, Unlimited, st.Worlds)[3]
 	if p != want {
 		t.Fatalf("adaptive pair %v != fixed-budget %v at r=%d", p, want, st.Worlds)
+	}
+	// The relative rule stops at a different round of the same schedule,
+	// and its answer is the center tally at that round, limited or not.
+	for _, depth := range []int{Unlimited, 2} {
+		p, st, err := AdaptivePairRelative(context.Background(), mc, 0, 3, depth,
+			AdaptiveParams{Eps: 0.1, Delta: 0.05, MaxWorlds: 1 << 16}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Converged {
+			t.Fatalf("depth %d: relative pair did not converge (hw=%v)", depth, st.HalfWidth)
+		}
+		want := NewMonteCarlo(g, 23).FromCenter(0, depth, st.Worlds)[3]
+		if p != want {
+			t.Fatalf("depth %d: relative pair %v != fixed-budget %v at r=%d", depth, p, want, st.Worlds)
+		}
+	}
+}
+
+// singleEdge builds the 2-node graph 0 -p- 1, where Pr(0 ~ 1) = p.
+func singleEdge(t *testing.T, p float64) *graph.Uncertain {
+	t.Helper()
+	g, err := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, P: p}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestAdaptivePairAccuracy(t *testing.T) {
+	const eps = 0.1
+	for _, p := range []float64{0.8, 0.4, 0.1} {
+		mc := NewMonteCarlo(singleEdge(t, p), uint64(100*p))
+		est, st, err := AdaptivePairRelative(context.Background(), mc, 0, 1, Unlimited,
+			AdaptiveParams{Eps: eps, Delta: 0.01}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Converged {
+			t.Fatalf("p=%v: did not converge within %d worlds", p, st.Budget)
+		}
+		if st.HalfWidth > eps*(est-st.HalfWidth) {
+			t.Fatalf("p=%v: converged with half-width %v above eps*(%v - hw)", p, st.HalfWidth, est)
+		}
+		if math.Abs(est-p) > eps*p {
+			t.Fatalf("p=%v: estimate %v outside relative error %v", p, est, eps)
+		}
+	}
+}
+
+func TestAdaptivePairSampleCountScales(t *testing.T) {
+	// The world count grows like ln(1/delta)(1-p)/(eps^2 p): the p = 0.05
+	// pair needs ~19x the worlds of the p = 0.5 pair, rounded to the
+	// doubling schedule.
+	run := func(p float64) AdaptiveStats {
+		_, st, err := AdaptivePairRelative(context.Background(), NewMonteCarlo(singleEdge(t, p), 7), 0, 1, Unlimited,
+			AdaptiveParams{Eps: 0.2, Delta: 0.05}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Converged {
+			t.Fatalf("p=%v did not converge", p)
+		}
+		return st
+	}
+	hi, lo := run(0.5), run(0.05)
+	if ratio := float64(lo.Worlds) / float64(hi.Worlds); ratio < 8 || ratio > 64 {
+		t.Fatalf("world ratio %v (%d / %d), want ~19: adaptive cost must track 1/p", ratio, lo.Worlds, hi.Worlds)
+	}
+}
+
+func TestAdaptivePairCapsOnDisconnected(t *testing.T) {
+	// Nodes in different components never connect: no interval ever
+	// clears zero, so the cap applies and Converged is false with
+	// estimate 0.
+	g, err := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, P: 0.9}, {U: 2, V: 3, P: 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, st, err := AdaptivePairRelative(context.Background(), NewMonteCarlo(g, 3), 0, 2, Unlimited,
+		AdaptiveParams{Eps: 0.1, Delta: 0.01, MaxWorlds: 2000}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Converged {
+		t.Fatal("converged on a disconnected pair")
+	}
+	if est != 0 || st.Worlds != 2000 {
+		t.Fatalf("estimate %v after %d worlds, want 0 after 2000", est, st.Worlds)
+	}
+}
+
+func TestAdaptivePairSelfIsImmediate(t *testing.T) {
+	mc := NewMonteCarlo(singleEdge(t, 0.5), 5)
+	est, st, err := AdaptivePairRelative(context.Background(), mc, 0, 0, Unlimited,
+		AdaptiveParams{Eps: 0.1, Delta: 0.01}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Converged || st.Rounds != 1 {
+		t.Fatalf("self pair: converged=%v after %d rounds, want the first", st.Converged, st.Rounds)
+	}
+	if est != 1 {
+		t.Fatalf("Pr(u ~ u) estimated as %v", est)
 	}
 }
 

@@ -697,11 +697,6 @@ func (ex *Exact) Pair(u, v graph.NodeID) float64 {
 	return ex.FromCenter(u, Unlimited, 0)[v]
 }
 
-// PairWithin returns the exact Pr(u ~d v).
-func (ex *Exact) PairWithin(u, v graph.NodeID, depth int) float64 {
-	return ex.FromCenter(u, depth, 0)[v]
-}
-
 // TreePathProbability returns Pr(u ~ v) for a tree (forest) graph, where it
 // equals the product of edge probabilities along the unique u–v path, or 0
 // if u and v are in different trees. It is an independent closed-form

@@ -138,11 +138,6 @@ func (s Schedule) Chunk(conn, i uint64) Fault {
 	return Fault{Kind: FaultNone}
 }
 
-// Active reports whether the schedule can inject any fault at all.
-func (s Schedule) Active() bool {
-	return s.KillEvery != 0 || s.DelayEvery != 0 || s.CorruptEvery != 0 || s.PartitionEvery != 0
-}
-
 // TestSeed returns the chaos seed for this run: $CHAOS_SEED when set
 // (replaying a logged failure), otherwise a time-derived seed. Callers
 // should log the returned value so any failure is replayable; logf

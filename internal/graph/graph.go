@@ -54,7 +54,8 @@ type Uncertain struct {
 }
 
 // Builder accumulates edges and produces an Uncertain graph.
-// The zero value is ready to use after SetNumNodes or AddNode calls.
+// The zero value is an empty builder; AddEdge and EnsureNode grow its node
+// set.
 type Builder struct {
 	n     int
 	edges []Edge
@@ -63,7 +64,7 @@ type Builder struct {
 
 // NewBuilder returns a builder for a graph with n nodes.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, seen: make(map[[2]NodeID]int)}
+	return &Builder{n: n}
 }
 
 // NumNodes returns the current number of nodes.
@@ -119,6 +120,9 @@ func (b *Builder) AddEdge(u, v NodeID, p float64) error {
 	if i, ok := b.seen[key]; ok {
 		b.edges[i].P = p
 		return nil
+	}
+	if b.seen == nil {
+		b.seen = make(map[[2]NodeID]int)
 	}
 	b.seen[key] = len(b.edges)
 	b.edges = append(b.edges, Edge{U: u, V: v, P: p})
@@ -265,15 +269,4 @@ func (g *Uncertain) ExpectedDegree(u NodeID) float64 {
 		s += g.adjProb[i]
 	}
 	return s
-}
-
-// MaxDegree returns the maximum node degree.
-func (g *Uncertain) MaxDegree() int {
-	max := 0
-	for u := int32(0); u < g.n; u++ {
-		if d := g.Degree(u); d > max {
-			max = d
-		}
-	}
-	return max
 }

@@ -161,40 +161,3 @@ func (g *Uncertain) Dijkstra(src NodeID) []float64 {
 	}
 	return dist
 }
-
-// DijkstraFrom computes, for every node, the distance to the closest source
-// in srcs (a multi-source Dijkstra) and the index (into srcs) of that
-// closest source. It is used by the GMM baseline to assign nodes to centers.
-func (g *Uncertain) DijkstraFrom(srcs []NodeID) (dist []float64, owner []int32) {
-	dist = make([]float64, g.n)
-	owner = make([]int32, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		owner[i] = -1
-	}
-	h := &distHeap{}
-	for si, s := range srcs {
-		if dist[s] > 0 {
-			dist[s] = 0
-			owner[s] = int32(si)
-			heap.Push(h, heapItem{node: s, dist: 0})
-		}
-	}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(heapItem)
-		u := it.node
-		if it.dist > dist[u] {
-			continue
-		}
-		for i := g.adjStart[u]; i < g.adjStart[u+1]; i++ {
-			v := g.adjNode[i]
-			w := -math.Log(g.adjProb[i])
-			if nd := it.dist + w; nd < dist[v] {
-				dist[v] = nd
-				owner[v] = owner[u]
-				heap.Push(h, heapItem{node: v, dist: nd})
-			}
-		}
-	}
-	return dist, owner
-}

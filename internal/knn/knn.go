@@ -77,10 +77,11 @@ func SampleStoreCtx(ctx context.Context, ws *worldstore.Store, src graph.NodeID,
 // SampleRangeCtx computes the hop-distance distribution from src over the
 // world range [lo, hi) of ws — the partial tally one shard worker
 // contributes when the distribution is computed distributed. The returned
-// distribution has R = hi - lo; distributions over disjoint ranges of the
-// same stream merge with Merge into exactly the distribution a single
-// scan of the union would have produced, because every field is an
-// order-free integer sum over worlds.
+// distribution has R = hi - lo; summing the histogram counts, unreachable
+// counts and R of distributions over disjoint ranges of the same stream
+// (the shard fabric's mergeBuckets does this) gives exactly the
+// distribution a single scan of the union would have produced, because
+// every field is an order-free integer sum over worlds.
 func SampleRangeCtx(ctx context.Context, ws *worldstore.Store, src graph.NodeID, lo, hi int) (*DistanceDistribution, error) {
 	if lo < 0 {
 		lo = 0
@@ -124,22 +125,6 @@ func SampleRangeCtx(ctx context.Context, ws *worldstore.Store, src graph.NodeID,
 		}
 	}
 	return dd, nil
-}
-
-// Merge folds other — a distribution of the same source over a disjoint
-// world range of the same stream — into dd, summing histogram counts,
-// unreachable counts and the world totals. Because a distribution is a
-// pure integer tally per world, merging partial tallies in any order
-// yields the same distribution as one scan over the combined range; this
-// is the gather step of the sharded deployment.
-func (dd *DistanceDistribution) Merge(other *DistanceDistribution) {
-	dd.R += other.R
-	for v := range dd.Hist {
-		for d, c := range other.Hist[v] {
-			dd.Hist[v][d] += c
-		}
-		dd.Unreachable[v] += other.Unreachable[v]
-	}
 }
 
 // Reliability returns the fraction of worlds where v was reachable:

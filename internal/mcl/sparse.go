@@ -64,18 +64,6 @@ func (m *matrix) normalize() {
 	}
 }
 
-// columnStats returns the maximum entry and the sum of squared entries of
-// column j — the ingredients of MCL's chaos measure.
-func (m *matrix) columnStats(j int32) (max, sumSq float64) {
-	for _, e := range m.cols[j] {
-		if e.val > max {
-			max = e.val
-		}
-		sumSq += e.val * e.val
-	}
-	return max, sumSq
-}
-
 // squareColumn computes column j of M*M into out using a dense scratch
 // accumulator acc (len n, zeroed on entry and re-zeroed before return) and
 // a touched-rows list. The result is sorted by row.

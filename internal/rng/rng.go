@@ -14,8 +14,6 @@
 // re-materialized at any time.
 package rng
 
-import "math"
-
 // SplitMix64 is the splitmix64 generator of Steele, Lea and Flood. Its main
 // use here is seeding: it turns any 64-bit seed into a stream of
 // well-distributed values, so correlated user seeds (0, 1, 2, ...) still
@@ -139,30 +137,6 @@ func (x *Xoshiro256) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := x.Intn(i + 1)
 		swap(i, j)
-	}
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the polar (Marsaglia) method.
-func (x *Xoshiro256) NormFloat64() float64 {
-	for {
-		u := 2*x.Float64() - 1
-		v := 2*x.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (x *Xoshiro256) ExpFloat64() float64 {
-	for {
-		u := x.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
 	}
 }
 

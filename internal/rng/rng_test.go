@@ -144,38 +144,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	x := NewXoshiro256(31)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := x.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("NormFloat64 mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("NormFloat64 variance = %v, want ~1", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	x := NewXoshiro256(37)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += x.ExpFloat64()
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("ExpFloat64 mean = %v, want ~1", mean)
-	}
-}
-
 func TestMix64Bijective(t *testing.T) {
 	// Sampled injectivity check: distinct inputs map to distinct outputs.
 	seen := make(map[uint64]uint64)

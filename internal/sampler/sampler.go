@@ -203,19 +203,6 @@ func (rc *ReachCounter) CountWithin(c graph.NodeID, maxDepth int, lo, hi int, co
 	}
 }
 
-// EstimateWithin returns Monte Carlo estimates of the d-connection
-// probability Pr(u ~d c) for all u, over worlds [0, r).
-func (rc *ReachCounter) EstimateWithin(c graph.NodeID, maxDepth, r int) []float64 {
-	counts := make([]int32, rc.g.NumNodes())
-	rc.CountWithin(c, maxDepth, 0, r, counts)
-	out := make([]float64, len(counts))
-	inv := 1 / float64(r)
-	for i, cnt := range counts {
-		out[i] = float64(cnt) * inv
-	}
-	return out
-}
-
 // MultiReachCounter runs depth-limited reachability queries for a whole
 // batch of centers against materialized edge bitmaps, using a multi-center
 // frontier BFS: centers are packed 64 to a uint64 mask, and one layered

@@ -156,15 +156,26 @@ func TestAdaptiveCenterCoverage(t *testing.T) {
 // TestAdaptivePairCoverage is the pair-query form of the sweep, at a
 // tighter eps and across two (eps, delta) settings: the half-width math
 // must hold at whatever target the caller picks, not just the default.
+// The relative settings run AdaptivePairRelative, whose contract is
+// |estimate - p| <= eps*p.
 func TestAdaptivePairCoverage(t *testing.T) {
 	const trials = 20
-	settings := []struct{ eps, delta float64 }{
-		{0.1, 0.1},
-		{0.05, 0.2},
+	settings := []struct {
+		eps, delta float64
+		relative   bool
+	}{
+		{0.1, 0.1, false},
+		{0.05, 0.2, false},
+		{0.1, 0.1, true},
+		{0.2, 0.05, true},
 	}
 	for _, s := range settings {
 		s := s
-		t.Run(fmt.Sprintf("eps=%v,delta=%v", s.eps, s.delta), func(t *testing.T) {
+		name, run := fmt.Sprintf("eps=%v,delta=%v", s.eps, s.delta), conn.AdaptivePairInterval
+		if s.relative {
+			name, run = "relative,"+name, conn.AdaptivePairRelative
+		}
+		t.Run(name, func(t *testing.T) {
 			params := conn.AdaptiveParams{Eps: s.eps, Delta: s.delta, MaxWorlds: 1 << 17}
 			for _, fx := range fixtures(t) {
 				ex, err := conn.NewExact(fx.g)
@@ -174,27 +185,35 @@ func TestAdaptivePairCoverage(t *testing.T) {
 				u := fx.center
 				v := graph.NodeID((int(fx.center) + fx.g.NumNodes() - 1) % fx.g.NumNodes())
 				truth := ex.Pair(u, v)
+				tol := s.eps
+				if s.relative {
+					tol = s.eps * truth
+				}
 				violations := 0
 				for seed := uint64(100); seed < 100+trials; seed++ {
 					mc := conn.NewMonteCarlo(fx.g, seed)
-					p, st, err := conn.AdaptivePairInterval(context.Background(), mc, u, v, conn.Unlimited, params, nil)
+					p, st, err := run(context.Background(), mc, u, v, conn.Unlimited, params, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !st.Converged {
 						t.Fatalf("fixture %s seed %d unconverged", fx.name, seed)
 					}
-					if st.HalfWidth > s.eps {
-						t.Fatalf("fixture %s seed %d: converged with half-width %v > eps %v", fx.name, seed, st.HalfWidth, s.eps)
+					hwMax := s.eps
+					if s.relative {
+						hwMax = s.eps * (p - st.HalfWidth)
 					}
-					if math.Abs(p-truth) > s.eps {
+					if st.HalfWidth > hwMax {
+						t.Fatalf("fixture %s seed %d: converged with half-width %v > %v", fx.name, seed, st.HalfWidth, hwMax)
+					}
+					if math.Abs(p-truth) > tol {
 						violations++
-						t.Logf("fixture %s seed %d violates: |%v - %v| > %v", fx.name, seed, p, truth, s.eps)
+						t.Logf("fixture %s seed %d violates: |%v - %v| > %v", fx.name, seed, p, truth, tol)
 					}
 				}
 				if max := maxViolations(trials, s.delta); violations > max {
-					t.Fatalf("fixture %s: %d of %d pair trials violate eps=%v (allowed %d)",
-						fx.name, violations, trials, s.eps, max)
+					t.Fatalf("fixture %s: %d of %d pair trials violate tolerance %v (allowed %d)",
+						fx.name, violations, trials, tol, max)
 				}
 			}
 		})

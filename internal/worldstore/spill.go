@@ -21,12 +21,18 @@
 // different graph, seed or architecture is rejected instead of silently
 // corrupting estimates. Each entry record names a (family, block index)
 // pair, the number of worlds persisted, the payload offset in the family's
-// segment and a CRC32-C of the payload; records carry their own CRC so a
-// torn tail from a crash is detected and discarded on replay. Re-spilling a
-// block with more worlds appends a superseding record — last record wins —
-// and payload checksums are verified on every load: a truncated or
-// bit-flipped payload is dropped (Stats.CorruptDropped) and the block is
-// recomputed, never served wrong.
+// segment and a CRC32-C of the payload seeded with that (family, block
+// index, worlds) triple, so a record that names one block but points at
+// another block's payload fails verification; records carry their own CRC
+// so a torn tail from a crash is detected and discarded on replay.
+// Re-spilling a block with more worlds appends a superseding record — last
+// record wins — and payload checksums are verified on every load: a
+// truncated or bit-flipped payload is dropped (Stats.CorruptDropped) and
+// the block is recomputed, never served wrong.
+//
+// The seeded payload CRC is format version 2. A version-1 directory (an
+// unseeded payload CRC) is refused at attach like any other header
+// mismatch, so delete it before starting a binary that writes version 2.
 //
 // Segment reads go through a lazily grown read-only mmap of the segment
 // file where the platform supports it (falling back to pread elsewhere), so
@@ -47,7 +53,7 @@ import (
 
 const (
 	spillMagic   = "UCWSPILL"
-	spillVersion = 1
+	spillVersion = 2
 
 	spillHeaderSize = 64
 	spillRecordSize = 32
@@ -92,7 +98,18 @@ func uint64Bytes(s []uint64) []byte {
 type spillEntry struct {
 	done int    // worlds of the block persisted
 	off  int64  // payload offset in the family segment
-	crc  uint32 // CRC32-C of the payload bytes
+	crc  uint32 // payloadCRC of the payload bytes
+}
+
+// payloadCRC is the CRC32-C of a block payload seeded with the block's
+// identity, so a payload verifies only as the (family, block index,
+// worlds) it was spilled as.
+func payloadCRC(fam family, idx, done int, data []byte) uint32 {
+	var id [12]byte
+	binary.LittleEndian.PutUint32(id[0:4], uint32(fam))
+	binary.LittleEndian.PutUint32(id[4:8], uint32(idx))
+	binary.LittleEndian.PutUint32(id[8:12], uint32(done))
+	return crc32.Update(crc32.Checksum(id[:], crcTable), crcTable, data)
 }
 
 // segment is one append-only payload file plus its lazily grown read mmap.
@@ -368,7 +385,7 @@ func (c *spillCache) store(b *block) bool {
 		c.broken = true
 		return false
 	}
-	crc := crc32.Checksum(data, crcTable)
+	crc := payloadCRC(b.fam, b.idx, b.done, data)
 	rec := encodeRecord(b.fam, b.idx, b.done, off, crc)
 	if _, err := c.dirf.WriteAt(rec, c.dirSize); err != nil {
 		c.broken = true
@@ -397,7 +414,7 @@ func (c *spillCache) load(b *block) (loaded, hadEntry bool) {
 	}
 	length := int64(e.done) * c.rowBytes[b.fam]
 	data, err := c.segs[b.fam].read(e.off, length)
-	if err == nil && crc32.Checksum(data, crcTable) != e.crc {
+	if err == nil && payloadCRC(b.fam, b.idx, e.done, data) != e.crc {
 		err = errors.New("worldstore: spill payload checksum mismatch")
 	}
 	if err != nil {

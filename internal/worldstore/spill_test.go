@@ -440,6 +440,10 @@ func FuzzSpillReplay(f *testing.F) {
 	f.Add(log, uint8(famBits), uint32(0), uint32(1), uint64(8), uint32(0))
 	f.Add(log[:len(log)-spillRecordSize/2], uint8(numFamilies), uint32(0), uint32(1), uint64(0), uint32(0))
 	f.Add(log[:spillHeaderSize], uint8(famLabels), uint32(1), uint32(bw), uint64(0), uint32(0))
+	// Block 0's label entry renamed to block 1: a genuine offset and
+	// payload CRC under another block's name.
+	e0 := spilled.spill.Load().entries[famLabels][0]
+	f.Add(log, uint8(famLabels), uint32(1), uint32(e0.done), uint64(e0.off), e0.crc)
 
 	f.Fuzz(func(t *testing.T, log []byte, fam uint8, idx, done uint32, off uint64, crc uint32) {
 		dir := t.TempDir()

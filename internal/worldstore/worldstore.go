@@ -890,13 +890,6 @@ func (s *Store) ScanCtx(ctx context.Context, lo, hi int, fn func(i int, labels [
 	return nil
 }
 
-// Connected reports whether u and v share a component in world i.
-func (s *Store) Connected(i int, u, v graph.NodeID) bool {
-	conn := false
-	s.Scan(i, i+1, func(_ int, lab []int32) { conn = lab[u] == lab[v] })
-	return conn
-}
-
 // CountConnectedFromMulti is the batched form of CountConnectedFrom: for
 // each center cs[j] it adds, into counts[j], the per-node connection counts
 // over worlds [lo[j], hi). All centers are answered in ONE pass over each
@@ -1106,19 +1099,6 @@ func (s *Store) countWithinGroup(mrc *sampler.MultiReachCounter, cs []graph.Node
 			s.directWorlds.Add(uint64(b - a))
 		}
 	}
-}
-
-// EstimateFrom returns the Monte Carlo estimates of Pr(u ~ c) for all
-// nodes u over the first r worlds.
-func (s *Store) EstimateFrom(c graph.NodeID, r int) []float64 {
-	counts := make([]int32, s.n)
-	s.CountConnectedFrom(c, 0, r, counts)
-	out := make([]float64, s.n)
-	inv := 1 / float64(r)
-	for u, cnt := range counts {
-		out[u] = float64(cnt) * inv
-	}
-	return out
 }
 
 // EstimatePair returns the Monte Carlo estimate of Pr(u ~ v) over the

@@ -157,12 +157,10 @@ func AllTerminalReliability(g *Graph, seed uint64, r int) float64 {
 	return metrics.AllTerminalReliability(worldstore.Shared(g, seed), r)
 }
 
-// AdaptiveResult reports an adaptive (stopping-rule) estimation outcome.
-type AdaptiveResult = conn.AdaptiveResult
-
-// AdaptiveParams is an additive (eps, delta) confidence target for
-// adaptive estimation: with probability at least 1-Delta, every tracked
-// estimate lands within Eps of the truth.
+// AdaptiveParams is an (eps, delta) confidence target for adaptive
+// estimation: with probability at least 1-Delta, every tracked estimate
+// lands within Eps of the truth (within Eps times the truth for
+// AdaptiveConnectionProbability).
 type AdaptiveParams = conn.AdaptiveParams
 
 // AdaptiveStats accounts an adaptive run: worlds consumed vs budget,
@@ -179,13 +177,18 @@ type AdaptiveSnapshot = conn.AdaptiveSnapshot
 // Options.Adaptive for the determinism contract).
 type AdaptiveScoring = core.AdaptiveScoring
 
-// AdaptiveConnectionProbability estimates Pr(u ~ v) to relative error eps
-// with confidence 1-delta using the Dagum-Karp-Luby-Ross stopping rule —
-// the pL-free progressive sampling sketched at the end of Section 4.2 of
-// the paper. The sample count adapts to the unknown probability
-// (~ln(1/delta)/(eps^2 Pr)), capped at maxSamples (<= 0 for the default).
-func AdaptiveConnectionProbability(g *Graph, u, v NodeID, eps, delta float64, seed uint64, maxSamples int) AdaptiveResult {
-	return conn.NewMonteCarlo(g, seed).AdaptivePair(u, v, eps, delta, maxSamples)
+// AdaptiveConnectionProbability estimates Pr(u ~ v) to RELATIVE error
+// p.Eps with confidence 1-p.Delta — the progressive sampling without a
+// lower bound pL sketched at the end of Section 4.2 of the paper. It runs
+// the same doubling rounds as ConnectionProbabilityInterval and stops once
+// the interval half-width h satisfies h <= Eps*(estimate - h), so the
+// world count adapts to the unknown probability (~ln(1/delta)/(eps^2 Pr)),
+// capped at p.MaxWorlds (<= 0 selects 2^20); a pair that stays
+// disconnected ends unconverged with estimate 0. Deterministic for fixed
+// (graph, seed, params); the estimate is bit-identical to a fixed-budget
+// run of stats.Worlds worlds.
+func AdaptiveConnectionProbability(ctx context.Context, g *Graph, u, v NodeID, p AdaptiveParams, seed uint64) (float64, AdaptiveStats, error) {
+	return conn.AdaptivePairRelative(ctx, conn.NewMonteCarlo(g, seed), u, v, conn.Unlimited, p, nil)
 }
 
 // ConnectionProbabilityInterval estimates Pr(u ~ v) to ADDITIVE error eps

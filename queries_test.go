@@ -140,15 +140,19 @@ func TestPublicAdaptiveEstimation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := AdaptiveConnectionProbability(g, 0, 1, 0.1, 0.01, 5, 0)
-	if !res.Converged {
+	p, st, err := AdaptiveConnectionProbability(context.Background(), g, 0, 1,
+		AdaptiveParams{Eps: 0.1, Delta: 0.01}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Converged {
 		t.Fatal("adaptive estimation did not converge")
 	}
-	if math.Abs(res.P-0.3)/0.3 > 0.2 {
-		t.Fatalf("adaptive estimate %v, want ~0.3", res.P)
+	if math.Abs(p-0.3)/0.3 > 0.2 {
+		t.Fatalf("adaptive estimate %v, want ~0.3", p)
 	}
-	if res.Samples < 100 {
-		t.Fatalf("suspiciously few samples: %d", res.Samples)
+	if st.Worlds < 100 {
+		t.Fatalf("suspiciously few worlds: %d", st.Worlds)
 	}
 }
 
