@@ -125,13 +125,16 @@ bench-selftest:
 
 # The per-push end-to-end smoke: one short seeded perfbench run of
 # krogan-cluster (/v1/cluster on the local path), of krogan-sharded
-# (the same requests through the shard coordinator) and of krogan-conn
+# (the same requests through the shard coordinator), of krogan-conn
 # (/v1/conn, a quarter of it adaptive and so on the conn adaptive round
-# loop, each adaptive answer checked against the library). perfbench
-# exits 0 even when requests fail, so each run's last line must start
-# {"correct":true, and report "failed":0.
+# loop, each adaptive answer checked against the library) and of
+# dblp-tiered on its brief fixture (the self-test's 40,000-author DBLP:
+# 8-world blocks under a store budget of 35% of the working set, with a
+# disk tier, so blocks spill and reload). perfbench exits 0 even when
+# requests fail, so each run's last line must start {"correct":true,
+# and report "failed":0.
 e2e-smoke:
-	@for w in krogan-cluster krogan-sharded krogan-conn; do \
+	@for w in krogan-cluster krogan-sharded krogan-conn 'dblp-tiered --brief'; do \
 		last="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 | tail -n 1)"; \
 		echo "$$w: $$last"; \
 		case "$$last" in '{"correct":true,'*'"failed":0,'*) ;; *) echo "FAIL: $$w smoke"; exit 1;; esac; \

@@ -165,33 +165,37 @@ func AdaptiveScheduleFor(o Oracle, budget, minWorlds int) []int {
 	return adaptiveSchedule(adaptiveBlock(o), budget, minWorlds)
 }
 
-// HalfWidth returns the two-sided (1-delta)-confidence half-width the
-// adaptive driver assigns to a Bernoulli mean estimated as phat over r
-// worlds. Exported for the other layers of the adaptive stack (core's
-// racing scorer, the server's streamed frames).
-func HalfWidth(phat float64, r int, delta float64) float64 {
-	return halfWidth(phat, r, delta)
+// RoundBound is the two-sided (1-delta)-confidence half-width the
+// adaptive round loop assigns to Bernoulli means estimated over one round
+// of r worlds: the tighter of the Hoeffding bound and the Maurer-Pontil
+// empirical-Bernstein bound, each charged delta/2 so the minimum is valid
+// at delta overall. NewRoundBound computes the terms that depend on r and
+// delta alone once per round, and HalfWidth adds one estimate's variance
+// term. Exported for the other layers of the adaptive stack (core's
+// racing scorer).
+type RoundBound struct {
+	rf, l float64 // world count and ln(2/(delta/2))
+	hoeff float64 // Hoeffding half-width sqrt(l/(2r))
+	slack float64 // empirical-Bernstein range term 7l/(3(r-1))
 }
 
-// halfWidth returns a two-sided (1-delta)-confidence half-width for a
-// Bernoulli mean estimated as phat over r worlds: the tighter of the
-// Hoeffding bound and the Maurer-Pontil empirical-Bernstein bound, each
-// charged delta/2 so the minimum is valid at delta overall.
-func halfWidth(phat float64, r int, delta float64) float64 {
-	if r <= 1 {
-		return 1
-	}
+// NewRoundBound returns the bound of a round of r worlds at per-quantity
+// confidence 1-delta.
+func NewRoundBound(r int, delta float64) RoundBound {
 	l := math.Log(4 / delta) // ln(2/(delta/2))
 	rf := float64(r)
-	hoeff := math.Sqrt(l / (2 * rf))
-	// Unbiased sample variance of r Bernoulli draws with mean phat.
-	vn := phat * (1 - phat) * rf / (rf - 1)
-	eb := math.Sqrt(2*vn*l/rf) + 7*l/(3*(rf-1))
-	hw := math.Min(hoeff, eb)
-	if hw > 1 {
-		hw = 1
+	return RoundBound{rf: rf, l: l, hoeff: math.Sqrt(l / (2 * rf)), slack: 7 * l / (3 * (rf - 1))}
+}
+
+// HalfWidth returns the half-width of a mean estimated as phat.
+func (b RoundBound) HalfWidth(phat float64) float64 {
+	if b.rf <= 1 {
+		return 1
 	}
-	return hw
+	// Unbiased sample variance of r Bernoulli draws with mean phat.
+	vn := phat * (1 - phat) * b.rf / (b.rf - 1)
+	eb := math.Sqrt(2*vn*b.l/b.rf) + b.slack
+	return min(b.hoeff, eb, 1)
 }
 
 // AdaptiveFromCenters estimates connection probabilities from cs to an
@@ -260,11 +264,12 @@ func adaptiveRun(ctx context.Context, o ContextOracle, cs []graph.NodeID, depth 
 		// Under the relative rule h <= eps*(e-h) <= eps, so the additive
 		// test stays and the relative one adds a check on a loop-invariant
 		// flag.
+		bound := NewRoundBound(r, deltaQ)
 		hw, met := 0.0, true
 		for _, est := range ests {
 			if len(targets) > 0 {
 				for _, t := range targets {
-					h := halfWidth(est[t], r, deltaQ)
+					h := bound.HalfWidth(est[t])
 					if h > hw {
 						hw = h
 					}
@@ -274,7 +279,7 @@ func adaptiveRun(ctx context.Context, o ContextOracle, cs []graph.NodeID, depth 
 				}
 			} else {
 				for _, e := range est {
-					h := halfWidth(e, r, deltaQ)
+					h := bound.HalfWidth(e)
 					if h > hw {
 						hw = h
 					}

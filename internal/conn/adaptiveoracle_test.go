@@ -51,19 +51,54 @@ func TestAdaptiveSchedule(t *testing.T) {
 
 func TestHalfWidthShrinksWithWorlds(t *testing.T) {
 	for _, phat := range []float64{0, 0.03, 0.5, 0.97, 1} {
-		prev := halfWidth(phat, 64, 0.01)
+		prev := NewRoundBound(64, 0.01).HalfWidth(phat)
 		for _, r := range []int{128, 256, 512, 1024, 4096} {
-			hw := halfWidth(phat, r, 0.01)
+			hw := NewRoundBound(r, 0.01).HalfWidth(phat)
 			if hw >= prev {
-				t.Fatalf("halfWidth(%v, %d) = %v did not shrink from %v", phat, r, hw, prev)
+				t.Fatalf("half-width(%v, %d) = %v did not shrink from %v", phat, r, hw, prev)
 			}
 			prev = hw
 		}
 	}
 	// Extreme probabilities converge faster than p = 1/2 at the same r:
 	// the empirical-Bernstein variance term is what buys early stopping.
-	if halfWidth(0.95, 1024, 0.01) >= halfWidth(0.5, 1024, 0.01) {
+	if b := NewRoundBound(1024, 0.01); b.HalfWidth(0.95) >= b.HalfWidth(0.5) {
 		t.Fatal("empirical-Bernstein bound not tighter at extreme probabilities")
+	}
+}
+
+// formulaHalfWidth is the per-quantity half-width formula RoundBound
+// splits into per-round and per-estimate terms, written out in one piece.
+func formulaHalfWidth(phat float64, r int, delta float64) float64 {
+	if r <= 1 {
+		return 1
+	}
+	l := math.Log(4 / delta)
+	rf := float64(r)
+	hoeff := math.Sqrt(l / (2 * rf))
+	vn := phat * (1 - phat) * rf / (rf - 1)
+	eb := math.Sqrt(2*vn*l/rf) + 7*l/(3*(rf-1))
+	hw := math.Min(hoeff, eb)
+	if hw > 1 {
+		hw = 1
+	}
+	return hw
+}
+
+// TestRoundBoundMatchesFormula: computing the per-round terms once per
+// round changes no bit of any half-width, so adaptive runs stop at the
+// same rounds with the same answers.
+func TestRoundBoundMatchesFormula(t *testing.T) {
+	for _, delta := range []float64{1e-12, 1e-3, 0.05} {
+		for _, r := range []int{1, 2, 3, 50, 1024, 1 << 20} {
+			b := NewRoundBound(r, delta)
+			for _, phat := range []float64{0, 1e-3, 0.05, 0.5, 0.95, 1} {
+				got, want := b.HalfWidth(phat), formulaHalfWidth(phat, r, delta)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("delta %g, r %d, phat %g: half-width %v, formula %v", delta, r, phat, got, want)
+				}
+			}
+		}
 	}
 }
 

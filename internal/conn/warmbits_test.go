@@ -21,7 +21,7 @@ func TestWarmBitmapSingleCenterBitIdentical(t *testing.T) {
 	warm := NewMonteCarlo(g, seed)
 	warm.FromCenters([]graph.NodeID{0, 5, 11, 30}, depth, r) // materializes bitmap blocks
 
-	if !warm.Store().BitsResident(0, r) {
+	if !warm.Store().BitsWarm(0, r) {
 		t.Fatal("bitmap blocks should be resident after the batch")
 	}
 	before := warm.Store().Stats()
@@ -77,8 +77,8 @@ func TestColdSingleCenterSkipsBitmapFill(t *testing.T) {
 }
 
 // TestWarmBitmapPartialResidency: if only a prefix of the range is
-// resident, the probe reports false and the query still answers exactly
-// (the implicit path), so partially-warm stores never mis-route.
+// resident, the probe reports false and the query still answers exactly,
+// so partially-warm stores never mis-route.
 func TestWarmBitmapPartialResidency(t *testing.T) {
 	g := gridGraph(t, 9, 8, 0.55)
 	const seed, depth = 29, 2
@@ -86,11 +86,11 @@ func TestWarmBitmapPartialResidency(t *testing.T) {
 	bw := mc.Store().BlockWorlds()
 	short := bw / 2 // half of the first block
 	mc.FromCenters([]graph.NodeID{0, 5}, depth, short)
-	if mc.Store().BitsResident(0, bw+1) {
-		t.Fatal("range past the materialized prefix should not report resident")
+	if mc.Store().BitsWarm(0, bw+1) {
+		t.Fatal("range past the first warm block should not report resident")
 	}
-	if !mc.Store().BitsResident(0, short) {
-		t.Fatal("materialized prefix should report resident")
+	if !mc.Store().BitsWarm(0, short) {
+		t.Fatal("materialized block should report resident")
 	}
 	got := mc.FromCenter(12, depth, bw+10)
 	want := NewMonteCarlo(identicalGraph(t, g), seed).FromCenter(12, depth, bw+10)
@@ -117,7 +117,7 @@ func TestDiskWarmBitmapSingleCenter(t *testing.T) {
 	mc.FromCenters([]graph.NodeID{0, 5, 11, 30}, depth, r) // materializes bitmap blocks
 	mc.Store().SetBudget(1)                                // evict everything; the bitmaps spill
 	mc.Store().SetBudget(0)
-	if mc.Store().BitsResident(0, r) {
+	if st := mc.Store().Stats(); st.ResidentBitmapBlocks != 0 {
 		t.Fatal("bitmap blocks should have been evicted")
 	}
 	if !mc.Store().BitsWarm(0, r) {

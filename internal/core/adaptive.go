@@ -113,11 +113,12 @@ func adaptiveSelect(ctx context.Context, o conn.Oracle, uncovered []graph.NodeID
 		hi := make([]int, tsize)
 		maxLo := -1
 		maxHW := 0.0
+		bound := conn.NewRoundBound(r, deltaQ)
 		for _, ai := range active {
 			est := ests[ai]
 			cLo, cHi := 0, 0
 			for _, u := range uncovered {
-				hw := conn.HalfWidth(est[u], r, deltaQ)
+				hw := bound.HalfWidth(est[u])
 				if hw > maxHW {
 					maxHW = hw
 				}

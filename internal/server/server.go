@@ -93,13 +93,12 @@ type Options struct {
 	// package defaults.
 	ShardRetries        int
 	ShardRequestTimeout time.Duration
-	// ShardBreakerThreshold and ShardBreakerBackoff tune the per-worker
-	// circuit breakers: a worker failing this many consecutive tallies is
-	// taken out of assignment for an exponentially growing (seeded-jitter)
-	// backoff. Zero selects the shard package defaults. Breaker state is
-	// surfaced per worker at /statsz.
+	// ShardBreakerThreshold tunes the per-worker circuit breakers: a
+	// worker failing this many consecutive tallies is taken out of
+	// assignment for an exponentially growing (seeded-jitter) backoff.
+	// Zero selects the shard package default. Breaker state is surfaced
+	// per worker at /statsz.
 	ShardBreakerThreshold int
-	ShardBreakerBackoff   time.Duration
 	// ShardRetryBudget caps the total block re-scatters one query may
 	// spend across its retry rounds (0 = package default): a melting fleet
 	// fails queries crisply instead of retrying forever.
@@ -301,7 +300,6 @@ func New(graphs []GraphConfig, opts Options) (*Server, error) {
 			RequestTimeout:   opts.ShardRequestTimeout,
 			HedgeDelay:       opts.ShardHedge,
 			BreakerThreshold: opts.ShardBreakerThreshold,
-			BreakerBackoff:   opts.ShardBreakerBackoff,
 			RetryBudget:      opts.ShardRetryBudget,
 			AuditFraction:    opts.ShardAuditFraction,
 			OnWorkerRTT: func(addr string, rtt time.Duration) {

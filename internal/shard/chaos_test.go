@@ -106,7 +106,6 @@ func TestFlapQuarantineStickyUntilOperatorReadd(t *testing.T) {
 		RequestTimeout:   5 * time.Second,
 		BreakerThreshold: 1,
 		QuarantineTrips:  1,
-		QuarantineWindow: time.Minute,
 	})
 	centers := []graph.NodeID{1, 30}
 

@@ -23,13 +23,22 @@ import (
 	"ucgraph/internal/worldstore"
 )
 
+// pingClient carries worker pings and membership probes: a dedicated
+// client with no global timeout (each ping's context bounds it). Tally
+// traffic does not use it — tallies ride the persistent v2 streams.
+var pingClient = &http.Client{}
+
+// breakerMaxBackoff caps a worker breaker's exponential backoff, and
+// quarantineWindow is the span in which QuarantineTrips breaker trips
+// quarantine a worker.
+const (
+	breakerMaxBackoff = 30 * time.Second
+	quarantineWindow  = time.Minute
+)
+
 // CoordinatorOptions configures a Coordinator. The zero value selects the
 // documented defaults.
 type CoordinatorOptions struct {
-	// Client is the HTTP client used for worker pings and membership
-	// probes (default: a dedicated client with no global timeout). Tally
-	// traffic does not use it — tallies ride the persistent v2 streams.
-	Client *http.Client
 	// Retries is how many extra scatter rounds a query may spend
 	// re-scattering blocks whose worker failed (default 2). Re-scattered
 	// blocks move to a different live worker when one exists; a restarted
@@ -54,26 +63,22 @@ type CoordinatorOptions struct {
 	// A successful tally or ping closes it.
 	BreakerThreshold int
 	// BreakerBackoff is the base open interval (default 100ms). Each
-	// further consecutive failure doubles it, up to BreakerMaxBackoff, and
-	// a deterministic jitter in [0, backoff/2] — seeded from the
+	// further consecutive failure doubles it, up to 30s, and a
+	// deterministic jitter in [0, backoff/2] — seeded from the
 	// coordinator seed and the worker address, never the clock — spreads
 	// reconnect storms without breaking replayability.
 	BreakerBackoff time.Duration
-	// BreakerMaxBackoff caps the exponential backoff (default 30s).
-	BreakerMaxBackoff time.Duration
 	// RetryBudget caps the total block re-scatters a single query may
 	// spend across all its retry rounds (default 4096): a query against a
 	// melting fleet fails crisply instead of grinding through rounds of
 	// full-rate retries.
 	RetryBudget int
-	// QuarantineTrips and QuarantineWindow define flap quarantine: a
-	// worker whose breaker trips QuarantineTrips times within
-	// QuarantineWindow (defaults 8 trips in 1 minute) is quarantined —
-	// taken out of assignment until an operator re-adds it via AddWorker
-	// (POST /v1/shards). QuarantineTrips <= 0 disables flap quarantine;
-	// audit divergence quarantines unconditionally.
-	QuarantineTrips  int
-	QuarantineWindow time.Duration
+	// QuarantineTrips defines flap quarantine: a worker whose breaker
+	// trips QuarantineTrips times within one minute (default 8) is
+	// quarantined — taken out of assignment until an operator re-adds it
+	// via AddWorker (POST /v1/shards). QuarantineTrips <= 0 disables flap
+	// quarantine; audit divergence quarantines unconditionally.
+	QuarantineTrips int
 	// AuditFraction, in [0, 1], samples completed scatter groups for an
 	// audit: the group's ranges are re-executed on a second worker and the
 	// raw tallies compared byte-for-byte; on divergence the coordinator
@@ -91,9 +96,6 @@ type CoordinatorOptions struct {
 }
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
 	if o.Retries <= 0 {
 		o.Retries = 2
 	}
@@ -106,17 +108,11 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.BreakerBackoff <= 0 {
 		o.BreakerBackoff = 100 * time.Millisecond
 	}
-	if o.BreakerMaxBackoff <= 0 {
-		o.BreakerMaxBackoff = 30 * time.Second
-	}
 	if o.RetryBudget <= 0 {
 		o.RetryBudget = 4096
 	}
 	if o.QuarantineTrips == 0 {
 		o.QuarantineTrips = 8
-	}
-	if o.QuarantineWindow <= 0 {
-		o.QuarantineWindow = time.Minute
 	}
 	return o
 }
@@ -158,7 +154,6 @@ type WorkerStats struct {
 // client for pings plus the persistent v2 stream for tallies.
 type workerClient struct {
 	base      string // normalized base URL, no trailing slash
-	client    *http.Client
 	stream    *streamClient
 	streamErr error // base URL unusable for streaming (reported per call)
 
@@ -179,9 +174,9 @@ func NormalizeAddr(addr string) string {
 
 // newWorkerClient normalizes addr ("host:port" or a full URL) into a
 // client.
-func newWorkerClient(addr string, client *http.Client) *workerClient {
+func newWorkerClient(addr string) *workerClient {
 	base := NormalizeAddr(addr)
-	wc := &workerClient{base: base, client: client, stats: WorkerStats{Addr: base}}
+	wc := &workerClient{base: base, stats: WorkerStats{Addr: base}}
 	wc.stream, wc.streamErr = newStreamClient(base)
 	return wc
 }
@@ -235,7 +230,7 @@ func (wc *workerClient) do(ctx context.Context, path string, out any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := wc.client.Do(req)
+	resp, err := pingClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -349,11 +344,11 @@ func (m *member) breakerReset() {
 // recordFailure registers one tally failure against the breaker. At
 // BreakerThreshold consecutive failures it trips: the member is held out
 // for an exponentially growing backoff (doubling per further consecutive
-// failure, capped at BreakerMaxBackoff) plus a deterministic jitter in
+// failure, capped at breakerMaxBackoff) plus a deterministic jitter in
 // [0, backoff/2] seeded from (seed, address, trip count) — reproducible
 // under a chaos seed, yet de-synchronized across workers. Reports whether
 // this failure tripped the breaker, and whether the trip rate inside
-// QuarantineWindow crossed the flap-quarantine bar.
+// quarantineWindow crossed the flap-quarantine bar.
 func (m *member) recordFailure(opts *CoordinatorOptions, seed uint64) (tripped, quarantine bool) {
 	now := time.Now()
 	m.bmu.Lock()
@@ -368,13 +363,13 @@ func (m *member) recordFailure(opts *CoordinatorOptions, seed uint64) (tripped, 
 		exp = 20
 	}
 	backoff := opts.BreakerBackoff << exp
-	if backoff <= 0 || backoff > opts.BreakerMaxBackoff {
-		backoff = opts.BreakerMaxBackoff
+	if backoff <= 0 || backoff > breakerMaxBackoff {
+		backoff = breakerMaxBackoff
 	}
 	jitter := time.Duration(rng.Mix64(seed^m.jitterKey^m.trips) % uint64(backoff/2+1))
 	m.openUntil = now.Add(backoff + jitter)
 	m.tripTimes = append(m.tripTimes, now)
-	cut := now.Add(-opts.QuarantineWindow)
+	cut := now.Add(-quarantineWindow)
 	for len(m.tripTimes) > 0 && m.tripTimes[0].Before(cut) {
 		m.tripTimes = m.tripTimes[1:]
 	}
@@ -397,8 +392,6 @@ func (m *member) breakerSnapshot() (trips uint64, open bool) {
 // Assignment never affects results, only which worker computes which
 // integer sums.
 type fleet struct {
-	client *http.Client
-
 	mu      sync.Mutex
 	members []*member
 	owners  map[int]int // block index → member slot
@@ -423,8 +416,8 @@ func addrHash(s string) uint64 {
 	return h
 }
 
-func newFleet(addrs []string, client *http.Client) *fleet {
-	f := &fleet{client: client, owners: make(map[int]int)}
+func newFleet(addrs []string) *fleet {
+	f := &fleet{owners: make(map[int]int)}
 	for _, addr := range addrs {
 		if strings.TrimSpace(addr) != "" {
 			f.add(addr)
@@ -449,7 +442,7 @@ func (f *fleet) add(addr string) string {
 			return base
 		}
 	}
-	m := &member{wc: newWorkerClient(base, f.client), jitterKey: addrHash(base)}
+	m := &member{wc: newWorkerClient(base), jitterKey: addrHash(base)}
 	m.state.Store(int32(memberUp))
 	f.members = append(f.members, m)
 	return base
@@ -658,13 +651,13 @@ var _ conn.ContextOracle = (*Coordinator)(nil)
 // with (Ping verifies). With no workers, every query runs on the local
 // in-process estimator instead — the single-binary degenerate deployment.
 func NewCoordinator(name string, g *graph.Uncertain, seed uint64, workerAddrs []string, opts CoordinatorOptions) *Coordinator {
-	opts = opts.withDefaults() // before newFleet: the fleet pings with opts.Client
+	opts = opts.withDefaults()
 	c := &Coordinator{
 		name:  name,
 		g:     g,
 		seed:  seed,
 		store: worldstore.Shared(g, seed),
-		fleet: newFleet(workerAddrs, opts.Client),
+		fleet: newFleet(workerAddrs),
 		opts:  opts,
 	}
 	c.newEstimators()

@@ -84,7 +84,7 @@ func TestPartitionCoversExactlyOnce(t *testing.T) {
 		for i := range addrs {
 			addrs[i] = fmt.Sprintf("127.0.0.1:%d", 9000+i)
 		}
-		return newFleet(addrs, &http.Client{})
+		return newFleet(addrs)
 	}
 	blocks := func(lo, hi, bw int) []int {
 		var bis []int
@@ -532,7 +532,7 @@ func TestWorkerPing(t *testing.T) {
 	}
 	ts := httptest.NewServer(w)
 	t.Cleanup(ts.Close)
-	wc := newWorkerClient(ts.URL, &http.Client{})
+	wc := newWorkerClient(ts.URL)
 	var resp PingResponse
 	if err := wc.do(context.Background(), PathPing, &resp); err != nil {
 		t.Fatal(err)

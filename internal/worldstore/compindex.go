@@ -19,26 +19,11 @@ import (
 // worlds c's component is walked over the graph's adjacency restricted to
 // c's label, and a walk that outgrows walkBudget falls back to scanning
 // that world's labels.
-
-// compIndex is the largest-component index of the first worlds worlds of
-// one label block: bit w%64 of member[(w/64)*n + u] is set iff node u lies
-// in world w's largest component. It is built lazily from the block's
-// labels by the first CountConnectedFrom that reads the block, and never
-// modified once published: a longer prefix gets a new index that copies
-// this one's words. It is counted in the block's bytes, dropped with the
-// block on eviction and never spilled; a reloaded block rebuilds it on
-// first use.
-type compIndex struct {
-	worlds int
-	member []uint64
-}
-
-// indexWords is the number of membership words per node: ceil(bw/64).
-func (s *Store) indexWords() int { return (s.bw + 63) / 64 }
-
-// indexBytes is the nominal size of one block's index, charged to the
-// byte budget on top of its label block.
-func (s *Store) indexBytes() int64 { return int64(8 * s.indexWords() * s.n) }
+//
+// The index of a block is built once, by the first CountConnectedFrom
+// that reads the block (see acquire). It is counted in the block's bytes,
+// dropped with the block on eviction and never spilled; a reloaded block
+// rebuilds it on first use.
 
 // walkBudget bounds the adjacency entries a component walk may examine
 // before it falls back to a label scan. A walk reads the labels at random
@@ -55,20 +40,15 @@ type componentWalk struct {
 	queue []graph.NodeID
 }
 
-// buildIndex returns the index of the first done worlds of a block whose
-// labels are given, extending prev (an index of a shorter prefix of the
-// same block) or starting from nothing when prev is nil. Any component
-// would make the counts exact; the largest makes the most worlds cheap.
-func (s *Store) buildIndex(prev *compIndex, labels []int32, done int) *compIndex {
+// buildComponents returns the largest-component index of a label block
+// whose labels are given: bit w%64 of member[(w/64)*n + u] is set iff node
+// u lies in world w's largest component. Any component would make the
+// counts exact; the largest makes the most worlds cheap.
+func (s *Store) buildComponents(labels []int32) []uint64 {
 	n := s.n
-	ix := &compIndex{worlds: done, member: make([]uint64, s.indexWords()*n)}
-	from := 0
-	if prev != nil {
-		copy(ix.member, prev.member)
-		from = prev.worlds
-	}
+	member := make([]uint64, s.indexWords()*n)
 	size := make([]int32, n)
-	for w := from; w < done; w++ {
+	for w := 0; w < s.bw; w++ {
 		lab := labels[w*n : (w+1)*n]
 		clear(size)
 		big := lab[0]
@@ -78,7 +58,7 @@ func (s *Store) buildIndex(prev *compIndex, labels []int32, done int) *compIndex
 				big = l
 			}
 		}
-		row := ix.member[(w/64)*n : (w/64+1)*n]
+		row := member[(w/64)*n : (w/64+1)*n]
 		bit := uint64(1) << (w % 64)
 		for u, l := range lab {
 			if l == big {
@@ -86,29 +66,7 @@ func (s *Store) buildIndex(prev *compIndex, labels []int32, done int) *compIndex
 			}
 		}
 	}
-	return ix
-}
-
-// acquireIndexed is acquire plus the block's largest-component index,
-// built or extended to cover the block's materialized prefix (at least
-// need worlds) under the block's mutex, so exactly one goroutine builds
-// each index. The first index of a block is charged to the byte budget.
-// Callers must release the block.
-func (s *Store) acquireIndexed(bi, need int) (*block, []int32, *compIndex) {
-	b := s.acquireBlock(famLabels, bi)
-	b.mu.Lock()
-	labels := s.growLabels(b, need)
-	ix := b.index
-	first := ix == nil
-	if first || ix.worlds < need {
-		ix = s.buildIndex(ix, labels, b.done)
-		b.index = ix
-	}
-	b.mu.Unlock()
-	if first {
-		s.chargeIndex(b, s.indexBytes())
-	}
-	return b, labels, ix
+	return member
 }
 
 // chargeIndex adds a block's new index of the given size (a label block's
@@ -151,11 +109,11 @@ func (s *Store) CountConnectedFrom(c graph.NodeID, lo, hi int, counts []int32) {
 	for bi := lo / s.bw; bi*s.bw < hi; bi++ {
 		base := bi * s.bw
 		start, end := max(lo, base)-base, min(hi, base+s.bw)-base
-		b, labels, ix := s.acquireIndexed(bi, end)
+		b := s.acquire(famLabels, bi, true)
 		for k := start / 64; k*64 < end; k++ {
-			span, cm := worldMask(k, start, end), ix.member[k*n+int(c)]
+			span, cm := worldMask(k, start, end), b.index[k*n+int(c)]
 			if in := cm & span; in != 0 {
-				row := ix.member[k*n : (k+1)*n]
+				row := b.index[k*n : (k+1)*n]
 				for u, x := range row {
 					counts[u] += int32(bits.OnesCount64(x & in))
 				}
@@ -165,7 +123,7 @@ func (s *Store) CountConnectedFrom(c graph.NodeID, lo, hi int, counts []int32) {
 				if wk == nil {
 					wk = s.walkPool.Get().(*componentWalk)
 				}
-				s.countComponent(wk, labels[w*n:(w+1)*n], c, counts)
+				s.countComponent(wk, b.labels[w*n:(w+1)*n], c, counts)
 			}
 		}
 		s.release(b)

@@ -159,7 +159,7 @@ func TestCountConnectedFromMatchesScan(t *testing.T) {
 			if err := tiered.AttachCache(t.TempDir()); err != nil {
 				t.Fatal(err)
 			}
-			budget := 2 * (tiered.blockBytes(famLabels) + tiered.indexBytes())
+			budget := 2 * (tiered.blockBytes(famLabels) + tiered.indexBytes(famLabels))
 			tiered.SetBudget(budget)
 			cases := randomCases(tiered, 2, 12, 4)
 			for pass := 0; pass < 2; pass++ {
@@ -231,7 +231,7 @@ func TestCountConnectedFromConcurrent(t *testing.T) {
 		want[i] = make([]int32, g.NumNodes())
 		scanConnectedFrom(ref, cc.c, cc.lo, cc.hi, want[i])
 	}
-	oneBlock := probe.blockBytes(famLabels) + probe.indexBytes()
+	oneBlock := probe.blockBytes(famLabels) + probe.indexBytes(famLabels)
 	for _, budget := range []int64{0, oneBlock} {
 		s := New(g, seed)
 		s.SetBudget(budget)
@@ -268,7 +268,7 @@ func TestCountConnectedFromChargesIndex(t *testing.T) {
 	g := indexShapes(t)[0].g
 	s := New(g, 3)
 	bw := s.BlockWorlds()
-	label, index := s.blockBytes(famLabels), s.indexBytes()
+	label, index := s.blockBytes(famLabels), s.indexBytes(famLabels)
 	if want := int64(8 * ((bw + 63) / 64) * g.NumNodes()); index != want {
 		t.Fatalf("index bytes %d, want 8*ceil(bw/64)*n = %d", index, want)
 	}

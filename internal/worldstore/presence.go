@@ -16,7 +16,9 @@ import (
 // present and v is newly reached. Once the traversal stops, every reached
 // node adds the popcount of its reach mask. Each bit follows exactly its
 // own world's traversal, so the counts are the integers a per-world BFS
-// adds.
+// adds. Like the largest-component index, the presence index of a block is
+// built once, by the first depth-limited count that reads the block,
+// counted in the block's bytes, dropped with it and never spilled.
 //
 // A word is full only when a block holds at least packedWorlds worlds.
 // Blocks hold about 2^20/(4n) worlds, so graphs of up to 4,096 nodes take
@@ -25,55 +27,30 @@ import (
 // 8-world blocks the index would be 8x the bitmap block it is built from.
 const packedWorlds = 64
 
-// presenceIndex is the presence index of the first worlds worlds of one
-// bitmap block: bit w%64 of present[(w/64)*m + e] is set iff edge e is
-// present in world w of the block. It is built lazily from the block's
-// bitmaps by the first depth-limited count that reads the block, and never
-// modified once published: a longer prefix gets a new index that copies
-// this one's words. It is counted in the block's bytes, dropped with the
-// block on eviction and never spilled; a reloaded block rebuilds it on
-// first use.
-type presenceIndex struct {
-	worlds  int
-	present []uint64
-}
-
 // packed reports whether depth-limited counts take the packed kernel.
 // It depends on the block width alone, a function of the node count.
 func (s *Store) packed() bool { return s.bw >= packedWorlds }
 
-// presenceBytes is the nominal size of one block's presence index,
-// 8*m*ceil(bw/64), charged to the byte budget on top of its bitmap block.
-func (s *Store) presenceBytes() int64 { return int64(8 * s.indexWords() * s.g.NumEdges()) }
-
-// buildPresence returns the presence index of the first done worlds of a
-// bitmap block whose world-major bitmaps are bm, extending prev (an index
-// of a shorter prefix of the same block) or starting from nothing when
-// prev is nil. Each 64-world by 64-edge tile is one bit-matrix transpose.
-func (s *Store) buildPresence(prev *presenceIndex, bm []uint64, done int) *presenceIndex {
+// buildPresence returns the presence index of a bitmap block whose
+// world-major bitmaps are bm: bit w%64 of present[(w/64)*m + e] is set iff
+// edge e is present in world w of the block. Each 64-world by 64-edge tile
+// is one bit-matrix transpose.
+func (s *Store) buildPresence(bm []uint64) []uint64 {
 	m, wpw := s.g.NumEdges(), s.wpw
-	ix := &presenceIndex{worlds: done, present: make([]uint64, s.indexWords()*m)}
-	from := 0
-	if prev != nil {
-		copy(ix.present, prev.present)
-		from = prev.worlds
-	}
+	present := make([]uint64, s.indexWords()*m)
 	var tile [64]uint64
-	for k := from / 64; 64*k < done; k++ {
-		lo, hi := max(from, 64*k), min(done, 64*k+64)
-		row := ix.present[k*m : (k+1)*m]
+	for k := 0; 64*k < s.bw; k++ {
+		row, hi := present[k*m:(k+1)*m], min(s.bw, 64*k+64)
 		for j := 0; j < wpw; j++ {
 			clear(tile[:])
-			for w := lo; w < hi; w++ {
+			for w := 64 * k; w < hi; w++ {
 				tile[w-64*k] = bm[w*wpw+j]
 			}
 			transpose64(&tile)
-			for t, x := range tile[:min(64, m-64*j)] {
-				row[64*j+t] |= x
-			}
+			copy(row[64*j:], tile[:]) // the last word's tile runs past edge m-1
 		}
 	}
-	return ix
+	return present
 }
 
 // transpose64 transposes the 64x64 bit matrix a in place: afterwards bit
@@ -89,28 +66,6 @@ func transpose64(a *[64]uint64) {
 		}
 		mask ^= mask << (w >> 1)
 	}
-}
-
-// acquirePresence returns bitmap block bi, pinned, with at least need
-// worlds materialized, along with its presence index built or extended to
-// cover the block's materialized prefix under the block's mutex, so
-// exactly one goroutine builds each index. The first index of a block is
-// charged to the byte budget. Callers must release the block.
-func (s *Store) acquirePresence(bi, need int) (*block, *presenceIndex) {
-	b := s.acquireBlock(famBits, bi)
-	b.mu.Lock()
-	bm := s.growBits(b, need)
-	ix := b.presence
-	first := ix == nil
-	if first || ix.worlds < need {
-		ix = s.buildPresence(ix, bm, b.done)
-		b.presence = ix
-	}
-	b.mu.Unlock()
-	if first {
-		s.chargeIndex(b, s.presenceBytes())
-	}
-	return b, ix
 }
 
 // packedBFS is the scratch of one packed traversal, pooled per store.
@@ -166,9 +121,9 @@ func (s *Store) CountWithinFrom(c graph.NodeID, depth, lo, hi int, counts []int3
 	for bi := lo / s.bw; bi*s.bw < hi; bi++ {
 		base := bi * s.bw
 		start, end := max(lo, base)-base, min(hi, base+s.bw)-base
-		b, ix := s.acquirePresence(bi, end)
+		b := s.acquire(famBits, bi, true)
 		for k := start / 64; k*64 < end; k++ {
-			s.countPacked(p, ix.present[k*m:(k+1)*m], c, depth, worldMask(k, start, end), counts)
+			s.countPacked(p, b.index[k*m:(k+1)*m], c, depth, worldMask(k, start, end), counts)
 		}
 		s.release(b)
 	}

@@ -51,18 +51,16 @@ func TestPresenceIndexMatchesBitmaps(t *testing.T) {
 	for _, sh := range packedShapes(t) {
 		s := New(sh.g, 3)
 		bw, m := s.BlockWorlds(), sh.g.NumEdges()
-		for _, need := range []int{1, 50, 64, bw} {
-			b, ix := s.acquirePresence(0, need)
-			s.release(b)
-			s.ScanBits(0, ix.worlds, func(w int, bm []uint64) {
-				row := ix.present[(w/64)*m : (w/64+1)*m]
-				for e := 0; e < m; e++ {
-					if got, want := row[e]>>(w%64)&1 == 1, sampler.BitmapContains(bm, int32(e)); got != want {
-						t.Fatalf("%s prefix %d: world %d edge %d: index %v, bitmap %v", sh.name, need, w, e, got, want)
-					}
+		b := s.acquire(famBits, 0, true)
+		s.release(b)
+		s.ScanBits(0, bw, func(w int, bm []uint64) {
+			row := b.index[(w/64)*m : (w/64+1)*m]
+			for e := 0; e < m; e++ {
+				if got, want := row[e]>>(w%64)&1 == 1, sampler.BitmapContains(bm, int32(e)); got != want {
+					t.Fatalf("%s: world %d edge %d: index %v, bitmap %v", sh.name, w, e, got, want)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -102,9 +100,9 @@ func TestCountWithinFromMatchesReachCounter(t *testing.T) {
 }
 
 // TestCountWithinFromGrowingPrefix extends a running tally the way the
-// estimator's tally cache does, over a block whose prefix grows under the
-// index (50 worlds, then 100), so the index must be rebuilt from the
-// longer prefix and keep the words it had.
+// estimator's tally cache does, over a growing prefix of the first block
+// (50 worlds, then 100), so the second count reads the index the first
+// one built.
 func TestCountWithinFromGrowingPrefix(t *testing.T) {
 	const seed = 5
 	for _, sh := range packedShapes(t) {
@@ -120,9 +118,6 @@ func TestCountWithinFromGrowingPrefix(t *testing.T) {
 					sameCounts(t, fmt.Sprintf("depth %d after %d worlds", depth, r),
 						[][]int32{reachWithin(s, 7, depth, 0, r)}, [][]int32{got})
 				}
-			}
-			if b := s.blocks[famBits][0]; b.presence.worlds != 100 {
-				t.Fatalf("block 0 index covers %d worlds, want 100", b.presence.worlds)
 			}
 		})
 	}
@@ -140,7 +135,7 @@ func TestCountWithinFromTiered(t *testing.T) {
 				t.Fatal(err)
 			}
 			n, bw := s.NumNodes(), s.BlockWorlds()
-			budget := 2 * (s.blockBytes(famBits) + s.presenceBytes())
+			budget := 2 * (s.blockBytes(famBits) + s.indexBytes(famBits))
 			s.SetBudget(budget)
 			ranges := append(withinRanges(bw), [2]int{0, 4 * bw}, [2]int{3*bw + 5, 3*bw + 70})
 			for pass := 0; pass < 2; pass++ {
@@ -193,7 +188,7 @@ func TestPresenceIndexNeverSpilled(t *testing.T) {
 	if st.DiskHits != 1 {
 		t.Fatalf("reload did not come from disk: %+v", st)
 	}
-	if want := s.blockBytes(famBits) + s.presenceBytes(); st.ResidentBytes != want {
+	if want := s.blockBytes(famBits) + s.indexBytes(famBits); st.ResidentBytes != want {
 		t.Fatalf("reloaded block: ResidentBytes %d, want bitmap block plus rebuilt index %d", st.ResidentBytes, want)
 	}
 }
@@ -219,7 +214,7 @@ func TestCountWithinFromConcurrent(t *testing.T) {
 		cases[i] = call{graph.NodeID(x.Intn(g.NumNodes())), 1 + x.Intn(3), lo, lo + 1 + x.Intn(bw-lo)}
 		want[i] = reachWithin(probe, cases[i].c, cases[i].depth, cases[i].lo, cases[i].hi)
 	}
-	oneBlock := probe.blockBytes(famBits) + probe.presenceBytes()
+	oneBlock := probe.blockBytes(famBits) + probe.indexBytes(famBits)
 	for _, budget := range []int64{0, oneBlock} {
 		s := New(g, seed)
 		s.SetBudget(budget)
@@ -256,7 +251,7 @@ func TestCountWithinFromChargesIndex(t *testing.T) {
 	g := packedShapes(t)[0].g
 	s := New(g, 3)
 	bw := s.BlockWorlds()
-	bitmap, index := s.blockBytes(famBits), s.presenceBytes()
+	bitmap, index := s.blockBytes(famBits), s.indexBytes(famBits)
 	if want := int64(8 * g.NumEdges() * ((bw + 63) / 64)); index != want {
 		t.Fatalf("index bytes %d, want 8*m*ceil(bw/64) = %d", index, want)
 	}

@@ -24,15 +24,20 @@
 // segment and a CRC32-C of the payload seeded with that (family, block
 // index, worlds) triple, so a record that names one block but points at
 // another block's payload fails verification; records carry their own CRC
-// so a torn tail from a crash is detected and discarded on replay.
-// Re-spilling a block with more worlds appends a superseding record — last
-// record wins — and payload checksums are verified on every load: a
-// truncated or bit-flipped payload is dropped (Stats.CorruptDropped) and
-// the block is recomputed, never served wrong.
+// so a torn tail from a crash is detected and discarded on replay. Blocks
+// are whole and immutable, so a block spills once: every record persists
+// all BlockWorlds worlds of its block, an evicted block already in the
+// directory is not written again, and replay drops a record of any other
+// world count. When a block's load fails and it spills again, the later
+// record wins. Payload checksums are verified on every load: a truncated
+// or bit-flipped payload is dropped (Stats.CorruptDropped) and the block
+// is recomputed, never served wrong.
 //
-// The seeded payload CRC is format version 2. A version-1 directory (an
-// unseeded payload CRC) is refused at attach like any other header
-// mismatch, so delete it before starting a binary that writes version 2.
+// Whole-block records are format version 3. A directory of an older
+// version is refused at attach like any other header mismatch — a
+// version-2 directory may hold partial-prefix records, a version-1 one
+// unseeded payload CRCs — so delete it before starting a binary that
+// writes version 3.
 //
 // Segment reads go through a lazily grown read-only mmap of the segment
 // file where the platform supports it (falling back to pread elsewhere), so
@@ -53,7 +58,7 @@ import (
 
 const (
 	spillMagic   = "UCWSPILL"
-	spillVersion = 2
+	spillVersion = 3
 
 	spillHeaderSize = 64
 	spillRecordSize = 32
@@ -93,22 +98,20 @@ func uint64Bytes(s []uint64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
 }
 
-// spillEntry is the in-memory directory entry of one spilled block: the
-// latest persisted prefix of (family, block index).
+// spillEntry is the in-memory directory entry of one spilled block.
 type spillEntry struct {
-	done int    // worlds of the block persisted
-	off  int64  // payload offset in the family segment
-	crc  uint32 // payloadCRC of the payload bytes
+	off int64  // payload offset in the family segment
+	crc uint32 // payloadCRC of the payload bytes
 }
 
 // payloadCRC is the CRC32-C of a block payload seeded with the block's
 // identity, so a payload verifies only as the (family, block index,
 // worlds) it was spilled as.
-func payloadCRC(fam family, idx, done int, data []byte) uint32 {
+func payloadCRC(fam family, idx, worlds int, data []byte) uint32 {
 	var id [12]byte
 	binary.LittleEndian.PutUint32(id[0:4], uint32(fam))
 	binary.LittleEndian.PutUint32(id[4:8], uint32(idx))
-	binary.LittleEndian.PutUint32(id[8:12], uint32(done))
+	binary.LittleEndian.PutUint32(id[8:12], uint32(worlds))
 	return crc32.Update(crc32.Checksum(id[:], crcTable), crcTable, data)
 }
 
@@ -166,15 +169,16 @@ func (sg *segment) close() {
 // so spilling and loading serialize with each other without stalling
 // readers of resident blocks.
 type spillCache struct {
-	mu        sync.Mutex
-	dir       string
-	dirf      *os.File
-	dirSize   int64
-	segs      [numFamilies]*segment
-	entries   [numFamilies]map[int]spillEntry
-	rowBytes  [numFamilies]int64 // payload bytes per world
-	liveBytes int64              // payload bytes referenced by current entries
-	broken    bool               // a write failed (e.g. disk full); stop spilling
+	mu         sync.Mutex
+	dir        string
+	dirf       *os.File
+	dirSize    int64
+	bw         int // worlds per block, the worlds field of every record
+	segs       [numFamilies]*segment
+	entries    [numFamilies]map[int]spillEntry
+	blockBytes [numFamilies]int64 // payload bytes per block
+	liveBytes  int64              // payload bytes referenced by current entries
+	broken     bool               // a write failed (e.g. disk full); stop spilling
 }
 
 // header is the directory-log header binding a cache to its store.
@@ -228,11 +232,11 @@ func decodeHeader(buf []byte) (spillHeader, error) {
 	return h, nil
 }
 
-func encodeRecord(fam family, idx, done int, off int64, payloadCRC uint32) []byte {
+func encodeRecord(fam family, idx, worlds int, off int64, payloadCRC uint32) []byte {
 	buf := make([]byte, spillRecordSize)
 	buf[0] = byte(fam)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(idx))
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(done))
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(worlds))
 	binary.LittleEndian.PutUint32(buf[12:16], payloadCRC)
 	binary.LittleEndian.PutUint64(buf[16:24], uint64(off))
 	binary.LittleEndian.PutUint32(buf[28:32], crc32.Checksum(buf[:28], crcTable))
@@ -241,7 +245,7 @@ func encodeRecord(fam family, idx, done int, off int64, payloadCRC uint32) []byt
 
 // decodeRecord parses one directory record, reporting ok=false for a torn
 // or corrupt record (replay stops there).
-func decodeRecord(buf []byte) (fam family, idx, done int, off int64, payloadCRC uint32, ok bool) {
+func decodeRecord(buf []byte) (fam family, idx, worlds int, off int64, payloadCRC uint32, ok bool) {
 	if len(buf) < spillRecordSize {
 		return 0, 0, 0, 0, 0, false
 	}
@@ -250,21 +254,22 @@ func decodeRecord(buf []byte) (fam family, idx, done int, off int64, payloadCRC 
 	}
 	fam = family(buf[0])
 	idx = int(binary.LittleEndian.Uint32(buf[4:8]))
-	done = int(binary.LittleEndian.Uint32(buf[8:12]))
+	worlds = int(binary.LittleEndian.Uint32(buf[8:12]))
 	payloadCRC = binary.LittleEndian.Uint32(buf[12:16])
 	off = int64(binary.LittleEndian.Uint64(buf[16:24]))
-	return fam, idx, done, off, payloadCRC, true
+	return fam, idx, worlds, off, payloadCRC, true
 }
 
 // openSpillCache opens (or initializes) the cache directory for a store
-// with the given identity, replaying the directory log. dropped reports
-// entries discarded during replay because their payload extents outrun a
+// with the given identity and per-family block payload sizes, replaying
+// the directory log. dropped reports records discarded during replay
+// because they name no whole block or their payload extents outrun a
 // (truncated) segment file.
-func openSpillCache(dir string, h spillHeader, rowBytes [numFamilies]int64, bw int) (c *spillCache, dropped int, err error) {
+func openSpillCache(dir string, h spillHeader, blockBytes [numFamilies]int64) (c *spillCache, dropped int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, 0, err
 	}
-	c = &spillCache{dir: dir, rowBytes: rowBytes}
+	c = &spillCache{dir: dir, bw: h.bw, blockBytes: blockBytes}
 	defer func() {
 		if err != nil {
 			c.close()
@@ -311,30 +316,27 @@ func openSpillCache(dir string, h spillHeader, rowBytes [numFamilies]int64, bw i
 	// the tail after it is truncated away.
 	pos := spillHeaderSize
 	for pos+spillRecordSize <= len(raw) {
-		fam, idx, done, off, crc, ok := decodeRecord(raw[pos : pos+spillRecordSize])
+		fam, idx, worlds, off, crc, ok := decodeRecord(raw[pos : pos+spillRecordSize])
 		if !ok {
 			break
 		}
 		pos += spillRecordSize
-		if fam < 0 || fam >= numFamilies || idx < 0 || done <= 0 || done > bw {
+		if fam < 0 || fam >= numFamilies || idx < 0 || worlds != h.bw {
 			dropped++
 			continue
 		}
-		length, size := int64(done)*rowBytes[fam], c.segs[fam].size
+		length, size := blockBytes[fam], c.segs[fam].size
 		if off < 0 || length > size || off > size-length {
 			// Segment truncated behind the directory's back: drop this
-			// record. An earlier, shorter entry for the same block (whose
-			// extent was validated when replayed) stays usable — spilled
-			// prefixes are pure functions of the stream, so serving the
-			// older prefix is still exact.
+			// record. An earlier entry for the same block (whose extent was
+			// validated when replayed) stays usable.
 			dropped++
 			continue
 		}
-		if old, exists := c.entries[fam][idx]; exists {
-			c.liveBytes -= int64(old.done) * rowBytes[fam]
+		if _, exists := c.entries[fam][idx]; !exists {
+			c.liveBytes += length
 		}
-		c.entries[fam][idx] = spillEntry{done: done, off: off, crc: crc}
-		c.liveBytes += length
+		c.entries[fam][idx] = spillEntry{off: off, crc: crc}
 	}
 	c.dirSize = int64(pos)
 	if pos < len(raw) {
@@ -359,25 +361,19 @@ func (c *spillCache) close() {
 	}
 }
 
-// store persists block b's materialized prefix, superseding any shorter
-// entry for the same (family, index). It reports whether a write happened;
-// an entry already covering b.done worlds (or a previous IO failure) skips
-// the write. The caller guarantees b is unreachable by readers (evicted,
+// store persists evicted block b unless the directory already holds it
+// (blocks never change, so one record serves until a load drops it) or a
+// previous IO failure stopped spilling. It reports whether a write
+// happened. The caller guarantees b is unreachable by readers (evicted,
 // zero pins), so its payload is stable without holding block locks.
 func (c *spillCache) store(b *block) bool {
-	var data []byte
-	switch b.fam {
-	case famLabels:
-		data = int32Bytes(b.labels[:b.done*int(c.rowBytes[famLabels]/4)])
-	case famBits:
-		data = uint64Bytes(b.bits[:b.done*int(c.rowBytes[famBits]/8)])
+	data := uint64Bytes(b.bits)
+	if b.fam == famLabels {
+		data = int32Bytes(b.labels)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.broken {
-		return false
-	}
-	if e, ok := c.entries[b.fam][b.idx]; ok && e.done >= b.done {
+	if _, ok := c.entries[b.fam][b.idx]; ok || c.broken {
 		return false
 	}
 	off, err := c.segs[b.fam].append(data)
@@ -385,24 +381,21 @@ func (c *spillCache) store(b *block) bool {
 		c.broken = true
 		return false
 	}
-	crc := payloadCRC(b.fam, b.idx, b.done, data)
-	rec := encodeRecord(b.fam, b.idx, b.done, off, crc)
+	crc := payloadCRC(b.fam, b.idx, c.bw, data)
+	rec := encodeRecord(b.fam, b.idx, c.bw, off, crc)
 	if _, err := c.dirf.WriteAt(rec, c.dirSize); err != nil {
 		c.broken = true
 		return false
 	}
 	c.dirSize += spillRecordSize
-	if old, ok := c.entries[b.fam][b.idx]; ok {
-		c.liveBytes -= int64(old.done) * c.rowBytes[b.fam]
-	}
-	c.entries[b.fam][b.idx] = spillEntry{done: b.done, off: off, crc: crc}
+	c.entries[b.fam][b.idx] = spillEntry{off: off, crc: crc}
 	c.liveBytes += int64(len(data))
 	return true
 }
 
 // load tries to fill block b's payload from the disk tier, verifying the
 // payload checksum. It returns loaded=true when b now holds the spilled
-// prefix, and hadEntry=true when a directory entry existed at all — a
+// block, and hadEntry=true when a directory entry existed at all — a
 // failed load (truncated or corrupt payload) drops the entry so the block
 // is recomputed, and the caller counts it. Called under b's block mutex.
 func (c *spillCache) load(b *block) (loaded, hadEntry bool) {
@@ -412,9 +405,9 @@ func (c *spillCache) load(b *block) (loaded, hadEntry bool) {
 	if !ok {
 		return false, false
 	}
-	length := int64(e.done) * c.rowBytes[b.fam]
+	length := c.blockBytes[b.fam]
 	data, err := c.segs[b.fam].read(e.off, length)
-	if err == nil && payloadCRC(b.fam, b.idx, e.done, data) != e.crc {
+	if err == nil && payloadCRC(b.fam, b.idx, c.bw, data) != e.crc {
 		err = errors.New("worldstore: spill payload checksum mismatch")
 	}
 	if err != nil {
@@ -422,26 +415,22 @@ func (c *spillCache) load(b *block) (loaded, hadEntry bool) {
 		c.liveBytes -= length
 		return false, true
 	}
-	switch b.fam {
-	case famLabels:
-		b.labels = make([]int32, int(length)/4)
+	if b.fam == famLabels {
+		b.labels = make([]int32, length/4)
 		copy(int32Bytes(b.labels), data)
-	case famBits:
-		b.bits = make([]uint64, int(length)/8)
+	} else {
+		b.bits = make([]uint64, length/8)
 		copy(uint64Bytes(b.bits), data)
-	}
-	b.done = e.done
-	if b.fam == famBits {
-		b.ready.Store(int32(e.done))
 	}
 	return true, true
 }
 
-// entryDone returns the persisted world count of (fam, idx), 0 if absent.
-func (c *spillCache) entryDone(fam family, idx int) int {
+// has reports whether the directory holds block idx of family fam.
+func (c *spillCache) has(fam family, idx int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.entries[fam][idx].done
+	_, ok := c.entries[fam][idx]
+	return ok
 }
 
 // bytes returns the live payload bytes referenced by the directory.

@@ -1,9 +1,12 @@
 package worldstore
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ucgraph/internal/graph"
@@ -311,7 +314,7 @@ func TestReleaseAfterShrinkRestoresBudget(t *testing.T) {
 	bw := s.BlockWorlds()
 	snapshotLabels(s, 3*bw) // several resident blocks
 
-	b, _ := s.acquire(0, 1) // pin block 0
+	b := s.acquire(famLabels, 0, false) // pin block 0
 	budget := s.blockBytes(famLabels) / 2
 	s.SetBudget(budget)
 	if st := s.Stats(); st.ResidentBytes <= budget {
@@ -348,8 +351,8 @@ func TestBitsWarmDiskTier(t *testing.T) {
 	}
 	snapshotBits(spilled, bw)
 	spilled.SetBudget(1)
-	if spilled.BitsResident(0, bw) {
-		t.Fatal("evicted block should not report RAM-resident")
+	if st := spilled.Stats(); st.ResidentBitmapBlocks != 0 {
+		t.Fatalf("evicted block should not be RAM-resident: %+v", st)
 	}
 	if !spilled.BitsWarm(0, bw) {
 		t.Fatal("spilled bitmap block should be warm")
@@ -405,6 +408,81 @@ func TestSpillHostileRecordOffset(t *testing.T) {
 	}
 }
 
+// TestSpillRefusesVersion2: a directory whose header says format version
+// 2, which may hold partial-prefix records, is refused at attach like any
+// other header mismatch.
+func TestSpillRefusesVersion2(t *testing.T) {
+	g := ringGraph(t, 60, 14)
+	const seed, r = 23, 300
+	dir := t.TempDir()
+	first := New(g, seed)
+	if err := first.AttachCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	spillAll(t, first, r)
+
+	log := filepath.Join(dir, spillDirName)
+	raw, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:12], 2)
+	binary.LittleEndian.PutUint32(raw[48:52], crc32.Checksum(raw[:48], crcTable))
+	if err := os.WriteFile(log, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = New(g, seed).AttachCache(dir)
+	if err == nil || !strings.Contains(err.Error(), "format version 2") {
+		t.Fatalf("version-2 directory: AttachCache error %v, want a format version refusal", err)
+	}
+}
+
+// TestSpillDropsPartialRecord: a record that persists only a prefix of a
+// block (half of block 0's labels, with a valid record CRC and payload
+// CRC) is dropped at attach and counted, and the block is computed, so
+// scans stay bit-identical to an uncached store.
+func TestSpillDropsPartialRecord(t *testing.T) {
+	g := ringGraph(t, 60, 15)
+	const seed = 27
+	dir := t.TempDir()
+	if err := New(g, seed).AttachCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	ref := New(g, seed)
+	bw := ref.BlockWorlds()
+	var prefix []int32
+	for _, lab := range snapshotLabels(ref, bw/2) {
+		prefix = append(prefix, lab...)
+	}
+	data := int32Bytes(prefix)
+	if err := os.WriteFile(filepath.Join(dir, spillLabelsName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := encodeRecord(famLabels, 0, bw/2, 0, payloadCRC(famLabels, 0, bw/2, data))
+	f, err := os.OpenFile(filepath.Join(dir, spillDirName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(g, seed)
+	if err := s.AttachCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.CorruptDropped != 1 {
+		t.Fatalf("partial record: CorruptDropped %d, want 1", st.CorruptDropped)
+	}
+	sameLabels(t, "partial-record labels", snapshotLabels(ref, 2*bw), snapshotLabels(s, 2*bw))
+	if st := s.Stats(); st.DiskHits != 0 {
+		t.Fatalf("a partial record was served: %+v", st)
+	}
+}
+
 // FuzzSpillReplay attaches fresh stores to hostile disk tiers. It starts
 // from a real spilled cache of both families, fuzzes the raw directory
 // log and appends one more record built from fuzzed fields through
@@ -443,7 +521,7 @@ func FuzzSpillReplay(f *testing.F) {
 	// Block 0's label entry renamed to block 1: a genuine offset and
 	// payload CRC under another block's name.
 	e0 := spilled.spill.Load().entries[famLabels][0]
-	f.Add(log, uint8(famLabels), uint32(1), uint32(e0.done), uint64(e0.off), e0.crc)
+	f.Add(log, uint8(famLabels), uint32(1), uint32(bw), uint64(e0.off), e0.crc)
 
 	f.Fuzz(func(t *testing.T, log []byte, fam uint8, idx, done uint32, off uint64, crc uint32) {
 		dir := t.TempDir()

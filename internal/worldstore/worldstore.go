@@ -12,21 +12,23 @@
 // storage: connected-component labels (the unlimited-depth connectivity
 // index) and present-edge bitmaps (one bit per edge, the substrate of
 // batched depth-limited BFS — every edge coin of a world is evaluated once,
-// then a whole center batch traverses bitmap tests). A label block read by
-// a single-center tally also carries a largest-component index derived
-// from its labels (see compIndex), and on graphs of up to 4,096 nodes a
-// bitmap block read by a depth-limited tally carries a presence index
-// derived from its bitmaps (see presenceIndex), which lets one BFS answer
-// 64 worlds. Both indexes are lazy, immutable, charged to the byte
-// budget, evicted with their block and never spilled. Worlds are grouped
-// into fixed-size blocks, and within a block each artifact is stored
-// world-major in one contiguous slice, so scanning a block touches memory
-// sequentially. Blocks of both families are materialized on first access
-// and, in bounded-memory mode, evicted least-recently-used — under one
-// shared byte budget — and recomputed on the next access. Because labels
-// and bitmaps are pure functions of (graph, seed, world index), eviction
-// and recomputation never change an estimate: bounded and unbounded runs
-// are bit-identical.
+// then a whole center batch traverses bitmap tests). Worlds are grouped
+// into fixed-size blocks, and the block is the unit of materialization:
+// the first reader of a block computes (or loads from the disk tier) all
+// of its worlds, stored world-major in one contiguous slice, so scanning a
+// block touches memory sequentially, and the block never changes after.
+// A label block read by a single-center tally also carries a
+// largest-component index derived from its labels (see buildComponents),
+// and on graphs of up to 4,096 nodes a bitmap block read by a
+// depth-limited tally carries a presence index derived from its bitmaps
+// (see buildPresence), which lets one BFS answer 64 worlds. Both indexes
+// are lazy, built once, charged to the byte budget, evicted with their
+// block and never spilled. Blocks of both families are materialized on
+// first access and, in bounded-memory mode, evicted least-recently-used —
+// under one shared byte budget — and recomputed on the next access.
+// Because labels and bitmaps are pure functions of (graph, seed, world
+// index), eviction and recomputation never change an estimate: bounded
+// and unbounded runs are bit-identical.
 //
 // Stores are safe for concurrent use by multiple consumers: block
 // materialization is coordinated so exactly one goroutine computes a block
@@ -130,39 +132,27 @@ type Store struct {
 	walkPool     sync.Pool
 }
 
-// block is one materialized run of up to bw consecutive worlds of one
-// artifact family. labels (famLabels) holds component labels world-major:
-// world (base + i) occupies labels[i*n : (i+1)*n]; bits (famBits) holds
-// edge bitmaps world-major: world (base + i) occupies
-// bits[i*wpw : (i+1)*wpw]. Blocks fill front to back: worlds [0, done) are
-// materialized, and a reader needing more extends the prefix under mu —
-// so a request for a few worlds never pays for the whole block, while a
-// full scan still enjoys one contiguous, cache-friendly buffer.
-// Materialized prefixes are immutable: extension appends, and when it
-// must reallocate, earlier captured buffers keep their (identical,
-// immutable) prefix — see acquire.
+// block is one run of bw consecutive worlds of one artifact family.
+// labels (famLabels) holds component labels world-major: world (base + i)
+// occupies labels[i*n : (i+1)*n]; bits (famBits) holds edge bitmaps
+// world-major: world (base + i) occupies bits[i*wpw : (i+1)*wpw]. The
+// first reader materializes every world of the block under mu (see
+// acquire); from then on the payload and the index are immutable, and
+// readers holding a pin read them directly.
 type block struct {
 	fam     family
 	idx     int
 	bytes   int64      // nominal full-block bytes plus any index, accounted in residentBytes; guarded by Store.mu
-	mu      sync.Mutex // serializes prefix extension
-	done    int        // worlds [0, done) of the block are materialized
-	labels  []int32    // famLabels payload; grows toward bw*n, valid up to done*n
-	bits    []uint64   // famBits payload; grows toward bw*wpw, valid up to done*wpw
-	index   *compIndex // famLabels only: largest-component index, nil until first needed; guarded by mu
+	mu      sync.Mutex // serializes materialization and the index build
+	labels  []int32    // famLabels payload, bw*n; nil until materialized
+	bits    []uint64   // famBits payload, bw*wpw; nil until materialized
 	pins    int        // readers currently holding the block; guarded by Store.mu
 	lastUse uint64
-	fresh   bool // no load/compute attempt since insertion (disk probe pending); guarded by mu (the block's)
 	rebuilt bool // this block index was materialized before in this process; set at insertion
-	// ready mirrors done for lock-free residency probes. Only the bitmap
-	// family maintains it (acquireBits stores it after an extension), and
-	// only BitsResident reads it: a probe observing ready >= w knows
-	// worlds [0, w) of the bitmap block are materialized. Label blocks
-	// leave it zero — there is no label residency probe.
-	ready atomic.Int32
-	// presence is the famBits presence index, nil until a depth-limited
-	// count first needs it; guarded by mu.
-	presence *presenceIndex
+	// index is the block's derived index, nil until a count first needs
+	// it: the largest-component index of a label block (buildComponents)
+	// or the presence index of a bitmap block (buildPresence).
+	index []uint64
 }
 
 // Stats reports store observability counters. It is the snapshot the
@@ -215,7 +205,7 @@ type Stats struct {
 	// re-attaching process could load instead of recompute.
 	DiskBytes int64
 	// SpillWrites counts evicted blocks written to the disk tier (blocks
-	// whose spilled copy already covered their worlds are skipped).
+	// already on disk are skipped).
 	SpillWrites uint64
 	// CorruptDropped counts spilled entries discarded on checksum or
 	// extent validation failure — at attach (truncated segments) or on
@@ -289,6 +279,21 @@ func (s *Store) blockBytes(f family) int64 {
 		return int64(8 * s.wpw * s.bw)
 	}
 	return int64(4 * s.n * s.bw)
+}
+
+// indexWords is the number of index words per row: ceil(bw/64).
+func (s *Store) indexWords() int { return (s.bw + 63) / 64 }
+
+// indexBytes is the nominal size of one block's derived index, charged to
+// the byte budget on top of its block: indexWords words per node for a
+// label block's largest-component index, per edge for a bitmap block's
+// presence index.
+func (s *Store) indexBytes(f family) int64 {
+	rows := s.n
+	if f == famBits {
+		rows = s.g.NumEdges()
+	}
+	return int64(8 * s.indexWords() * rows)
 }
 
 // registryKey identifies a shared store. The graph is held weakly so the
@@ -369,46 +374,15 @@ func (s *Store) Worlds() int { return int(s.length.Load()) }
 // cleanly onto worker-side blocks.
 func (s *Store) BlockWorlds() int { return s.bw }
 
-// BitsResident reports whether every edge-bitmap block covering worlds
-// [lo, hi) is currently resident with the needed world prefix
-// materialized — i.e. whether a depth-limited scan over the range can be
-// answered from warm bitmaps without computing anything. It is a
+// BitsWarm reports whether every edge-bitmap block covering worlds
+// [lo, hi) is resident or persisted in the attached spill cache — i.e.
+// whether a depth-limited scan can be answered without re-evaluating edge
+// coins (a disk load is a sequential read plus checksum, orders of
+// magnitude cheaper than re-hashing every edge of every world). It is a
 // performance hint only: a block may be evicted between the probe and a
 // subsequent ScanBits (which then recomputes it, bit-identically), so
 // callers use it to choose between equivalent paths, never for
 // correctness.
-func (s *Store) BitsResident(lo, hi int) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi <= lo {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for bi := lo / s.bw; bi*s.bw < hi; bi++ {
-		b, ok := s.blocks[famBits][bi]
-		if !ok {
-			return false
-		}
-		need := hi - bi*s.bw
-		if need > s.bw {
-			need = s.bw
-		}
-		if int(b.ready.Load()) < need {
-			return false
-		}
-	}
-	return true
-}
-
-// BitsWarm is BitsResident extended by the disk tier: it reports whether
-// every edge-bitmap block covering worlds [lo, hi) is either resident
-// with the needed prefix or persisted in the attached spill cache — i.e.
-// whether a depth-limited scan can be answered without re-evaluating edge
-// coins (a disk load is a sequential read plus checksum, orders of
-// magnitude cheaper than re-hashing every edge of every world). Like
-// BitsResident it is a performance hint only, never used for correctness.
 func (s *Store) BitsWarm(lo, hi int) bool {
 	if lo < 0 {
 		lo = 0
@@ -416,29 +390,17 @@ func (s *Store) BitsWarm(lo, hi int) bool {
 	if hi <= lo {
 		return false
 	}
-	type miss struct{ bi, need int }
-	var missing []miss
+	var missing []int
 	s.mu.Lock()
 	for bi := lo / s.bw; bi*s.bw < hi; bi++ {
-		need := hi - bi*s.bw
-		if need > s.bw {
-			need = s.bw
+		if _, ok := s.blocks[famBits][bi]; !ok {
+			missing = append(missing, bi)
 		}
-		if b, ok := s.blocks[famBits][bi]; ok && int(b.ready.Load()) >= need {
-			continue
-		}
-		missing = append(missing, miss{bi, need})
 	}
 	s.mu.Unlock()
-	if len(missing) == 0 {
-		return true
-	}
 	c := s.spill.Load()
-	if c == nil {
-		return false
-	}
-	for _, m := range missing {
-		if c.entryDone(famBits, m.bi) < m.need {
+	for _, bi := range missing {
+		if c == nil || !c.has(famBits, bi) {
 			return false
 		}
 	}
@@ -537,10 +499,7 @@ func (s *Store) AttachCache(dir string) error {
 		wpw:    s.wpw,
 		bw:     s.bw,
 	}
-	var rows [numFamilies]int64
-	rows[famLabels] = int64(4 * s.n)
-	rows[famBits] = int64(8 * s.wpw)
-	c, dropped, err := openSpillCache(dir, h, rows, s.bw)
+	c, dropped, err := openSpillCache(dir, h, [numFamilies]int64{s.blockBytes(famLabels), s.blockBytes(famBits)})
 	if err != nil {
 		return err
 	}
@@ -563,20 +522,21 @@ func (s *Store) CacheDir() string {
 	return ""
 }
 
-// acquireBlock returns family f's block bi, pinned against eviction,
-// inserting (and budget-accounting) a fresh one if absent. Before an
-// insertion, enough LRU unpinned blocks of either family are evicted to
-// make room under the byte budget; the new block is admitted even when
-// the budget cannot be met, so progress never blocks on memory pressure.
-// Caller must not hold s.mu.
-func (s *Store) acquireBlock(f family, bi int) *block {
+// acquire returns family f's block bi, pinned against eviction, with all
+// of its worlds materialized and, when indexed is set, its derived index
+// built. A missing block is inserted and budget-accounted first: enough
+// LRU unpinned blocks of either family are evicted to make room under the
+// byte budget, and the new block is admitted even when the budget cannot
+// be met, so progress never blocks on memory pressure. Materialization and
+// the index build serialize on the block's mutex, so exactly one goroutine
+// computes each while later arrivals reuse the result; the first index of
+// a block is charged to the byte budget. Callers read b.labels, b.bits and
+// b.index directly and must release the block. Caller must not hold s.mu.
+func (s *Store) acquire(f family, bi int, indexed bool) *block {
 	s.mu.Lock()
 	b, ok := s.blocks[f][bi]
 	if !ok {
-		// Whether the miss ends up a disk hit or a recompute is decided at
-		// first extension (primeBlock), when the disk tier is probed —
-		// insertion only records whether this index was materialized before.
-		b = &block{fam: f, idx: bi, bytes: s.blockBytes(f), fresh: true, rebuilt: s.built[f][bi]}
+		b = &block{fam: f, idx: bi, bytes: s.blockBytes(f), rebuilt: s.built[f][bi]}
 		if s.budget > 0 {
 			s.evictLocked(s.budget - b.bytes)
 		}
@@ -593,112 +553,49 @@ func (s *Store) acquireBlock(f family, bi int) *block {
 	victims := s.takePendingLocked()
 	s.mu.Unlock()
 	s.writeSpills(victims)
+
+	b.mu.Lock()
+	if b.labels == nil && b.bits == nil {
+		s.materialize(b)
+	}
+	first := indexed && b.index == nil
+	if first && f == famLabels {
+		b.index = s.buildComponents(b.labels)
+	} else if first {
+		b.index = s.buildPresence(b.bits)
+	}
+	b.mu.Unlock()
+	if first {
+		s.chargeIndex(b, s.indexBytes(f))
+	}
 	return b
 }
 
-// acquire returns the label block bi with at least the first need worlds
-// materialized, pinned against eviction, along with the label buffer
-// captured under the block's mutex. Prefix extension serializes on that
-// mutex, so exactly one goroutine computes each world while later
-// arrivals reuse it. The buffer is sized to the materialized prefix
-// (doubling up to the full block), so a request for a few worlds never
-// allocates the whole block. A reallocation during a later extension
-// leaves earlier captured buffers intact — their materialized prefix is
-// immutable — which is why callers must read through the returned slice,
-// not through b.labels. Callers must release the block.
-func (s *Store) acquire(bi, need int) (*block, []int32) {
-	b := s.acquireBlock(famLabels, bi)
-	b.mu.Lock()
-	labels := s.growLabels(b, need)
-	b.mu.Unlock()
-	return b, labels
-}
-
-// growLabels materializes label block b up to at least need worlds and
-// returns its label buffer. The caller holds b.mu and a pin on b.
-func (s *Store) growLabels(b *block, need int) []int32 {
-	if b.fresh {
-		s.primeBlock(b)
-	}
-	if b.done < need {
-		if len(b.labels) < need*s.n {
-			worlds := 2 * b.done
-			if worlds < need {
-				worlds = need
-			}
-			if worlds > s.bw {
-				worlds = s.bw
-			}
-			grown := make([]int32, worlds*s.n)
-			copy(grown, b.labels[:b.done*s.n])
-			b.labels = grown
-		}
-		s.computeWorlds(b.idx, b.done, need, b.labels)
-		b.done = need
-	}
-	return b.labels
-}
-
-// acquireBits is acquire for the edge-bitmap family: it returns bitmap
-// block bi with at least the first need worlds filled, pinned, along with
-// the bitmap buffer captured under the block's mutex. The same prefix
-// immutability contract as acquire applies: read through the returned
-// slice, never through b.bits.
-func (s *Store) acquireBits(bi, need int) (*block, []uint64) {
-	b := s.acquireBlock(famBits, bi)
-	b.mu.Lock()
-	bits := s.growBits(b, need)
-	b.mu.Unlock()
-	return b, bits
-}
-
-// growBits materializes bitmap block b up to at least need worlds and
-// returns its bitmap buffer. The caller holds b.mu and a pin on b.
-func (s *Store) growBits(b *block, need int) []uint64 {
-	if b.fresh {
-		s.primeBlock(b)
-	}
-	if b.done < need {
-		if len(b.bits) < need*s.wpw {
-			worlds := 2 * b.done
-			if worlds < need {
-				worlds = need
-			}
-			if worlds > s.bw {
-				worlds = s.bw
-			}
-			grown := make([]uint64, worlds*s.wpw)
-			copy(grown, b.bits[:b.done*s.wpw])
-			b.bits = grown
-		}
-		s.computeBitmaps(b.idx, b.done, need, b.bits)
-		b.done = need
-		b.ready.Store(int32(need))
-	}
-	return b.bits
-}
-
-// primeBlock resolves a freshly inserted block's first extension against
-// the disk tier: a valid spilled prefix is loaded (disk hit), a spilled
-// entry that fails validation is dropped and counted (the block falls
-// through to recomputation), and a miss with no entry is classified cold
-// or recompute by whether this index was materialized before. Called
-// under b's mutex, before the compute path looks at b.done.
-func (s *Store) primeBlock(b *block) {
-	b.fresh = false
-	c := s.spill.Load()
+// materialize fills block b with all of its worlds: loaded from the disk
+// tier when that holds a valid copy (a disk hit), computed from the stream
+// otherwise. A spilled copy that fails validation is dropped and counted,
+// and a recompute is classified by whether a spilled copy existed or this
+// block index was materialized before. The caller holds b.mu and a pin on
+// b.
+func (s *Store) materialize(b *block) {
 	var loaded, hadEntry bool
-	if c != nil {
+	if c := s.spill.Load(); c != nil {
 		loaded, hadEntry = c.load(b)
 	}
 	switch {
 	case loaded:
 		s.diskHits.Add(1)
+		return
 	case hadEntry:
 		s.corruptDropped.Add(1)
 		s.noteRecompute(true)
 	case b.rebuilt:
 		s.noteRecompute(false)
+	}
+	if b.fam == famLabels {
+		b.labels = s.computeLabels(b.idx)
+	} else {
+		b.bits = s.computeBitmaps(b.idx)
 	}
 }
 
@@ -745,49 +642,49 @@ func (s *Store) writeSpills(victims []*block) {
 	}
 }
 
-// fanOutWorlds runs a per-world computation for every index in [lo, hi),
+// fanOutWorlds runs a per-world computation for every world of a block,
 // split across goroutines by par.Split. Each share calls worker() once to
 // bind its private scratch and then invokes the returned function for the
-// indices it steals off a shared cursor. Stealing only changes which share
-// computes a world, never the result: every world writes a disjoint slice
-// of the output.
-func fanOutWorlds(lo, hi int, worker func() func(i int)) {
+// world indices it steals off a shared cursor. Stealing only changes which
+// share computes a world, never the result: every world writes a disjoint
+// slice of the output.
+func (s *Store) fanOutWorlds(worker func() func(i int)) {
 	var next atomic.Int64
-	next.Store(int64(lo))
-	par.Split(hi-lo, func(int, int) {
+	par.Split(s.bw, func(int, int) {
 		compute := worker()
-		for i := int(next.Add(1)) - 1; i < hi; i = int(next.Add(1)) - 1 {
+		for i := int(next.Add(1)) - 1; i < s.bw; i = int(next.Add(1)) - 1 {
 			compute(i)
 		}
 	})
 }
 
-// computeWorlds materializes worlds [lo, hi) of block bi into labels.
+// computeLabels computes the component labels of every world of block bi.
 // Each world's labels are computed independently into a disjoint slice of
 // the buffer, so the bits do not depend on the worker count.
-func (s *Store) computeWorlds(bi, lo, hi int, labels []int32) {
+func (s *Store) computeLabels(bi int) []int32 {
+	labels := make([]int32, s.bw*s.n)
 	base := bi * s.bw
-	fanOutWorlds(lo, hi, func() func(int) {
+	s.fanOutWorlds(func() func(int) {
 		uf := graph.NewUnionFind(s.n)
 		return func(i int) {
-			w := sampler.World{G: s.g, Seed: s.seed, Index: uint64(base + i)}
-			w.ComponentLabels(uf, labels[i*s.n:(i+1)*s.n])
+			s.World(base+i).ComponentLabels(uf, labels[i*s.n:(i+1)*s.n])
 		}
 	})
+	return labels
 }
 
-// computeBitmaps materializes the edge bitmaps of worlds [lo, hi) of block
-// bi into bits. Each world's bitmap is filled independently into a
-// disjoint slice of the buffer, so the bits do not depend on the worker
-// count.
-func (s *Store) computeBitmaps(bi, lo, hi int, bits []uint64) {
+// computeBitmaps computes the edge bitmaps of every world of block bi.
+// Each world's bitmap is filled independently into a disjoint slice of the
+// buffer, so the bits do not depend on the worker count.
+func (s *Store) computeBitmaps(bi int) []uint64 {
+	bits := make([]uint64, s.bw*s.wpw)
 	base := bi * s.bw
-	fanOutWorlds(lo, hi, func() func(int) {
+	s.fanOutWorlds(func() func(int) {
 		return func(i int) {
-			w := sampler.World{G: s.g, Seed: s.seed, Index: uint64(base + i)}
-			w.FillEdgeBitmap(bits[i*s.wpw : (i+1)*s.wpw])
+			s.World(base + i).FillEdgeBitmap(bits[i*s.wpw : (i+1)*s.wpw])
 		}
 	})
+	return bits
 }
 
 // release unpins a block acquired with acquire. When the last pin drops
@@ -819,8 +716,9 @@ func (s *Store) evictLocked(maxBytes int64) {
 		var victim *block
 		for f := range s.blocks {
 			for _, b := range s.blocks[f] {
-				// pins == 0 implies no goroutine is reading or extending the
-				// block: extension happens while its requester holds a pin.
+				// pins == 0 implies no goroutine is reading or materializing
+				// the block: materialization happens while its requester
+				// holds a pin, so an unpinned block is whole.
 				if b.pins > 0 {
 					continue
 				}
@@ -839,7 +737,7 @@ func (s *Store) evictLocked(maxBytes int64) {
 		// forgotten. The write happens after s.mu is released (the victim is
 		// privately owned once out of the map): callers that can evict drain
 		// the queue via takePendingLocked + writeSpills.
-		if victim.done > 0 && s.spill.Load() != nil {
+		if s.spill.Load() != nil {
 			s.pendingSpill = append(s.pendingSpill, victim)
 		}
 	}
@@ -873,17 +771,10 @@ func (s *Store) ScanCtx(ctx context.Context, lo, hi int, fn func(i int, labels [
 			return err
 		}
 		base := bi * s.bw
-		start, end := lo, hi
-		if start < base {
-			start = base
-		}
-		if end > base+s.bw {
-			end = base + s.bw
-		}
-		b, labels := s.acquire(bi, end-base)
-		for i := start; i < end; i++ {
+		b := s.acquire(famLabels, bi, false)
+		for i := max(lo, base); i < min(hi, base+s.bw); i++ {
 			off := (i - base) * s.n
-			fn(i, labels[off:off+s.n:off+s.n])
+			fn(i, b.labels[off:off+s.n:off+s.n])
 		}
 		s.release(b)
 	}
@@ -962,17 +853,10 @@ func (s *Store) ScanBits(lo, hi int, fn func(i int, bits []uint64)) {
 	s.Grow(hi)
 	for bi := lo / s.bw; bi*s.bw < hi; bi++ {
 		base := bi * s.bw
-		start, end := lo, hi
-		if start < base {
-			start = base
-		}
-		if end > base+s.bw {
-			end = base + s.bw
-		}
-		b, bits := s.acquireBits(bi, end-base)
-		for i := start; i < end; i++ {
+		b := s.acquire(famBits, bi, false)
+		for i := max(lo, base); i < min(hi, base+s.bw); i++ {
 			off := (i - base) * s.wpw
-			fn(i, bits[off:off+s.wpw:off+s.wpw])
+			fn(i, b.bits[off:off+s.wpw:off+s.wpw])
 		}
 		s.release(b)
 	}

@@ -524,42 +524,32 @@ func TestScanCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestBitsResident: the residency probe tracks bitmap-block
-// materialization, prefix extension and eviction — and never reports a
-// range the store could not answer warm.
-func TestBitsResident(t *testing.T) {
+// TestScanMaterializesWholeBlocks: the first reader of a block
+// materializes all of its worlds, so the bitmap block reads as warm over
+// its whole range (and no further) and a later read of the rest of either
+// block materializes nothing. Label blocks never satisfy the bitmap probe,
+// and an empty range is never warm.
+func TestScanMaterializesWholeBlocks(t *testing.T) {
 	g := ringGraph(t, 48, 3)
 	s := New(g, 5)
 	bw := s.BlockWorlds()
-	if s.BitsResident(0, 1) {
-		t.Fatal("fresh store should have no resident bitmaps")
+	s.Scan(0, 1, func(int, []int32) {})
+	if got := len(s.blocks[famLabels][0].labels); got != bw*s.NumNodes() {
+		t.Fatalf("a one-world read materialized %d labels, want the whole block's %d", got, bw*s.NumNodes())
 	}
-	// Materialize a partial first block.
-	s.ScanBits(0, bw/2, func(int, []uint64) {})
-	if !s.BitsResident(0, bw/2) {
-		t.Fatal("materialized prefix should be resident")
+	if s.BitsWarm(0, 1) || s.BitsWarm(5, 5) || s.BitsWarm(-3, 0) {
+		t.Fatal("a label block or an empty range satisfied the bitmap probe")
 	}
-	if s.BitsResident(0, bw/2+1) || s.BitsResident(bw, bw+1) {
-		t.Fatal("unmaterialized worlds reported resident")
+	s.ScanBits(0, 1, func(int, []uint64) {})
+	if !s.BitsWarm(0, bw) {
+		t.Fatal("a one-world read left the rest of the bitmap block cold")
 	}
-	// Extend across two full blocks.
-	s.ScanBits(0, 2*bw, func(int, []uint64) {})
-	if !s.BitsResident(bw/3, 2*bw) {
-		t.Fatal("full range should be resident")
+	if s.BitsWarm(0, bw+1) {
+		t.Fatal("a range past the first bitmap block reported warm")
 	}
-	// Label blocks must not satisfy a bitmap probe.
-	s2 := New(g, 5)
-	s2.Scan(0, bw, func(int, []int32) {})
-	if s2.BitsResident(0, bw) {
-		t.Fatal("label blocks satisfied a bitmap residency probe")
-	}
-	// Eviction clears residency.
-	s.SetBudget(1)
-	if s.BitsResident(0, 2*bw) {
-		t.Fatal("evicted blocks reported resident")
-	}
-	// Degenerate ranges are never "resident".
-	if s.BitsResident(5, 5) || s.BitsResident(-3, 0) {
-		t.Fatal("empty range reported resident")
+	s.ScanBits(0, bw, func(int, []uint64) {})
+	s.Scan(0, bw, func(int, []int32) {})
+	if st := s.Stats(); st.Materializations != 2 || st.Hits != 2 {
+		t.Fatalf("reading the rest of both blocks: %+v, want 2 materializations and 2 hits", st)
 	}
 }
