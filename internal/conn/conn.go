@@ -270,40 +270,23 @@ func (mc *MonteCarlo) FromCenterCtx(ctx context.Context, c graph.NodeID, depth i
 
 // ctxChunk is how many worlds a cancellable extension advances between
 // context checks: large enough that the check is free relative to the
-// per-world label scans, small enough that deadlines are honored within
-// tens of milliseconds on laptop-scale graphs. Chunking never changes an
+// tallies, small enough that deadlines are honored within tens of
+// milliseconds on laptop-scale graphs. Chunking never changes an
 // estimate — counts are exact integer tallies whatever the boundaries.
 const ctxChunk = 1024
-
-// extendChunked brings tally up to r worlds in ctxChunk-world steps,
-// checking ctx between steps. tally.rDone advances with each completed
-// step, so an aborted extension leaves a valid shorter tally. The caller
-// holds tally.mu.
-func (mc *MonteCarlo) extendChunked(ctx context.Context, key cacheKey, tally *centerTally, r int) error {
-	for tally.rDone < r {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		next := tally.rDone + ctxChunk
-		if next > r {
-			next = r
-		}
-		mc.extend(key, tally, next)
-		tally.rDone = next
-	}
-	return nil
-}
 
 // FromCenters implements the batched Oracle query: one estimate vector per
 // center, equal to FromCenter(c, depth, r) for each c. The batch shares
 // the per-center tally cache with FromCenter; centers whose tallies need
 // extension are answered together, split across goroutines, each share
-// handing its whole center subset to one store call — label
-// blocks (worldstore.CountConnectedFromMulti) for unlimited depth,
-// edge-bitmap blocks (worldstore.CountWithinMulti, whose kernel the store
-// picks for its block width) for depth-limited queries. Workers write
-// into disjoint tallies, so the counts — and the estimates — are
-// bit-identical to a serial per-center loop for any worker count.
+// handing its whole center subset to one store call, which reads each
+// block once for the subset — the label blocks' largest-component indexes
+// (worldstore.CountConnectedFromMulti) for unlimited depth, edge-bitmap
+// blocks (worldstore.CountWithinMulti, whose kernel the store picks for
+// its block width) for depth-limited queries. A lone pending center has
+// its world range split across goroutines instead. Workers write into
+// disjoint tallies, so the counts — and the estimates — are bit-identical
+// to a serial per-center loop for any worker count.
 func (mc *MonteCarlo) FromCenters(cs []graph.NodeID, depth int, r int) [][]float64 {
 	out, _ := mc.FromCentersCtx(context.Background(), cs, depth, r)
 	return out
@@ -375,16 +358,11 @@ func (mc *MonteCarlo) FromCentersCtx(ctx context.Context, cs []graph.NodeID, dep
 		if err := mc.extendExternal(ctx, pending, depth, r); err != nil {
 			return nil, err
 		}
-	case len(pending) == 1:
-		// A single center gets the world-sharded extension.
-		if err := mc.extendChunked(ctx, pending[0].key, pending[0].tally, r); err != nil {
-			return nil, err
-		}
 	default:
-		// Batched extension for every depth: unlimited batches answer from
-		// one label scan per world, depth-limited batches from the edge
-		// bitmaps — see extendBatch.
-		if err := mc.extendBatchChunked(ctx, pending, r); err != nil {
+		// Local extension in ctx-checked chunks: one pass over each block
+		// of the store for the whole batch, or a world-split range for a
+		// lone center — see extendBatch.
+		if err := mc.extendChunked(ctx, pending, r); err != nil {
 			return nil, err
 		}
 	}
@@ -423,12 +401,12 @@ func (mc *MonteCarlo) extendExternal(ctx context.Context, pending []*batchSlot, 
 	return nil
 }
 
-// extendBatchChunked advances every pending tally to r worlds in bounded
+// extendChunked advances every pending tally to r worlds in bounded
 // steps, checking ctx between steps. Each step raises the laggard tallies
-// to the next ctxChunk boundary via the batched extendBatch, so an aborted
-// call leaves every tally consistent at its current rDone. The caller
-// holds every pending tally's lock.
-func (mc *MonteCarlo) extendBatchChunked(ctx context.Context, pending []*batchSlot, r int) error {
+// to the next ctxChunk boundary via extendBatch, so an aborted call
+// leaves every tally consistent at its current rDone. The caller holds
+// every pending tally's lock.
+func (mc *MonteCarlo) extendChunked(ctx context.Context, pending []*batchSlot, r int) error {
 	for {
 		minDone := r
 		for _, sl := range pending {
@@ -456,10 +434,11 @@ func (mc *MonteCarlo) extendBatchChunked(ctx context.Context, pending []*batchSl
 	}
 }
 
-// extendBatch brings every pending tally up to r worlds of counts. The
-// pending centers are split into contiguous subsets, one per share of
-// par.Split; each share answers its subset with a single store call —
-// CountConnectedFromMulti (label scans) for unlimited depth,
+// extendBatch brings every pending tally up to r worlds of counts. A lone
+// tally gets the world-split extend. Otherwise the pending centers are
+// split into contiguous subsets, one per share of par.Split; each share
+// answers its subset with a single store call — CountConnectedFromMulti
+// (the label blocks' largest-component indexes) for unlimited depth,
 // CountWithinMulti (edge-bitmap BFS) for depth-limited queries — writing
 // directly into its tallies' count vectors. No two shares touch the same
 // tally and each tally's counts depend only on (store, depth, lo, r), so
@@ -467,6 +446,11 @@ func (mc *MonteCarlo) extendBatchChunked(ctx context.Context, pending []*batchSl
 // pending tally's lock; all slots share one depth (FromCenters batches are
 // per-depth).
 func (mc *MonteCarlo) extendBatch(pending []*batchSlot, r int) {
+	if len(pending) == 1 {
+		mc.extend(pending[0].key, pending[0].tally, r)
+		pending[0].tally.rDone = r
+		return
+	}
 	mc.store.Grow(r)
 	depth := pending[0].key.depth
 	par.Split(len(pending), func(i, k int) {

@@ -211,9 +211,10 @@ func MinPartialCtx(ctx context.Context, o conn.Oracle, rnd *rng.Xoshiro256, p Pa
 		// Lines 5-6: score candidates by |Mv| and keep the best. The
 		// candidates are handed to the oracle in chunks via the batched
 		// FromCenters query, which answers a whole chunk in one pass over
-		// each world block at any depth — label scans for Algorithm 1,
-		// edge-bitmap frontier BFS for the d-limited disks of Algorithm 4
-		// (see conn.MonteCarlo.FromCenters); chunking
+		// each world block at any depth — the label blocks'
+		// largest-component indexes for Algorithm 1, the edge bitmaps for
+		// the d-limited disks of Algorithm 4 (see
+		// conn.MonteCarlo.FromCenters); chunking
 		// bounds the estimate vectors held in memory to scoreChunk * n
 		// floats even when alpha is the whole uncovered set. Scoring each
 		// returned vector against the uncovered set fans out through

@@ -18,7 +18,7 @@ import (
 const (
 	// KindConnected tallies, per center and node, the worlds where the
 	// node shares a component with the center (unlimited-depth connection
-	// counts; label scans).
+	// counts, from the label blocks' largest-component indexes).
 	KindConnected = "connected"
 	// KindWithin is the depth-limited form of KindConnected (edge-bitmap
 	// BFS within Depth hops).
@@ -105,12 +105,7 @@ var kinds = [...]tallyKind{
 			return validNodes(g, "u/v", []int32{req.U, req.V})
 		},
 		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {
-			var cnt int64
-			err := ws.ScanCtx(ctx, rg.Lo, rg.Hi, func(_ int, lab []int32) {
-				if lab[req.U] == lab[req.V] {
-					cnt++
-				}
-			})
+			cnt, err := ws.CountPairCtx(ctx, req.U, req.V, rg.Lo, rg.Hi)
 			return &TallyResponse{Count: cnt}, err
 		}},
 	{name: KindDistances, code: 4, shape: histograms,

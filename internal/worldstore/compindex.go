@@ -2,28 +2,33 @@ package worldstore
 
 import (
 	"math/bits"
+	"slices"
 
 	"ucgraph/internal/graph"
 )
 
 // The largest-component index is a label block's derived artifact for
-// single-center connection tallies. In a world where center c lies in the
-// world's largest component, the nodes connected to c are exactly that
-// component's nodes, so over a run of worlds node u's count is the number
-// of worlds in which both u and c belong to it: one popcount of u's
-// membership word ANDed with c's, per 64 worlds, instead of one label
+// unlimited-depth center tallies. Per world of the block it marks the
+// members of one component, the plurality component of componentProbes
+// evenly spaced nodes, which is the world's largest component whenever
+// one component holds a clear share of the nodes. In a world where center
+// c lies in the indexed component, the nodes connected to c are exactly
+// that component's nodes, so over a run of worlds node u's count is the
+// number of worlds in which both u and c belong to it: one popcount of
+// u's membership word ANDed with c's, per 64 worlds, instead of one label
 // compare per world. Sparse graphs whose worlds have a giant component
 // (the protein-interaction networks of the paper's experiments: in a
 // Krogan world the average node shares its component with about 77% of
 // all nodes) are answered almost entirely by popcounts. In the remaining
 // worlds c's component is walked over the graph's adjacency restricted to
 // c's label, and a walk that outgrows walkBudget falls back to scanning
-// that world's labels.
+// that world's labels. Any indexed component keeps the counts exact; the
+// largest makes the most worlds cheap.
 //
-// The index of a block is built once, by the first CountConnectedFrom
-// that reads the block (see acquire). It is counted in the block's bytes,
-// dropped with the block on eviction and never spilled; a reloaded block
-// rebuilds it on first use.
+// The index of a block is built once, by the first unlimited-depth center
+// tally that reads the block (see acquire). It is counted in the block's
+// bytes, dropped with the block on eviction and never spilled; a reloaded
+// block rebuilds it on first use.
 
 // walkBudget bounds the adjacency entries a component walk may examine
 // before it falls back to a label scan. A walk reads the labels at random
@@ -40,24 +45,27 @@ type componentWalk struct {
 	queue []graph.NodeID
 }
 
+// componentProbes is how many evenly spaced nodes vote for the component a
+// world's index row holds.
+const componentProbes = 64
+
 // buildComponents returns the largest-component index of a label block
 // whose labels are given: bit w%64 of member[(w/64)*n + u] is set iff node
-// u lies in world w's largest component. Any component would make the
-// counts exact; the largest makes the most worlds cheap.
+// u lies in world w's indexed component, the component holding the most
+// of the nodes i*n/componentProbes (the one with the smallest label on a
+// tie). Finding it reads componentProbes labels instead of counting the
+// size of every component.
 func (s *Store) buildComponents(labels []int32) []uint64 {
 	n := s.n
 	member := make([]uint64, s.indexWords()*n)
-	size := make([]int32, n)
+	var probes [componentProbes]int32
+	np := min(n, componentProbes)
 	for w := 0; w < s.bw; w++ {
 		lab := labels[w*n : (w+1)*n]
-		clear(size)
-		big := lab[0]
-		for _, l := range lab {
-			size[l]++
-			if size[l] > size[big] {
-				big = l
-			}
+		for i := range np {
+			probes[i] = lab[i*n/np]
 		}
+		big := plurality(probes[:np])
 		row := member[(w/64)*n : (w/64+1)*n]
 		bit := uint64(1) << (w % 64)
 		for u, l := range lab {
@@ -67,6 +75,24 @@ func (s *Store) buildComponents(labels []int32) []uint64 {
 		}
 	}
 	return member
+}
+
+// plurality sorts p, which must be non-empty, and returns its most
+// frequent value, the smallest one on a tie.
+func plurality(p []int32) int32 {
+	slices.Sort(p)
+	best, run := p[0], 0
+	for i := 0; i < len(p); {
+		j := i + 1
+		for j < len(p) && p[j] == p[i] {
+			j++
+		}
+		if j-i > run {
+			best, run = p[i], j-i
+		}
+		i = j
+	}
+	return best
 }
 
 // chargeIndex adds a block's new index of the given size (a label block's
@@ -88,42 +114,56 @@ func (s *Store) chargeIndex(b *block, bytes int64) {
 
 // CountConnectedFrom adds, for every node u, the number of worlds in
 // [lo, hi) where u and c share a component, into counts (length NumNodes).
-// counts is not cleared, so callers can accumulate across ranges.
-//
-// Each label block is answered from its largest-component index: every
-// node adds the popcount of its membership bits ANDed with c's over the
-// range, which counts the worlds where c lies in the largest component.
-// In the other worlds c's own component is walked (see countComponent).
-// The counts are the same integers a per-world label scan adds.
+// counts is not cleared, so callers can accumulate across ranges. It is
+// the one-center CountConnectedFromMulti.
 func (s *Store) CountConnectedFrom(c graph.NodeID, lo, hi int, counts []int32) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi <= lo {
+	s.CountConnectedFromMulti([]graph.NodeID{c}, []int{lo}, hi, [][]int32{counts})
+}
+
+// CountConnectedFromMulti adds, for each center cs[j] and every node u,
+// the number of worlds in [lo[j], hi) where u and cs[j] share a component,
+// into counts[j] (length NumNodes, not cleared).
+//
+// Each label block covering [min lo, hi) is acquired once and answers
+// every center from its largest-component index: every node adds the
+// popcount of its membership bits ANDed with the center's over the
+// center's worlds of the block, which counts the worlds where the center
+// lies in the indexed component. In the other worlds the center's own
+// component is walked (see countComponent). The counts are the same
+// integers a per-world label scan adds, whatever the batch: each center's
+// counts depend on its own range alone.
+func (s *Store) CountConnectedFromMulti(cs []graph.NodeID, lo []int, hi int, counts [][]int32) {
+	first := batchStart(lo, hi)
+	if len(cs) == 0 || first >= hi {
 		return
 	}
 	s.Grow(hi)
 	n := s.n
-	counts = counts[:n:n]
 	var wk *componentWalk
-	for bi := lo / s.bw; bi*s.bw < hi; bi++ {
+	for bi := first / s.bw; bi*s.bw < hi; bi++ {
 		base := bi * s.bw
-		start, end := max(lo, base)-base, min(hi, base+s.bw)-base
 		b := s.acquire(famLabels, bi, true)
-		for k := start / 64; k*64 < end; k++ {
-			span, cm := worldMask(k, start, end), b.index[k*n+int(c)]
-			if in := cm & span; in != 0 {
-				row := b.index[k*n : (k+1)*n]
-				for u, x := range row {
-					counts[u] += int32(bits.OnesCount64(x & in))
-				}
+		for j, c := range cs {
+			start, end := max(lo[j], base)-base, min(hi, base+s.bw)-base
+			if start >= end {
+				continue
 			}
-			for out := span &^ cm; out != 0; out &= out - 1 {
-				w := 64*k + bits.TrailingZeros64(out)
-				if wk == nil {
-					wk = s.walkPool.Get().(*componentWalk)
+			cnt := counts[j][:n:n]
+			for k := start / 64; k*64 < end; k++ {
+				span, cm := worldMask(k, start, end), b.index[k*n+int(c)]
+				if in := cm & span; in != 0 {
+					row := b.index[k*n : (k+1)*n]
+					for u, x := range row {
+						cnt[u] += int32(bits.OnesCount64(x & in))
+					}
 				}
-				s.countComponent(wk, b.labels[w*n:(w+1)*n], c, counts)
+				for out := span &^ cm; out != 0; out &= out - 1 {
+					w := 64*k + bits.TrailingZeros64(out)
+					if wk == nil {
+						wk = s.walkPool.Get().(*componentWalk)
+					}
+					s.countComponent(wk, b.labels[w*n:(w+1)*n], c, cnt)
+				}
 			}
 		}
 		s.release(b)
@@ -133,7 +173,17 @@ func (s *Store) CountConnectedFrom(c graph.NodeID, lo, hi int, counts []int32) {
 	}
 }
 
-// worldMask returns the bits of membership word k that cover the block's
+// batchStart returns the first world a center batch counts: the smallest
+// lo[j], clamped to 0, or hi when every range is empty.
+func batchStart(lo []int, hi int) int {
+	first := hi
+	for _, l := range lo {
+		first = min(first, max(l, 0))
+	}
+	return first
+}
+
+// worldMask returns the bits of index word k that cover the block's
 // worlds [start, end); the word must overlap the range.
 func worldMask(k, start, end int) uint64 {
 	a, b := max(start-64*k, 0), min(end-64*k, 64)

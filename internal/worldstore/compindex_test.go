@@ -286,27 +286,87 @@ func TestCountConnectedFromChargesIndex(t *testing.T) {
 	if st := s.Stats(); st.ResidentBytes != 0 || st.ResidentBlocks != 0 {
 		t.Fatalf("eviction left %d bytes in %d blocks", st.ResidentBytes, st.ResidentBlocks)
 	}
+	// A batch charges the index of every label block it reads.
+	s.SetBudget(0)
+	s.CountConnectedFromMulti([]graph.NodeID{0, 1}, []int{0, bw}, 2*bw,
+		[][]int32{make([]int32, g.NumNodes()), make([]int32, g.NumNodes())})
+	if st := s.Stats(); st.ResidentBytes != 2*(label+index) {
+		t.Fatalf("batch over two blocks: ResidentBytes %d, want 2*(label %d + index %d)", st.ResidentBytes, label, index)
+	}
 }
 
-// BenchmarkCountConnectedFrom times one center's tally over the first r
-// worlds of a warm store (labels materialized, index built), indexed and
-// with the reference scan, on the three shapes of indexShapes.
+// TestCountConnectedFromIndexNotLargest builds worlds whose indexed
+// component is not the largest: the probed nodes i*n/componentProbes are
+// joined by p = 1 edges into one small component, and every other node
+// lies on one longer p = 1 path. Centers on both sides, single and
+// batched, must still count exactly.
+func TestCountConnectedFromIndexNotLargest(t *testing.T) {
+	const n, stride = 8 * componentProbes, 8
+	var edges []graph.Edge
+	for u := int32(stride); u < n; u += stride {
+		edges = append(edges, graph.Edge{U: u - stride, V: u, P: 1})
+	}
+	prev := int32(1)
+	for u := int32(2); u < n; u++ {
+		if u%stride != 0 {
+			edges = append(edges, graph.Edge{U: prev, V: u, P: 1})
+			prev = u
+		}
+	}
+	g := mustGraph(t, n, edges)
+	ref, s := New(g, 3), New(g, 3)
+	bw := s.BlockWorlds()
+	s.CountConnectedFrom(0, 0, 1, make([]int32, n))
+	index := s.blocks[famLabels][0].index
+	probe, path := index[0]&1, index[1]&1
+	if probe != 1 || path != 0 {
+		t.Fatalf("world 0 indexes node 0: %d, node 1: %d; want the probed component", probe, path)
+	}
+	cs := []graph.NodeID{0, 1, n - stride, n - 1}
+	lo := []int{0, 3, bw - 1, bw + 7}
+	hi := 2*bw + 5
+	got, want := make([][]int32, len(cs)), make([][]int32, len(cs))
+	for j, c := range cs {
+		got[j], want[j] = make([]int32, n), make([]int32, n)
+		scanConnectedFrom(ref, c, lo[j], hi, want[j])
+		single := make([]int32, n)
+		s.CountConnectedFrom(c, lo[j], hi, single)
+		sameCounts(t, fmt.Sprintf("single center %d", c), want[j:j+1], [][]int32{single})
+	}
+	s.CountConnectedFromMulti(cs, lo, hi, got)
+	sameCounts(t, "batch", want, got)
+}
+
+// BenchmarkCountConnectedFrom times center tallies over the first r worlds
+// of a warm store (labels materialized, index built) on the three shapes
+// of indexShapes: one center indexed and with the reference scan, and a
+// 16-center CountConnectedFromMulti batch.
 func BenchmarkCountConnectedFrom(b *testing.B) {
 	for _, sh := range indexShapes(b) {
 		for _, r := range []int{50, 512} {
 			s := New(sh.g, 7)
-			counts := make([]int32, s.NumNodes())
+			n := s.NumNodes()
+			counts := make([]int32, n)
 			s.CountConnectedFrom(0, 0, r, counts)
+			cs, lo, batch := make([]graph.NodeID, 16), make([]int, 16), make([][]int32, 16)
+			for j := range cs {
+				cs[j], batch[j] = graph.NodeID(j*n/len(cs)), make([]int32, n)
+			}
 			for _, k := range []struct {
 				name  string
 				count func()
 			}{
-				{"indexed", func() { s.CountConnectedFrom(0, 0, r, counts) }},
-				{"scan", func() { scanConnectedFrom(s, 0, 0, r, counts) }},
+				{"indexed", func() { clear(counts); s.CountConnectedFrom(0, 0, r, counts) }},
+				{"scan", func() { clear(counts); scanConnectedFrom(s, 0, 0, r, counts) }},
+				{"multi16", func() {
+					for _, row := range batch {
+						clear(row)
+					}
+					s.CountConnectedFromMulti(cs, lo, r, batch)
+				}},
 			} {
 				b.Run(fmt.Sprintf("%s/r=%d/%s", sh.name, r, k.name), func(b *testing.B) {
 					for b.Loop() {
-						clear(counts)
 						k.count()
 					}
 					b.ReportMetric(float64(r), "worlds/op")

@@ -32,11 +32,13 @@ func dblpGraph(tb testing.TB, authors int) *graph.Uncertain {
 
 // TestPaperScaleTieredSmoke drives a DBLP-shaped graph through the full
 // tier order — spill on eviction, reload from disk, recompute on miss —
-// and checks the worlds stay bit-identical to an unbounded RAM store.
+// and checks the worlds, and batched tallies over them, stay bit-identical
+// to an unbounded RAM store. Both sizes give blocks narrower than one
+// 64-world index word (about 13 and 44 worlds), as on paper-scale graphs.
 func TestPaperScaleTieredSmoke(t *testing.T) {
 	authors := 20000
 	if testing.Short() {
-		authors = 4000
+		authors = 6000
 	}
 	g := dblpGraph(t, authors)
 	const seed = 23
@@ -81,6 +83,20 @@ func TestPaperScaleTieredSmoke(t *testing.T) {
 			i++
 		})
 	}
+	// Batched unlimited-depth tallies on the tiered store against the
+	// reference scan: staggered starts, a duplicate center and a one-world
+	// range.
+	n, bw := g.NumNodes(), tiered.BlockWorlds()
+	cs := []graph.NodeID{0, 17, 17, graph.NodeID(n / 2), graph.NodeID(n - 1)}
+	lo := []int{0, 5, bw + 1, 3*bw - 2, worlds - 1}
+	got, want := make([][]int32, len(cs)), make([][]int32, len(cs))
+	for j, c := range cs {
+		got[j], want[j] = make([]int32, n), make([]int32, n)
+		scanConnectedFrom(ref, c, lo[j], worlds, want[j])
+	}
+	tiered.CountConnectedFromMulti(cs, lo, worlds, got)
+	sameCounts(t, "tiered batch", want, got)
+
 	st := tiered.Stats()
 	if st.SpillWrites == 0 || st.DiskHits == 0 {
 		t.Fatalf("tiered scan never exercised the disk tier: %+v", st)

@@ -82,52 +82,27 @@ func newPackedBFS(n int) *packedBFS {
 
 // CountWithinFrom adds, for every node u, the number of worlds in [lo, hi)
 // where u is within depth hops of c, into counts (length NumNodes, not
-// cleared). depth < 0 means unconstrained reachability. It is the
-// depth-limited twin of CountConnectedFrom.
+// cleared). depth < 0 means unconstrained reachability.
 //
-// The store picks the kernel by its block width, never by the caller:
-//   - Blocks of at least 64 worlds (graphs of up to 4,096 nodes) answer
-//     from their bitmap blocks' presence indexes, one traversal per 64
-//     worlds, materializing the bitmaps and the index on first use.
-//   - Narrower blocks answer from resident or spilled bitmaps through the
-//     per-world multi-center kernel when the whole range is warm, and
-//     otherwise on the implicit world stream (sampler.ReachCounter),
-//     because filling bitmap blocks for one center has nothing to
-//     amortize there.
-//
-// Every kernel adds the same integers: a reach set is a function of the
-// world's edge set alone.
+// Like CountConnectedFrom it is the one-center call of its batched form,
+// CountWithinMulti, except on blocks too narrow for the presence index
+// whose range is not wholly resident or spilled: those count on the
+// implicit world stream (sampler.ReachCounter), because filling bitmap
+// blocks for one center has nothing to amortize there. Every kernel adds
+// the same integers: a reach set is a function of the world's edge set
+// alone.
 func (s *Store) CountWithinFrom(c graph.NodeID, depth, lo, hi int, counts []int32) {
-	if lo < 0 {
-		lo = 0
-	}
+	lo = max(lo, 0)
 	if hi <= lo {
 		return
 	}
-	if !s.packed() {
-		if s.BitsWarm(lo, hi) {
-			s.countWithinUnpacked([]graph.NodeID{c}, depth, []int{lo}, hi, [][]int32{counts})
-			return
-		}
-		rc := s.implicitPool.Get().(*sampler.ReachCounter)
-		rc.CountWithin(c, depth, lo, hi, counts)
-		s.implicitPool.Put(rc)
+	if s.packed() || s.BitsWarm(lo, hi) {
+		s.CountWithinMulti([]graph.NodeID{c}, depth, []int{lo}, hi, [][]int32{counts})
 		return
 	}
-	s.Grow(hi)
-	m := s.g.NumEdges()
-	counts = counts[:s.n:s.n]
-	p := s.packPool.Get().(*packedBFS)
-	for bi := lo / s.bw; bi*s.bw < hi; bi++ {
-		base := bi * s.bw
-		start, end := max(lo, base)-base, min(hi, base+s.bw)-base
-		b := s.acquire(famBits, bi, true)
-		for k := start / 64; k*64 < end; k++ {
-			s.countPacked(p, b.index[k*m:(k+1)*m], c, depth, worldMask(k, start, end), counts)
-		}
-		s.release(b)
-	}
-	s.packPool.Put(p)
+	rc := s.implicitPool.Get().(*sampler.ReachCounter)
+	rc.CountWithin(c, depth, lo, hi, counts)
+	s.implicitPool.Put(rc)
 }
 
 // countPacked runs one packed traversal from c over the worlds selected by

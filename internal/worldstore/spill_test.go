@@ -2,6 +2,7 @@ package worldstore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -102,10 +103,57 @@ func TestSpillBitIdenticalAcrossTiers(t *testing.T) {
 
 	recomputed := New(g, seed)
 	recomputed.SetBudget(1)
-	sameLabels(t, "recomputed labels", wantLabels, snapshotLabels(recomputed, r))
-	sameCounts(t, "recomputed within", wantWithin, countsWithin(recomputed, cs, depth, r))
+	for pass := 0; pass < 2; pass++ {
+		sameLabels(t, "recomputed labels", wantLabels, snapshotLabels(recomputed, r))
+		sameCounts(t, "recomputed within", wantWithin, countsWithin(recomputed, cs, depth, r))
+	}
 	if st := recomputed.Stats(); st.DiskHits != 0 || st.Recomputes == 0 {
 		t.Fatalf("cacheless bounded store should recompute, not disk-hit: %+v", st)
+	}
+}
+
+// TestBatchLoadsEachBlockOnce: a center batch reads each block once,
+// whatever its center count. Four centers over four spilled Krogan blocks
+// of either family, under a budget of one indexed block, load four blocks
+// from the disk tier, not one per center and block.
+func TestBatchLoadsEachBlockOnce(t *testing.T) {
+	g := packedShapes(t)[0].g
+	const depth = 2
+	cs := []graph.NodeID{0, 7, 300, 1500}
+	for _, f := range []family{famLabels, famBits} {
+		s := New(g, 8)
+		if err := s.AttachCache(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		n, r := s.NumNodes(), 4*s.BlockWorlds()
+		got, want := make([][]int32, len(cs)), make([][]int32, len(cs))
+		for j := range cs {
+			got[j], want[j] = make([]int32, n), make([]int32, n)
+		}
+		if f == famLabels {
+			ref := New(g, 8)
+			for j, c := range cs {
+				scanConnectedFrom(ref, c, 0, r, want[j])
+			}
+			snapshotLabels(s, r)
+		} else {
+			for j, c := range cs {
+				want[j] = reachWithin(s, c, depth, 0, r)
+			}
+			snapshotBits(s, r)
+		}
+		s.SetBudget(1) // spill every block
+		s.SetBudget(s.blockBytes(f) + s.indexBytes(f))
+		before := s.Stats()
+		if f == famLabels {
+			s.CountConnectedFromMulti(cs, make([]int, len(cs)), r, got)
+		} else {
+			s.CountWithinMulti(cs, depth, make([]int, len(cs)), r, got)
+		}
+		sameCounts(t, fmt.Sprintf("family %d", f), want, got)
+		if d := s.Stats().DiskHits - before.DiskHits; d != 4 {
+			t.Fatalf("family %d: batch made %d disk loads over 4 spilled blocks, want 4", f, d)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@
 // the first reader of a block computes (or loads from the disk tier) all
 // of its worlds, stored world-major in one contiguous slice, so scanning a
 // block touches memory sequentially, and the block never changes after.
-// A label block read by a single-center tally also carries a
+// A label block read by an unlimited-depth center tally also carries a
 // largest-component index derived from its labels (see buildComponents),
 // and on graphs of up to 4,096 nodes a bitmap block read by a
 // depth-limited tally carries a presence index derived from its bitmaps
@@ -125,7 +125,7 @@ type Store struct {
 	// depth-limited path (sampler.MultiReachCounter), implicitPool the
 	// implicit-stream BFS (sampler.ReachCounter), packPool the packed
 	// traversal of the presence-index path and walkPool the component
-	// walks of CountConnectedFrom.
+	// walks of CountConnectedFromMulti.
 	reachPool    sync.Pool
 	implicitPool sync.Pool
 	packPool     sync.Pool
@@ -168,10 +168,11 @@ type Stats struct {
 	ResidentLabelBlocks  int
 	ResidentBitmapBlocks int
 	// ResidentBytes is the nominal memory of the resident blocks,
-	// including the largest-component indexes of label blocks that
-	// CountConnectedFrom has read and the presence indexes of bitmap
-	// blocks that a depth-limited count has read — the quantity the
-	// SetBudget byte budget bounds.
+	// including the largest-component indexes of label blocks that an
+	// unlimited-depth center tally (CountConnectedFrom or
+	// CountConnectedFromMulti) has read and the presence indexes of
+	// bitmap blocks that a depth-limited count has read — the quantity
+	// the SetBudget byte budget bounds.
 	ResidentBytes int64
 	// BlockWorlds is the number of worlds per block.
 	BlockWorlds int
@@ -781,61 +782,6 @@ func (s *Store) ScanCtx(ctx context.Context, lo, hi int, fn func(i int, labels [
 	return nil
 }
 
-// CountConnectedFromMulti is the batched form of CountConnectedFrom: for
-// each center cs[j] it adds, into counts[j], the per-node connection counts
-// over worlds [lo[j], hi). All centers are answered in ONE pass over each
-// world block: per world the centers are grouped by their component label,
-// and a single scan of the label vector dispatches each node's increments
-// to every center sharing its component. The cost per world is
-// O(n + centers + increments) instead of the O(n * centers) of repeated
-// single-center scans, and each block is acquired (and, under a memory
-// budget, potentially recomputed) once instead of once per center.
-//
-// Counts are plain integer accumulations over a deterministic world range,
-// so the result is bit-identical to looping CountConnectedFrom per center.
-func (s *Store) CountConnectedFromMulti(cs []graph.NodeID, lo []int, hi int, counts [][]int32) {
-	if len(cs) == 0 {
-		return
-	}
-	minLo := hi
-	for _, l := range lo {
-		if l < minLo {
-			minLo = l
-		}
-	}
-	if minLo >= hi {
-		return
-	}
-	// byLabel[l] lists the (indices of) centers whose component label in
-	// the current world is l; touched tracks which entries to reset.
-	byLabel := make([][]int32, s.n)
-	touched := make([]int32, 0, len(cs))
-	s.Scan(minLo, hi, func(i int, lab []int32) {
-		for _, l := range touched {
-			byLabel[l] = byLabel[l][:0]
-		}
-		touched = touched[:0]
-		for j, c := range cs {
-			if lo[j] > i {
-				continue
-			}
-			l := lab[c]
-			if len(byLabel[l]) == 0 {
-				touched = append(touched, l)
-			}
-			byLabel[l] = append(byLabel[l], int32(j))
-		}
-		if len(touched) == 0 {
-			return
-		}
-		for u, l := range lab {
-			for _, j := range byLabel[l] {
-				counts[j][u]++
-			}
-		}
-	})
-}
-
 // ScanBits calls fn(i, bits) for every world i in [lo, hi), in increasing
 // order, where bits is the world's present-edge bitmap (length
 // sampler.EdgeBitmapWords(NumEdges); bit e set iff edge e is present —
@@ -868,14 +814,14 @@ func (s *Store) ScanBits(lo, hi int, fn func(i int, bits []uint64)) {
 // depth hops of cs[j]. depth < 0 means unconstrained reachability (callers
 // with unlimited depth should prefer the label paths, which need no BFS).
 //
-// The store picks the kernel by its block width, as CountWithinFrom does.
-// On blocks of at least 64 worlds every center is answered by
-// CountWithinFrom from the presence indexes, one traversal per 64 worlds,
-// which costs less than sharing a per-world pass. Narrower blocks answer
-// all centers in one pass over each world's edge bitmap (see
-// countWithinUnpacked): the world's edge coins are evaluated once, when
-// its bitmap block is materialized, and every center's depth-bounded BFS
-// tests bits instead of re-hashing.
+// The store picks the kernel by its block width. On blocks of at least 64
+// worlds each bitmap block covering [min lo, hi) is acquired once and
+// answers every center from its presence index, one packed traversal per
+// center per 64 worlds (see countPacked), which costs less than sharing a
+// per-world pass. Narrower blocks answer all centers in one pass over
+// each world's edge bitmap (see countWithinUnpacked): the world's edge
+// coins are evaluated once, when its bitmap block is materialized, and
+// every center's depth-bounded BFS tests bits instead of re-hashing.
 //
 // Each (world, center) BFS visit set is a pure function of the world's
 // edge set, so the result is bit-identical to looping a per-center
@@ -885,9 +831,29 @@ func (s *Store) CountWithinMulti(cs []graph.NodeID, depth int, lo []int, hi int,
 		s.countWithinUnpacked(cs, depth, lo, hi, counts)
 		return
 	}
-	for j, c := range cs {
-		s.CountWithinFrom(c, depth, lo[j], hi, counts[j])
+	first := batchStart(lo, hi)
+	if len(cs) == 0 || first >= hi {
+		return
 	}
+	s.Grow(hi)
+	n, m := s.n, s.g.NumEdges()
+	p := s.packPool.Get().(*packedBFS)
+	for bi := first / s.bw; bi*s.bw < hi; bi++ {
+		base := bi * s.bw
+		b := s.acquire(famBits, bi, true)
+		for j, c := range cs {
+			start, end := max(lo[j], base)-base, min(hi, base+s.bw)-base
+			if start >= end {
+				continue
+			}
+			cnt := counts[j][:n:n]
+			for k := start / 64; k*64 < end; k++ {
+				s.countPacked(p, b.index[k*m:(k+1)*m], c, depth, worldMask(k, start, end), cnt)
+			}
+		}
+		s.release(b)
+	}
+	s.packPool.Put(p)
 }
 
 // countWithinUnpacked is CountWithinMulti on world-major bitmaps, for
@@ -996,13 +962,22 @@ func (s *Store) EstimatePair(u, v graph.NodeID, r int) float64 {
 // aborts at the next block boundary once ctx is done, returning ctx's
 // error.
 func (s *Store) EstimatePairCtx(ctx context.Context, u, v graph.NodeID, r int) (float64, error) {
-	cnt := 0
-	if err := s.ScanCtx(ctx, 0, r, func(_ int, lab []int32) {
-		if lab[u] == lab[v] {
-			cnt++
-		}
-	}); err != nil {
+	cnt, err := s.CountPairCtx(ctx, u, v, 0, r)
+	if err != nil {
 		return 0, err
 	}
 	return float64(cnt) / float64(r), nil
+}
+
+// CountPairCtx returns the number of worlds in [lo, hi) where u and v
+// share a component. The scan aborts at the next block boundary once ctx
+// is done, returning ctx's error.
+func (s *Store) CountPairCtx(ctx context.Context, u, v graph.NodeID, lo, hi int) (int64, error) {
+	var cnt int64
+	err := s.ScanCtx(ctx, lo, hi, func(_ int, lab []int32) {
+		if lab[u] == lab[v] {
+			cnt++
+		}
+	})
+	return cnt, err
 }

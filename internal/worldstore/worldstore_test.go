@@ -165,10 +165,10 @@ func TestCountConnectedFromMultiMatchesSingle(t *testing.T) {
 	s.CountConnectedFromMulti(centers, lo, hi, multi)
 	for j, c := range centers {
 		single := make([]int32, g.NumNodes())
-		s.CountConnectedFrom(c, lo[j], hi, single)
+		scanConnectedFrom(s, c, lo[j], hi, single)
 		for u := range single {
 			if multi[j][u] != single[u] {
-				t.Fatalf("center %d (lo %d) node %d: multi %d != single %d",
+				t.Fatalf("center %d (lo %d) node %d: multi %d != scan %d",
 					c, lo[j], u, multi[j][u], single[u])
 			}
 		}
