@@ -83,12 +83,13 @@ bench-smoke:
 # Storage-tier benchmarks (cold vs spilled-warm vs recompute block
 # materialization, the single-center connection count on the
 # largest-component index next to the reference label scan and a
-# 16-center batch on the same index, the single-center depth-limited
-# count on the presence index next to the reference per-world BFS, the
-# bit-sliced accumulate kernel at full and depth-2 reach) ->
-# BENCH_store.json, merged in place.
+# 16-center batch on the same index, a 2-center tally whose every label
+# block reloads from the disk tier, a fresh store's first 16-world label
+# read, the single-center depth-limited count on the presence index next
+# to the reference per-world BFS, the bit-sliced accumulate kernel at
+# full and depth-2 reach) -> BENCH_store.json, merged in place.
 bench-store:
-	$(GO) test -bench='BlockMaterialize|CountConnectedFrom|CountWithinFrom' -benchmem -run='^$$' ./internal/worldstore | tee bench-store.out
+	$(GO) test -bench='BlockMaterialize|CountConnectedFrom|FirstLabelRead|CountWithinFrom' -benchmem -run='^$$' ./internal/worldstore | tee bench-store.out
 	$(GO) test -bench='Accum' -benchmem -run='^$$' ./internal/sampler | tee -a bench-store.out
 	$(GO) run ./cmd/benchjson -suite store -update BENCH_store.json < bench-store.out
 	@rm -f bench-store.out

@@ -25,10 +25,11 @@ import (
 // that world's labels. Any indexed component keeps the counts exact; the
 // largest makes the most worlds cheap.
 //
-// The index of a block is built once, by the first unlimited-depth center
-// tally that reads the block (see acquire). It is counted in the block's
-// bytes, dropped with the block on eviction and never spilled; a reloaded
-// block rebuilds it on first use.
+// The index is part of its label block: it is built right after the
+// labels whenever a block is computed (see materialize), counted in the
+// block's bytes from insertion (blockBytes), written after the labels in
+// the block's disk record under the one payload checksum, and loaded back
+// with them, so a block reloaded from the disk tier needs no rebuild.
 
 // walkBudget bounds the adjacency entries a component walk may examine
 // before it falls back to a label scan. A walk reads the labels at random
@@ -49,15 +50,22 @@ type componentWalk struct {
 // world's index row holds.
 const componentProbes = 64
 
-// buildComponents returns the largest-component index of a label block
-// whose labels are given: bit w%64 of member[(w/64)*n + u] is set iff node
-// u lies in world w's indexed component, the component holding the most
-// of the nodes i*n/componentProbes (the one with the smallest label on a
-// tie). Finding it reads componentProbes labels instead of counting the
-// size of every component.
-func (s *Store) buildComponents(labels []int32) []uint64 {
+// componentTile is the node tile of buildComponents: a tile's index
+// words stay in L1 while every world of their word is compared into
+// them, so the index is written once instead of once per world.
+const componentTile = 512
+
+// buildComponents writes the largest-component index of a label block
+// whose labels are given into member, overwriting every word: bit w%64 of
+// member[(w/64)*n + u] is set iff node u lies in world w's indexed
+// component, the component holding the most of the nodes
+// i*n/componentProbes (the one with the smallest label on a tie). Finding
+// it reads componentProbes labels instead of counting the size of every
+// component. The build runs on every computed label block, so it is
+// tiled by node and branch-free.
+func (s *Store) buildComponents(labels []int32, member []uint64) {
 	n := s.n
-	member := make([]uint64, s.indexWords()*n)
+	var big [maxBlockWorlds]int32
 	var probes [componentProbes]int32
 	np := min(n, componentProbes)
 	for w := 0; w < s.bw; w++ {
@@ -65,16 +73,24 @@ func (s *Store) buildComponents(labels []int32) []uint64 {
 		for i := range np {
 			probes[i] = lab[i*n/np]
 		}
-		big := plurality(probes[:np])
-		row := member[(w/64)*n : (w/64+1)*n]
-		bit := uint64(1) << (w % 64)
-		for u, l := range lab {
-			if l == big {
-				row[u] |= bit
+		big[w] = plurality(probes[:np])
+	}
+	for k := 0; 64*k < s.bw; k++ {
+		row := member[k*n : (k+1)*n]
+		for u0 := 0; u0 < n; u0 += componentTile {
+			tile := row[u0:min(u0+componentTile, n)]
+			clear(tile)
+			for w := 64 * k; w < min(s.bw, 64*k+64); w++ {
+				// Masking the shift count spares the guard Go adds for
+				// counts of 64 or more.
+				lab, l, sh := labels[w*n+u0:w*n+u0+len(tile)], big[w], uint(w)&63
+				for i, x := range lab {
+					// uint32(x^l)-1 borrows into bit 63 exactly when x == l.
+					tile[i] |= (uint64(uint32(x^l)) - 1) >> 63 << sh
+				}
 			}
 		}
 	}
-	return member
 }
 
 // plurality sorts p, which must be non-empty, and returns its most
@@ -93,23 +109,6 @@ func plurality(p []int32) int32 {
 		i = j
 	}
 	return best
-}
-
-// chargeIndex adds a block's new index of the given size (a label block's
-// largest-component index or a bitmap block's presence index) to the
-// block's accounted bytes and evicts other unpinned blocks if that takes
-// the store over budget. The caller holds a pin on b, so b itself stays
-// until it is released.
-func (s *Store) chargeIndex(b *block, bytes int64) {
-	s.mu.Lock()
-	b.bytes += bytes
-	s.residentBytes += bytes
-	if s.budget > 0 && s.residentBytes > s.budget {
-		s.evictLocked(s.budget)
-	}
-	victims := s.takePendingLocked()
-	s.mu.Unlock()
-	s.writeSpills(victims)
 }
 
 // CountConnectedFrom adds, for every node u, the number of worlds in
@@ -142,7 +141,7 @@ func (s *Store) CountConnectedFromMulti(cs []graph.NodeID, lo []int, hi int, cou
 	var wk *componentWalk
 	for bi := first / s.bw; bi*s.bw < hi; bi++ {
 		base := bi * s.bw
-		b := s.acquire(famLabels, bi, true)
+		b := s.acquire(famLabels, bi, false)
 		for j, c := range cs {
 			start, end := max(lo[j], base)-base, min(hi, base+s.bw)-base
 			if start >= end {

@@ -152,9 +152,9 @@ func TestCountConnectedFromMatchesScan(t *testing.T) {
 			s := New(sh.g, seed)
 			checkCases(t, "unbounded", s, ref, randomCases(s, 1, 16, 3))
 
-			// Bounded, with a disk tier: room for two indexed label blocks, so
-			// the cases evict, spill and reload blocks, and every reloaded
-			// block rebuilds its index.
+			// Bounded, with a disk tier: room for two label blocks, so the
+			// cases evict, spill and reload blocks, and every reloaded block
+			// reads its index from its disk record.
 			tiered := New(sh.g, seed)
 			if err := tiered.AttachCache(t.TempDir()); err != nil {
 				t.Fatal(err)
@@ -262,36 +262,40 @@ func TestCountConnectedFromConcurrent(t *testing.T) {
 }
 
 // TestCountConnectedFromChargesIndex checks the index's byte accounting:
-// an indexed label block counts its index in ResidentBytes, a block only
-// scanned does not, and eviction frees both.
+// a label block counts its index in ResidentBytes from insertion, whether
+// a tally or a scan reads it first, a second tally over it charges
+// nothing more, and eviction frees both.
 func TestCountConnectedFromChargesIndex(t *testing.T) {
 	g := indexShapes(t)[0].g
 	s := New(g, 3)
 	bw := s.BlockWorlds()
-	label, index := s.blockBytes(famLabels), s.indexBytes(famLabels)
+	index := s.indexBytes(famLabels)
 	if want := int64(8 * ((bw + 63) / 64) * g.NumNodes()); index != want {
 		t.Fatalf("index bytes %d, want 8*ceil(bw/64)*n = %d", index, want)
 	}
-	s.CountConnectedFrom(0, 0, bw/2, make([]int32, g.NumNodes()))
-	if st := s.Stats(); st.ResidentBytes != label+index {
-		t.Fatalf("indexed block: ResidentBytes %d, want label %d + index %d", st.ResidentBytes, label, index)
+	block := s.blockBytes(famLabels)
+	if want := int64(4*bw*g.NumNodes()) + index; block != want {
+		t.Fatalf("label block bytes %d, want labels 4*bw*n plus index = %d", block, want)
 	}
-	// Growing the prefix rebuilds the index without charging it twice.
+	s.CountConnectedFrom(0, 0, bw/2, make([]int32, g.NumNodes()))
+	if st := s.Stats(); st.ResidentBytes != block {
+		t.Fatalf("tallied block: ResidentBytes %d, want labels and index %d", st.ResidentBytes, block)
+	}
 	s.CountConnectedFrom(0, bw/2, bw, make([]int32, g.NumNodes()))
 	s.Scan(bw, 2*bw, func(int, []int32) {})
-	if st := s.Stats(); st.ResidentBytes != 2*label+index {
-		t.Fatalf("one indexed and one scanned block: ResidentBytes %d, want %d", st.ResidentBytes, 2*label+index)
+	if st := s.Stats(); st.ResidentBytes != 2*block {
+		t.Fatalf("one tallied and one scanned block: ResidentBytes %d, want %d", st.ResidentBytes, 2*block)
 	}
 	s.SetBudget(1)
 	if st := s.Stats(); st.ResidentBytes != 0 || st.ResidentBlocks != 0 {
 		t.Fatalf("eviction left %d bytes in %d blocks", st.ResidentBytes, st.ResidentBlocks)
 	}
-	// A batch charges the index of every label block it reads.
+	// A batch charges every label block it reads once.
 	s.SetBudget(0)
 	s.CountConnectedFromMulti([]graph.NodeID{0, 1}, []int{0, bw}, 2*bw,
 		[][]int32{make([]int32, g.NumNodes()), make([]int32, g.NumNodes())})
-	if st := s.Stats(); st.ResidentBytes != 2*(label+index) {
-		t.Fatalf("batch over two blocks: ResidentBytes %d, want 2*(label %d + index %d)", st.ResidentBytes, label, index)
+	if st := s.Stats(); st.ResidentBytes != 2*block {
+		t.Fatalf("batch over two blocks: ResidentBytes %d, want 2 blocks of %d", st.ResidentBytes, block)
 	}
 }
 

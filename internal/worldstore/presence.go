@@ -16,9 +16,11 @@ import (
 // present and v is newly reached. Once the traversal stops, every reached
 // node adds the popcount of its reach mask. Each bit follows exactly its
 // own world's traversal, so the counts are the integers a per-world BFS
-// adds. Like the largest-component index, the presence index of a block is
+// adds. Unlike the largest-component index, which is materialized and
+// spilled with its label block, the presence index of a block is lazy:
 // built once, by the first depth-limited count that reads the block,
-// counted in the block's bytes, dropped with it and never spilled.
+// charged to the block's bytes then (chargeIndex), dropped with it and
+// never spilled.
 //
 // A word is full only when a block holds at least packedWorlds worlds.
 // Blocks hold about 2^20/(4n) worlds, so graphs of up to 4,096 nodes take
@@ -51,6 +53,22 @@ func (s *Store) buildPresence(bm []uint64) []uint64 {
 		}
 	}
 	return present
+}
+
+// chargeIndex adds a bitmap block's new presence index of the given size
+// to the block's accounted bytes and evicts other unpinned blocks if that
+// takes the store over budget. The caller holds a pin on b, so b itself
+// stays until it is released.
+func (s *Store) chargeIndex(b *block, bytes int64) {
+	s.mu.Lock()
+	b.bytes += bytes
+	s.residentBytes += bytes
+	var victims []*block
+	if s.budget > 0 && s.residentBytes > s.budget {
+		victims = s.evictLocked(s.budget)
+	}
+	s.mu.Unlock()
+	s.writeSpills(victims)
 }
 
 // transpose64 transposes the 64x64 bit matrix a in place: afterwards bit

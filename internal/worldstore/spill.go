@@ -10,7 +10,8 @@
 //
 // On-disk layout (one directory per store):
 //
-//	labels.seg   label block payloads, append-only
+//	labels.seg   label block payloads (labels, then the block's
+//	             largest-component index), append-only
 //	bits.seg     edge-bitmap block payloads, append-only
 //	cache.dir    directory log: one header + fixed-size entry records
 //
@@ -33,16 +34,24 @@
 // or bit-flipped payload is dropped (Stats.CorruptDropped) and the block
 // is recomputed, never served wrong.
 //
-// Whole-block records are format version 3. A directory of an older
-// version is refused at attach like any other header mismatch — a
-// version-2 directory may hold partial-prefix records, a version-1 one
-// unseeded payload CRCs — so delete it before starting a binary that
-// writes version 3.
+// A label block's payload is its labels followed by its largest-component
+// index, both under the one payload CRC, so a reload needs no index
+// rebuild. That is format version 4. A directory of an older version is
+// refused at attach like any other header mismatch — a version-3
+// directory holds label records without the index, a version-2 one may
+// hold partial-prefix records, a version-1 one unseeded payload CRCs — so
+// delete it before starting a binary that writes version 4.
 //
 // Segment reads go through a lazily grown read-only mmap of the segment
 // file where the platform supports it (falling back to pread elsewhere), so
 // a warm-restarted store faults spilled blocks straight from the page cache
-// without a read syscall per block.
+// without a read syscall per block. A load copies the payload out of the
+// mapping in chunks and checksums each chunk from the private copy while
+// it is still in cache, so the mapping is read once and the bytes served
+// are exactly the bytes verified. The copy lands in the block's buffers,
+// which may be those of an evicted block of the same family (see
+// Store.materialize); a load that fails its checksum leaves them to the
+// recompute, which overwrites every entry.
 package worldstore
 
 import (
@@ -58,7 +67,7 @@ import (
 
 const (
 	spillMagic   = "UCWSPILL"
-	spillVersion = 3
+	spillVersion = 4
 
 	spillHeaderSize = 64
 	spillRecordSize = 32
@@ -104,16 +113,36 @@ type spillEntry struct {
 	crc uint32 // payloadCRC of the payload bytes
 }
 
-// payloadCRC is the CRC32-C of a block payload seeded with the block's
-// identity, so a payload verifies only as the (family, block index,
-// worlds) it was spilled as.
-func payloadCRC(fam family, idx, worlds int, data []byte) uint32 {
+// payloadCRC is the CRC32-C of a block payload, the concatenation of
+// parts, seeded with the block's identity, so a payload verifies only as
+// the (family, block index, worlds) it was spilled as. With no parts it
+// is the seed a chunked checksum continues from.
+func payloadCRC(fam family, idx, worlds int, parts ...[]byte) uint32 {
 	var id [12]byte
 	binary.LittleEndian.PutUint32(id[0:4], uint32(fam))
 	binary.LittleEndian.PutUint32(id[4:8], uint32(idx))
 	binary.LittleEndian.PutUint32(id[8:12], uint32(worlds))
-	return crc32.Update(crc32.Checksum(id[:], crcTable), crcTable, data)
+	crc := crc32.Checksum(id[:], crcTable)
+	for _, p := range parts {
+		crc = crc32.Update(crc, crcTable, p)
+	}
+	return crc
 }
+
+// payload returns the byte views of block b's record payload, in record
+// order: the labels and then the largest-component index of a label
+// block, the bitmaps of a bitmap block.
+func (b *block) payload() [][]byte {
+	if b.fam == famLabels {
+		return [][]byte{int32Bytes(b.labels), uint64Bytes(b.index)}
+	}
+	return [][]byte{uint64Bytes(b.bits)}
+}
+
+// loadChunk is how much of a payload a load copies out of the segment
+// before it checksums the copy: small enough to still be in cache when
+// the CRC reads it.
+const loadChunk = 64 << 10
 
 // segment is one append-only payload file plus its lazily grown read mmap.
 type segment struct {
@@ -122,20 +151,24 @@ type segment struct {
 	mapped mmapView // read view of [0, len(mapped.data)); grown on demand
 }
 
-// append writes data at the segment tail, returning its offset.
-func (sg *segment) append(data []byte) (int64, error) {
+// append writes parts one after another at the segment tail, returning
+// the offset of the first.
+func (sg *segment) append(parts ...[]byte) (int64, error) {
 	off := sg.size
-	if _, err := sg.f.WriteAt(data, off); err != nil {
-		return 0, err
+	for _, p := range parts {
+		if _, err := sg.f.WriteAt(p, sg.size); err != nil {
+			return 0, err
+		}
+		sg.size += int64(len(p))
 	}
-	sg.size += int64(len(data))
 	return off, nil
 }
 
 // read returns the payload bytes at [off, off+length), served from the
 // mmap view when available (remapping once when the segment has grown past
 // the view) and falling back to pread. The returned slice is only valid
-// until the next remap; callers copy out of it under the cache mutex.
+// until the next remap; callers copy out of it under the cache mutex, and
+// checksum the copy.
 func (sg *segment) read(off, length int64) ([]byte, error) {
 	// off+length would wrap for an offset near MaxInt64, so compare
 	// without summing.
@@ -367,21 +400,18 @@ func (c *spillCache) close() {
 // happened. The caller guarantees b is unreachable by readers (evicted,
 // zero pins), so its payload is stable without holding block locks.
 func (c *spillCache) store(b *block) bool {
-	data := uint64Bytes(b.bits)
-	if b.fam == famLabels {
-		data = int32Bytes(b.labels)
-	}
+	parts := b.payload()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[b.fam][b.idx]; ok || c.broken {
 		return false
 	}
-	off, err := c.segs[b.fam].append(data)
+	off, err := c.segs[b.fam].append(parts...)
 	if err != nil {
 		c.broken = true
 		return false
 	}
-	crc := payloadCRC(b.fam, b.idx, c.bw, data)
+	crc := payloadCRC(b.fam, b.idx, c.bw, parts...)
 	rec := encodeRecord(b.fam, b.idx, c.bw, off, crc)
 	if _, err := c.dirf.WriteAt(rec, c.dirSize); err != nil {
 		c.broken = true
@@ -389,15 +419,18 @@ func (c *spillCache) store(b *block) bool {
 	}
 	c.dirSize += spillRecordSize
 	c.entries[b.fam][b.idx] = spillEntry{off: off, crc: crc}
-	c.liveBytes += int64(len(data))
+	c.liveBytes += c.blockBytes[b.fam]
 	return true
 }
 
-// load tries to fill block b's payload from the disk tier, verifying the
-// payload checksum. It returns loaded=true when b now holds the spilled
-// block, and hadEntry=true when a directory entry existed at all — a
-// failed load (truncated or corrupt payload) drops the entry so the block
-// is recomputed, and the caller counts it. Called under b's block mutex.
+// load tries to fill block b's payload buffers, which the caller has
+// sized, from the disk tier. It copies the record out of the segment
+// loadChunk bytes at a time and checksums each chunk of the copy, so it
+// verifies exactly the bytes it serves. It returns loaded=true when b now
+// holds the spilled block, and hadEntry=true when a directory entry
+// existed at all — a failed load (truncated or corrupt payload) drops the
+// entry, leaves b's buffers to be overwritten by a recompute, and the
+// caller counts it. Called under b's block mutex.
 func (c *spillCache) load(b *block) (loaded, hadEntry bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -407,20 +440,24 @@ func (c *spillCache) load(b *block) (loaded, hadEntry bool) {
 	}
 	length := c.blockBytes[b.fam]
 	data, err := c.segs[b.fam].read(e.off, length)
-	if err == nil && payloadCRC(b.fam, b.idx, c.bw, data) != e.crc {
-		err = errors.New("worldstore: spill payload checksum mismatch")
+	if err == nil {
+		crc := payloadCRC(b.fam, b.idx, c.bw)
+		for _, dst := range b.payload() {
+			for i := 0; i < len(dst); i += loadChunk {
+				chunk := dst[i:min(i+loadChunk, len(dst))]
+				copy(chunk, data[i:])
+				crc = crc32.Update(crc, crcTable, chunk)
+			}
+			data = data[len(dst):]
+		}
+		if crc != e.crc {
+			err = errors.New("worldstore: spill payload checksum mismatch")
+		}
 	}
 	if err != nil {
 		delete(c.entries[b.fam], b.idx)
 		c.liveBytes -= length
 		return false, true
-	}
-	if b.fam == famLabels {
-		b.labels = make([]int32, length/4)
-		copy(int32Bytes(b.labels), data)
-	} else {
-		b.bits = make([]uint64, length/8)
-		copy(uint64Bytes(b.bits), data)
 	}
 	return true, true
 }

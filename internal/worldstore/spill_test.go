@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -456,10 +457,11 @@ func TestSpillHostileRecordOffset(t *testing.T) {
 	}
 }
 
-// TestSpillRefusesVersion2: a directory whose header says format version
-// 2, which may hold partial-prefix records, is refused at attach like any
-// other header mismatch.
-func TestSpillRefusesVersion2(t *testing.T) {
+// TestSpillRefusesOlderVersions: a directory whose header names an older
+// format is refused at attach like any other header mismatch: version 2
+// may hold partial-prefix records, version 3 label records without their
+// index.
+func TestSpillRefusesOlderVersions(t *testing.T) {
 	g := ringGraph(t, 60, 14)
 	const seed, r = 23, 300
 	dir := t.TempDir()
@@ -474,15 +476,87 @@ func TestSpillRefusesVersion2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(raw[8:12], 2)
-	binary.LittleEndian.PutUint32(raw[48:52], crc32.Checksum(raw[:48], crcTable))
-	if err := os.WriteFile(log, raw, 0o644); err != nil {
+	for _, v := range []uint32{2, 3} {
+		binary.LittleEndian.PutUint32(raw[8:12], v)
+		binary.LittleEndian.PutUint32(raw[48:52], crc32.Checksum(raw[:48], crcTable))
+		if err := os.WriteFile(log, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("spill-cache format version %d, want 4", v)
+		if err := New(g, seed).AttachCache(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d directory: AttachCache error %v, want %q", v, err, want)
+		}
+	}
+}
+
+// TestSpillCorruptIndexRecomputed flips one byte in the index part of a
+// spilled label record. The store's budget holds one label block, so the
+// reload of that block goes into the buffers of the block it evicts. The
+// load fails its checksum, the entry is dropped and the block recomputed:
+// every label and index word equals a fresh store's, and tallies stay
+// bit-identical.
+func TestSpillCorruptIndexRecomputed(t *testing.T) {
+	g := ringGraph(t, 60, 16)
+	const seed = 29
+	dir := t.TempDir()
+	s := New(g, seed)
+	if err := s.AttachCache(dir); err != nil {
 		t.Fatal(err)
 	}
-	err = New(g, seed).AttachCache(dir)
-	if err == nil || !strings.Contains(err.Error(), "format version 2") {
-		t.Fatalf("version-2 directory: AttachCache error %v, want a format version refusal", err)
+	s.SetBudget(s.blockBytes(famLabels))
+	n, bw := s.NumNodes(), s.BlockWorlds()
+	snapshotLabels(s, bw)   // block 0, computed
+	snapshotLabels(s, 2*bw) // block 1 evicts and spills block 0
+	donor := s.blocks[famLabels][1].labels
+
+	// Flip a byte of block 0's index that has a clear bit, so a rebuild
+	// that ORed into the stale copy would keep a wrong bit.
+	e := s.spill.Load().entries[famLabels][0]
+	f, err := os.OpenFile(filepath.Join(dir, spillLabelsName), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer f.Close()
+	idx := make([]byte, s.indexBytes(famLabels))
+	at := e.off + int64(4*n*bw)
+	if _, err := f.ReadAt(idx, at); err != nil {
+		t.Fatal(err)
+	}
+	k := slices.IndexFunc(idx, func(x byte) bool { return x != 0xff })
+	if k < 0 {
+		t.Fatal("block 0's index has no clear bit")
+	}
+	if _, err := f.WriteAt([]byte{idx[k] ^ 0xff}, at+int64(k)); err != nil {
+		t.Fatal(err)
+	}
+
+	before := s.Stats()
+	b := s.acquire(famLabels, 0, false) // evicts block 1 and takes its buffers
+	ref := New(g, seed)
+	want := ref.acquire(famLabels, 0, false)
+	if &b.labels[0] != &donor[0] {
+		t.Fatal("the reload did not reuse the evicted block's buffers")
+	}
+	if !slices.Equal(b.labels, want.labels) || !slices.Equal(b.index, want.index) {
+		t.Fatal("a failed load into a reused buffer left entries that differ from a fresh store's")
+	}
+	ref.release(want)
+	s.release(b)
+	st := s.Stats()
+	if d := st.CorruptDropped - before.CorruptDropped; d != 1 {
+		t.Fatalf("CorruptDropped moved by %d, want 1: %+v", d, st)
+	}
+	if d := st.PostSpillRecomputes - before.PostSpillRecomputes; d != 1 {
+		t.Fatalf("PostSpillRecomputes moved by %d, want 1: %+v", d, st)
+	}
+	cs := []graph.NodeID{0, 17, 41}
+	got, exp := make([][]int32, len(cs)), make([][]int32, len(cs))
+	for j, c := range cs {
+		got[j], exp[j] = make([]int32, n), make([]int32, n)
+		scanConnectedFrom(ref, c, 0, 2*bw, exp[j])
+	}
+	s.CountConnectedFromMulti(cs, make([]int, len(cs)), 2*bw, got)
+	sameCounts(t, "after the corrupt index", exp, got)
 }
 
 // TestSpillDropsPartialRecord: a record that persists only a prefix of a
@@ -535,15 +609,22 @@ func TestSpillDropsPartialRecord(t *testing.T) {
 // from a real spilled cache of both families, fuzzes the raw directory
 // log and appends one more record built from fuzzed fields through
 // encodeRecord, so its record CRC is valid and replay gets past the CRC
-// gate. Whatever the log says, every block of both families must scan
-// without a panic and bit-identically to an uncached store: a bad entry
-// is dropped and recomputed, never served.
+// gate. Whatever the log says, a center tally over every label block (the
+// reader of their indexes) and a scan of every block of both families
+// must run without a panic and bit-identically to an uncached store: a
+// bad entry is dropped and recomputed, never served.
 func FuzzSpillReplay(f *testing.F) {
 	g := ringGraph(f, 40, 2)
 	const seed, worlds = 7, 600
 	ref := New(g, seed)
 	bw := ref.BlockWorlds()
 	wantLabels, wantBits := snapshotLabels(ref, worlds), snapshotBits(ref, worlds)
+	cs := []graph.NodeID{0, 13, 27}
+	wantCounts := make([][]int32, len(cs))
+	for j, c := range cs {
+		wantCounts[j] = make([]int32, g.NumNodes())
+		scanConnectedFrom(ref, c, 0, worlds, wantCounts[j])
+	}
 
 	base := f.TempDir()
 	spilled := New(g, seed)
@@ -586,6 +667,12 @@ func FuzzSpillReplay(f *testing.F) {
 		if err := s.AttachCache(dir); err != nil {
 			return // a log that is not this store's is rejected whole
 		}
+		counts := make([][]int32, len(cs))
+		for j := range counts {
+			counts[j] = make([]int32, g.NumNodes())
+		}
+		s.CountConnectedFromMulti(cs, make([]int, len(cs)), worlds, counts)
+		sameCounts(t, "replayed tallies", wantCounts, counts)
 		sameLabels(t, "replayed labels", wantLabels, snapshotLabels(s, worlds))
 		gotBits := snapshotBits(s, worlds)
 		for i := range wantBits {

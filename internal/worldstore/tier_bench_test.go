@@ -2,6 +2,9 @@ package worldstore
 
 import (
 	"testing"
+
+	"ucgraph/internal/datasets"
+	"ucgraph/internal/graph"
 )
 
 // The tier-order benchmarks behind BENCH_store.json (make bench-store):
@@ -10,7 +13,11 @@ import (
 // and recompute-after-eviction (the price the tier removes). The spilled
 // path reads sequential bytes and verifies a CRC; the recompute paths
 // re-evaluate one hash per edge per world — which is why a warm restart
-// from -worldcache beats recomputation by well over the 5x target.
+// from -worldcache beats recomputation by well over the 5x target. Two
+// more rows price single paths: an unlimited-depth tally whose every
+// label block reloads from the disk tier (cache state: disk), and a fresh
+// store's first small label read (cache state: cold), which materializes
+// a whole block and its largest-component index.
 
 const (
 	benchNodes  = 4000
@@ -68,4 +75,53 @@ func BenchmarkBlockMaterializeSpilledWarm(b *testing.B) {
 		b.Fatalf("spilled-warm pass did not serve from disk: %+v", st)
 	}
 	b.ReportMetric(benchWorlds, "worlds/op")
+}
+
+// BenchmarkCountConnectedFromSpilled times a 2-center unlimited-depth
+// tally over 64 worlds of DBLP at 40,000 authors (8-world blocks) on a
+// store with a disk tier and a budget of one label block, so each op
+// reloads all 8 label blocks from the disk tier (cache state: disk).
+func BenchmarkCountConnectedFromSpilled(b *testing.B) {
+	const worlds = 64
+	g := dblpGraph(b, 40000)
+	s := New(g, 7)
+	if err := s.AttachCache(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	n := s.NumNodes()
+	cs := []graph.NodeID{0, graph.NodeID(n / 2)}
+	lo, counts := make([]int, len(cs)), [][]int32{make([]int32, n), make([]int32, n)}
+	s.CountConnectedFromMulti(cs, lo, worlds, counts)
+	s.SetBudget(1) // spill every block once
+	s.SetBudget(s.blockBytes(famLabels))
+	before := s.Stats()
+	for b.Loop() {
+		clear(counts[0])
+		clear(counts[1])
+		s.CountConnectedFromMulti(cs, lo, worlds, counts)
+	}
+	st := s.Stats()
+	if loads, want := st.DiskHits-before.DiskHits, uint64(b.N*worlds/s.BlockWorlds()); loads != want {
+		b.Fatalf("%d disk loads in %d ops, want every label block reloaded: %+v", loads, b.N, st)
+	}
+	b.ReportMetric(worlds, "worlds/op")
+}
+
+// BenchmarkFirstLabelRead times a fresh store's first read of 16 worlds'
+// labels (cache state: cold) on Krogan (100-world blocks) and on DBLP at
+// 40,000 authors (8-world blocks): the read materializes the whole block
+// that holds them, labels and largest-component index.
+func BenchmarkFirstLabelRead(b *testing.B) {
+	ds, err := datasets.Krogan(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sh := range []indexShape{{"krogan", ds.Graph}, {"dblp-40k", dblpGraph(b, 40000)}} {
+		b.Run(sh.name, func(b *testing.B) {
+			for b.Loop() {
+				New(sh.g, 7).Scan(0, 16, func(int, []int32) {})
+			}
+			b.ReportMetric(16, "worlds/op")
+		})
+	}
 }

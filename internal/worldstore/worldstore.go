@@ -17,18 +17,21 @@
 // the first reader of a block computes (or loads from the disk tier) all
 // of its worlds, stored world-major in one contiguous slice, so scanning a
 // block touches memory sequentially, and the block never changes after.
-// A label block read by an unlimited-depth center tally also carries a
-// largest-component index derived from its labels (see buildComponents),
-// and on graphs of up to 4,096 nodes a bitmap block read by a
-// depth-limited tally carries a presence index derived from its bitmaps
-// (see buildPresence), which lets one BFS answer 64 worlds. Both indexes
-// are lazy, built once, charged to the byte budget, evicted with their
-// block and never spilled. Blocks of both families are materialized on
-// first access and, in bounded-memory mode, evicted least-recently-used —
-// under one shared byte budget — and recomputed on the next access.
-// Because labels and bitmaps are pure functions of (graph, seed, world
-// index), eviction and recomputation never change an estimate: bounded
-// and unbounded runs are bit-identical.
+// A label block carries a largest-component index derived from its
+// labels (see buildComponents), materialized with the labels and part of
+// the block in every tier: counted in its bytes, spilled after the labels
+// in the same disk record and loaded back with them. On graphs of up to
+// 4,096 nodes a bitmap block read by a depth-limited tally carries a
+// presence index derived from its bitmaps (see buildPresence), which lets
+// one BFS answer 64 worlds; that index is lazy, built once, charged to the
+// byte budget, evicted with its block and never spilled. Blocks of both
+// families are materialized on first access and, in bounded-memory mode,
+// evicted least-recently-used — under one shared byte budget — and
+// recomputed or reloaded on the next access, into the buffers of a block
+// of the same family that the access evicted when there is one. Because
+// labels and bitmaps are pure functions of (graph, seed, world index),
+// eviction and recomputation never change an estimate: bounded and
+// unbounded runs are bit-identical.
 //
 // Stores are safe for concurrent use by multiple consumers: block
 // materialization is coordinated so exactly one goroutine computes a block
@@ -98,7 +101,6 @@ type Store struct {
 	materialized  uint64
 	recomputed    uint64
 	evicted       uint64
-	pendingSpill  []*block // evicted blocks awaiting a disk-tier write, drained outside mu
 
 	// spill is the optional disk tier (AttachCache): evicted blocks spill
 	// to checksummed segment files and a miss tries RAM → disk → recompute.
@@ -138,20 +140,22 @@ type Store struct {
 // world-major: world (base + i) occupies bits[i*wpw : (i+1)*wpw]. The
 // first reader materializes every world of the block under mu (see
 // acquire); from then on the payload and the index are immutable, and
-// readers holding a pin read them directly.
+// readers holding a pin read them directly. Once the block is evicted
+// and unpinned, its buffers may be handed to another block of its family.
 type block struct {
 	fam     family
 	idx     int
-	bytes   int64      // nominal full-block bytes plus any index, accounted in residentBytes; guarded by Store.mu
-	mu      sync.Mutex // serializes materialization and the index build
+	bytes   int64      // nominal full-block bytes plus any presence index, accounted in residentBytes; guarded by Store.mu
+	mu      sync.Mutex // serializes materialization and the presence index build
 	labels  []int32    // famLabels payload, bw*n; nil until materialized
 	bits    []uint64   // famBits payload, bw*wpw; nil until materialized
 	pins    int        // readers currently holding the block; guarded by Store.mu
 	lastUse uint64
 	rebuilt bool // this block index was materialized before in this process; set at insertion
-	// index is the block's derived index, nil until a count first needs
-	// it: the largest-component index of a label block (buildComponents)
-	// or the presence index of a bitmap block (buildPresence).
+	// index is the block's derived index: the largest-component index of
+	// a label block (buildComponents), materialized with its labels, or
+	// the presence index of a bitmap block (buildPresence), nil until a
+	// depth-limited count first needs it.
 	index []uint64
 }
 
@@ -168,11 +172,9 @@ type Stats struct {
 	ResidentLabelBlocks  int
 	ResidentBitmapBlocks int
 	// ResidentBytes is the nominal memory of the resident blocks,
-	// including the largest-component indexes of label blocks that an
-	// unlimited-depth center tally (CountConnectedFrom or
-	// CountConnectedFromMulti) has read and the presence indexes of
-	// bitmap blocks that a depth-limited count has read — the quantity
-	// the SetBudget byte budget bounds.
+	// including the largest-component index of every label block and the
+	// presence indexes of bitmap blocks that a depth-limited count has
+	// read — the quantity the SetBudget byte budget bounds.
 	ResidentBytes int64
 	// BlockWorlds is the number of worlds per block.
 	BlockWorlds int
@@ -274,21 +276,22 @@ func New(g *graph.Uncertain, seed uint64) *Store {
 }
 
 // blockBytes returns the nominal full-block byte size of one family's
-// block — the unit the byte budget is accounted in.
+// block — the unit the byte budget is accounted in, and the length of the
+// block's disk record. A label block's size includes its
+// largest-component index.
 func (s *Store) blockBytes(f family) int64 {
 	if f == famBits {
 		return int64(8 * s.wpw * s.bw)
 	}
-	return int64(4 * s.n * s.bw)
+	return int64(4*s.n*s.bw) + s.indexBytes(famLabels)
 }
 
 // indexWords is the number of index words per row: ceil(bw/64).
 func (s *Store) indexWords() int { return (s.bw + 63) / 64 }
 
-// indexBytes is the nominal size of one block's derived index, charged to
-// the byte budget on top of its block: indexWords words per node for a
-// label block's largest-component index, per edge for a bitmap block's
-// presence index.
+// indexBytes is the nominal size of one block's derived index:
+// indexWords words per node for a label block's largest-component index,
+// per edge for a bitmap block's presence index.
 func (s *Store) indexBytes(f family) int64 {
 	rows := s.n
 	if f == famBits {
@@ -422,8 +425,7 @@ func (s *Store) SetBudget(bytes int64) {
 		return
 	}
 	s.budget = bytes
-	s.evictLocked(s.budget)
-	victims := s.takePendingLocked()
+	victims := s.evictLocked(s.budget)
 	s.mu.Unlock()
 	s.writeSpills(victims)
 }
@@ -524,22 +526,27 @@ func (s *Store) CacheDir() string {
 }
 
 // acquire returns family f's block bi, pinned against eviction, with all
-// of its worlds materialized and, when indexed is set, its derived index
+// of its worlds materialized — a label block with its largest-component
+// index — and, for a bitmap block when indexed is set, its presence index
 // built. A missing block is inserted and budget-accounted first: enough
 // LRU unpinned blocks of either family are evicted to make room under the
 // byte budget, and the new block is admitted even when the budget cannot
-// be met, so progress never blocks on memory pressure. Materialization and
-// the index build serialize on the block's mutex, so exactly one goroutine
-// computes each while later arrivals reuse the result; the first index of
-// a block is charged to the byte budget. Callers read b.labels, b.bits and
-// b.index directly and must release the block. Caller must not hold s.mu.
+// be met, so progress never blocks on memory pressure. The victims are
+// spilled before the new block is materialized, so one of b's own family
+// can hand its buffers over (see materialize). Materialization and the
+// presence index build serialize on the block's mutex, so exactly one
+// goroutine computes each while later arrivals reuse the result; the
+// first presence index of a block is charged to the byte budget. Callers
+// read b.labels, b.bits and b.index directly and must release the block.
+// Caller must not hold s.mu.
 func (s *Store) acquire(f family, bi int, indexed bool) *block {
 	s.mu.Lock()
 	b, ok := s.blocks[f][bi]
+	var victims []*block
 	if !ok {
 		b = &block{fam: f, idx: bi, bytes: s.blockBytes(f), rebuilt: s.built[f][bi]}
 		if s.budget > 0 {
-			s.evictLocked(s.budget - b.bytes)
+			victims = s.evictLocked(s.budget - b.bytes)
 		}
 		s.blocks[f][bi] = b
 		s.residentBytes += b.bytes
@@ -551,34 +558,52 @@ func (s *Store) acquire(f family, bi int, indexed bool) *block {
 	b.pins++
 	s.clock++
 	b.lastUse = s.clock
-	victims := s.takePendingLocked()
 	s.mu.Unlock()
 	s.writeSpills(victims)
 
 	b.mu.Lock()
 	if b.labels == nil && b.bits == nil {
-		s.materialize(b)
+		var donor *block
+		for _, v := range victims {
+			if v.fam == f {
+				donor = v
+			}
+		}
+		s.materialize(b, donor)
 	}
 	first := indexed && b.index == nil
-	if first && f == famLabels {
-		b.index = s.buildComponents(b.labels)
-	} else if first {
+	if first {
 		b.index = s.buildPresence(b.bits)
 	}
 	b.mu.Unlock()
 	if first {
-		s.chargeIndex(b, s.indexBytes(f))
+		s.chargeIndex(b, s.indexBytes(famBits))
 	}
 	return b
 }
 
-// materialize fills block b with all of its worlds: loaded from the disk
-// tier when that holds a valid copy (a disk hit), computed from the stream
-// otherwise. A spilled copy that fails validation is dropped and counted,
-// and a recompute is classified by whether a spilled copy existed or this
-// block index was materialized before. The caller holds b.mu and a pin on
-// b.
-func (s *Store) materialize(b *block) {
+// materialize fills block b with all of its worlds, and a label block
+// with its largest-component index: loaded from the disk tier when that
+// holds a valid copy (a disk hit), computed from the stream otherwise. A
+// spilled copy that fails validation is dropped and counted, and a
+// recompute is classified by whether a spilled copy existed or this block
+// index was materialized before. The buffers are donor's when donor is
+// not nil — an evicted, unpinned block of b's family whose spill write
+// has finished — and fresh otherwise; either way the load or the
+// computation overwrites every entry of them, also after a load that
+// copied a record in and then failed its checksum. The caller holds b.mu
+// and a pin on b.
+func (s *Store) materialize(b, donor *block) {
+	switch {
+	case donor == nil && b.fam == famLabels:
+		b.labels, b.index = make([]int32, s.bw*s.n), make([]uint64, s.indexWords()*s.n)
+	case donor == nil:
+		b.bits = make([]uint64, s.bw*s.wpw)
+	case b.fam == famLabels:
+		b.labels, b.index = donor.labels, donor.index
+	default:
+		b.bits = donor.bits // a presence index is built lazily, never handed over
+	}
 	var loaded, hadEntry bool
 	if c := s.spill.Load(); c != nil {
 		loaded, hadEntry = c.load(b)
@@ -594,9 +619,10 @@ func (s *Store) materialize(b *block) {
 		s.noteRecompute(false)
 	}
 	if b.fam == famLabels {
-		b.labels = s.computeLabels(b.idx)
+		s.computeLabels(b.idx, b.labels)
+		s.buildComponents(b.labels, b.index)
 	} else {
-		b.bits = s.computeBitmaps(b.idx)
+		s.computeBitmaps(b.idx, b.bits)
 	}
 }
 
@@ -613,21 +639,9 @@ func (s *Store) noteRecompute(postSpill bool) {
 	}
 }
 
-// takePendingLocked claims the evicted blocks queued for a disk-tier
-// write. Caller holds s.mu; the returned blocks are privately owned (out
-// of the block map, zero pins), so the caller writes them after unlocking.
-func (s *Store) takePendingLocked() []*block {
-	if len(s.pendingSpill) == 0 {
-		return nil
-	}
-	victims := s.pendingSpill
-	s.pendingSpill = nil
-	return victims
-}
-
 // writeSpills persists evicted blocks to the disk tier. Runs without
-// store locks: the victims are unreachable, and the spill cache has its
-// own mutex.
+// store locks: the victims are unreachable and owned by the caller, which
+// evicted them, and the spill cache has its own mutex.
 func (s *Store) writeSpills(victims []*block) {
 	if len(victims) == 0 {
 		return
@@ -659,11 +673,11 @@ func (s *Store) fanOutWorlds(worker func() func(i int)) {
 	})
 }
 
-// computeLabels computes the component labels of every world of block bi.
-// Each world's labels are computed independently into a disjoint slice of
-// the buffer, so the bits do not depend on the worker count.
-func (s *Store) computeLabels(bi int) []int32 {
-	labels := make([]int32, s.bw*s.n)
+// computeLabels writes the component labels of every world of block bi
+// into labels, overwriting every entry. Each world's labels are computed
+// independently into a disjoint slice of the buffer, so the bits do not
+// depend on the worker count.
+func (s *Store) computeLabels(bi int, labels []int32) {
 	base := bi * s.bw
 	s.fanOutWorlds(func() func(int) {
 		uf := graph.NewUnionFind(s.n)
@@ -671,21 +685,19 @@ func (s *Store) computeLabels(bi int) []int32 {
 			s.World(base+i).ComponentLabels(uf, labels[i*s.n:(i+1)*s.n])
 		}
 	})
-	return labels
 }
 
-// computeBitmaps computes the edge bitmaps of every world of block bi.
-// Each world's bitmap is filled independently into a disjoint slice of the
-// buffer, so the bits do not depend on the worker count.
-func (s *Store) computeBitmaps(bi int) []uint64 {
-	bits := make([]uint64, s.bw*s.wpw)
+// computeBitmaps writes the edge bitmaps of every world of block bi into
+// bits, overwriting every word. Each world's bitmap is filled
+// independently into a disjoint slice of the buffer, so the bits do not
+// depend on the worker count.
+func (s *Store) computeBitmaps(bi int, bits []uint64) {
 	base := bi * s.bw
 	s.fanOutWorlds(func() func(int) {
 		return func(i int) {
 			s.World(base + i).FillEdgeBitmap(bits[i*s.wpw : (i+1)*s.wpw])
 		}
 	})
-	return bits
 }
 
 // release unpins a block acquired with acquire. When the last pin drops
@@ -696,23 +708,26 @@ func (s *Store) computeBitmaps(bi int) []uint64 {
 func (s *Store) release(b *block) {
 	s.mu.Lock()
 	b.pins--
+	var victims []*block
 	if b.pins == 0 && s.budget > 0 && s.residentBytes > s.budget {
-		s.evictLocked(s.budget)
+		victims = s.evictLocked(s.budget)
 	}
-	victims := s.takePendingLocked()
 	s.mu.Unlock()
 	s.writeSpills(victims)
 }
 
 // evictLocked drops least-recently-used unpinned blocks — across both
 // artifact families — until at most maxBytes of nominal block memory
-// remain. Blocks still being materialized or pinned by readers are never
-// dropped; if everything is pinned the budget is temporarily overshot
-// rather than blocking. Caller holds s.mu.
-func (s *Store) evictLocked(maxBytes int64) {
+// remain, and returns them. Blocks still being materialized or pinned by
+// readers are never dropped; if everything is pinned the budget is
+// temporarily overshot rather than blocking. The victims are out of the
+// block map with zero pins, so the caller owns them: it spills them with
+// writeSpills after releasing s.mu. Caller holds s.mu.
+func (s *Store) evictLocked(maxBytes int64) []*block {
 	if maxBytes < 0 {
 		maxBytes = 0
 	}
+	var victims []*block
 	for s.residentBytes > maxBytes {
 		var victim *block
 		for f := range s.blocks {
@@ -729,19 +744,14 @@ func (s *Store) evictLocked(maxBytes int64) {
 			}
 		}
 		if victim == nil {
-			return
+			break
 		}
 		delete(s.blocks[victim.fam], victim.idx)
 		s.residentBytes -= victim.bytes
 		s.evicted++
-		// With a disk tier attached, the victim spills instead of being
-		// forgotten. The write happens after s.mu is released (the victim is
-		// privately owned once out of the map): callers that can evict drain
-		// the queue via takePendingLocked + writeSpills.
-		if s.spill.Load() != nil {
-			s.pendingSpill = append(s.pendingSpill, victim)
-		}
+		victims = append(victims, victim)
 	}
+	return victims
 }
 
 // Scan calls fn(i, labels) for every world i in [lo, hi), in increasing

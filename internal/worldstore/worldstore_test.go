@@ -2,7 +2,9 @@ package worldstore
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -145,7 +147,7 @@ func TestSetBudgetShrinkEvictsImmediately(t *testing.T) {
 	if before.ResidentBlocks < 2 {
 		t.Skipf("only %d blocks materialized", before.ResidentBlocks)
 	}
-	s.SetBudget(int64(4 * g.NumNodes() * before.BlockWorlds)) // exactly one block
+	s.SetBudget(s.blockBytes(famLabels)) // exactly one block
 	after := s.Stats()
 	if after.ResidentBlocks != 1 {
 		t.Fatalf("shrink left %d blocks resident", after.ResidentBlocks)
@@ -479,7 +481,7 @@ func TestStatsHitsAndRecomputes(t *testing.T) {
 	}
 
 	// Shrink to one block, touch the evicted one again: a recompute.
-	s.SetBudget(int64(4 * s.n * bw))
+	s.SetBudget(s.blockBytes(famLabels))
 	if st = s.Stats(); st.Evictions != 1 {
 		t.Fatalf("after shrink: %+v", st)
 	}
@@ -551,5 +553,110 @@ func TestScanMaterializesWholeBlocks(t *testing.T) {
 	s.Scan(0, bw, func(int, []int32) {})
 	if st := s.Stats(); st.Materializations != 2 || st.Hits != 2 {
 		t.Fatalf("reading the rest of both blocks: %+v, want 2 materializations and 2 hits", st)
+	}
+}
+
+// TestReusedBuffersConcurrentReaders runs Scan, CountPairCtx,
+// CountConnectedFromMulti and CountWithinMulti readers at once on stores
+// whose budget holds about one block per family, with and without a disk
+// tier, so nearly every acquisition evicts a block and materializes into
+// its buffers. Every count must be bit-identical to an unbounded store's:
+// a buffer is handed over only once no reader holds its block and its
+// spill write has finished. Both block shapes run: 256-world blocks with
+// presence indexes, and 62-world blocks on the per-world kernels. Run it
+// under -race.
+func TestReusedBuffersConcurrentReaders(t *testing.T) {
+	for _, g := range []*graph.Uncertain{ringGraph(t, 60, 3), ringGraph(t, 4200, 13)} {
+		const seed, depth, readers = 19, 2, 2
+		ref := New(g, seed)
+		n, bw := ref.NumNodes(), ref.BlockWorlds()
+		r := 3*bw + bw/2
+		cs := []graph.NodeID{0, graph.NodeID(n / 3), graph.NodeID(n - 1)}
+		lo := []int{0, bw / 2, bw + 1}
+		pairs := [][2]graph.NodeID{{0, 1}, {2, graph.NodeID(n / 2)}}
+		wantLabels := snapshotLabels(ref, r)
+		wantPairs := make([]int64, len(pairs))
+		for i, p := range pairs {
+			wantPairs[i], _ = ref.CountPairCtx(context.Background(), p[0], p[1], 0, r)
+		}
+		tally := func(s *Store, within bool) [][]int32 {
+			counts := make([][]int32, len(cs))
+			for j := range counts {
+				counts[j] = make([]int32, n)
+			}
+			if within {
+				s.CountWithinMulti(cs, depth, lo, r, counts)
+			} else {
+				s.CountConnectedFromMulti(cs, lo, r, counts)
+			}
+			return counts
+		}
+		wantConn, wantWithin := tally(ref, false), tally(ref, true)
+		same := func(a, b [][]int32) bool {
+			for j := range a {
+				if !slices.Equal(a[j], b[j]) {
+					return false
+				}
+			}
+			return true
+		}
+
+		for _, disk := range []bool{false, true} {
+			s := New(g, seed)
+			if disk {
+				if err := s.AttachCache(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			budget := s.blockBytes(famLabels) + s.blockBytes(famBits)
+			if s.packed() {
+				budget += s.indexBytes(famBits)
+			}
+			s.SetBudget(budget)
+			tag := fmt.Sprintf("%d-world blocks, disk tier %v", bw, disk)
+			work := []func(){
+				func() {
+					s.Scan(0, r, func(i int, lab []int32) {
+						if !slices.Equal(lab, wantLabels[i]) {
+							t.Errorf("%s: Scan world %d differs from the unbounded store", tag, i)
+						}
+					})
+				},
+				func() {
+					for i, p := range pairs {
+						if got, _ := s.CountPairCtx(context.Background(), p[0], p[1], 0, r); got != wantPairs[i] {
+							t.Errorf("%s: CountPairCtx %v = %d, want %d", tag, p, got, wantPairs[i])
+						}
+					}
+				},
+				func() {
+					if !same(tally(s, false), wantConn) {
+						t.Errorf("%s: CountConnectedFromMulti differs from the unbounded store", tag)
+					}
+				},
+				func() {
+					if !same(tally(s, true), wantWithin) {
+						t.Errorf("%s: CountWithinMulti differs from the unbounded store", tag)
+					}
+				},
+			}
+			var wg sync.WaitGroup
+			for _, w := range work {
+				for range readers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for range 3 {
+							w()
+						}
+					}()
+				}
+			}
+			wg.Wait()
+			st := s.Stats()
+			if st.Evictions == 0 || disk && st.DiskHits == 0 {
+				t.Fatalf("%s: readers neither evicted nor reloaded: %+v", tag, st)
+			}
+		}
 	}
 }
