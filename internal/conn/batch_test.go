@@ -147,18 +147,24 @@ func identicalGraph(t *testing.T, g *graph.Uncertain) *graph.Uncertain {
 }
 
 // TestEstimatorBoundedMemoryBitIdentical runs the same queries against an
-// estimator whose world store is squeezed to a single resident label block
-// and against an unbounded one: the estimates must be bit-identical, with
-// the bounded store visibly evicting and recomputing along the way.
+// estimator whose world store is squeezed to a single label block and its
+// index block and against an unbounded one: the estimates must be
+// bit-identical, with the bounded store visibly evicting and recomputing
+// along the way.
 func TestEstimatorBoundedMemoryBitIdentical(t *testing.T) {
 	g := gridGraph(t, 10, 8, 0.55)
 	const seed = 19
 	unbounded := NewMonteCarlo(g, seed)
 
+	// A one-world tally on a fresh store materializes one index block and
+	// the label block it is built from, so its resident bytes are one
+	// block of each family an unlimited-depth tally reads: the budget
+	// holds one label block and one index block at a time.
+	probe := worldstore.New(identicalGraph(t, g), seed)
+	probe.CountConnectedFrom(0, 0, 1, make([]int32, g.NumNodes()))
 	g2 := identicalGraph(t, g)
 	bounded := NewMonteCarlo(g2, seed)
-	blockBytes := int64(4 * g2.NumNodes() * bounded.Store().Stats().BlockWorlds)
-	bounded.Store().SetBudget(blockBytes) // one block resident at a time
+	bounded.Store().SetBudget(probe.Stats().ResidentBytes)
 
 	const r = 700 // several blocks worth of worlds
 	cs := []graph.NodeID{0, 17, 33, 60}

@@ -231,6 +231,7 @@ var storeTable = []stat[worldstore.Stats]{
 	{"resident_blocks", "ucgraph_store_resident_blocks", gauge, "World blocks resident in RAM.", func(st worldstore.Stats) any { return st.ResidentBlocks }},
 	{"resident_label_blocks", "ucgraph_store_resident_label_blocks", gauge, "Label blocks resident in RAM.", func(st worldstore.Stats) any { return st.ResidentLabelBlocks }},
 	{"resident_bitmap_blocks", "ucgraph_store_resident_bitmap_blocks", gauge, "Edge-bitmap blocks resident in RAM.", func(st worldstore.Stats) any { return st.ResidentBitmapBlocks }},
+	{"resident_component_blocks", "ucgraph_store_resident_component_blocks", gauge, "Largest-component index blocks resident in RAM.", func(st worldstore.Stats) any { return st.ResidentComponentBlocks }},
 	{"resident_bytes", "ucgraph_store_resident_bytes", gauge, "Bytes of resident world data.", func(st worldstore.Stats) any { return st.ResidentBytes }},
 	{"block_worlds", "ucgraph_store_block_worlds", gauge, "Worlds per block.", func(st worldstore.Stats) any { return st.BlockWorlds }},
 	{"hits", "ucgraph_store_hits_total", counter, "Block requests answered from RAM.", func(st worldstore.Stats) any { return st.Hits }},

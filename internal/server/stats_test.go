@@ -24,26 +24,27 @@ import (
 // /v1/shards blocks of one graph's world store, shard workers and shard
 // fabric.
 type storeStats struct {
-	Worlds               int    `json:"worlds"`
-	ResidentBlocks       int    `json:"resident_blocks"`
-	ResidentLabelBlocks  int    `json:"resident_label_blocks"`
-	ResidentBitmapBlocks int    `json:"resident_bitmap_blocks"`
-	ResidentBytes        int64  `json:"resident_bytes"`
-	BlockWorlds          int    `json:"block_worlds"`
-	Hits                 uint64 `json:"hits"`
-	Materializations     uint64 `json:"materializations"`
-	Recomputes           uint64 `json:"recomputes"`
-	ColdRecomputes       uint64 `json:"cold_recomputes"`
-	PostSpillRecomputes  uint64 `json:"post_spill_recomputes"`
-	Evictions            uint64 `json:"evictions"`
-	DiskHits             uint64 `json:"disk_hits"`
-	DiskBytes            int64  `json:"disk_bytes"`
-	SpillWrites          uint64 `json:"spill_writes"`
-	CorruptDropped       uint64 `json:"corrupt_dropped"`
-	AccumWorlds          uint64 `json:"accum_worlds"`
-	AccumFlushes         uint64 `json:"accum_flushes"`
-	DirectWorlds         uint64 `json:"direct_worlds"`
-	CacheDir             string `json:"cache_dir,omitempty"`
+	Worlds                  int    `json:"worlds"`
+	ResidentBlocks          int    `json:"resident_blocks"`
+	ResidentLabelBlocks     int    `json:"resident_label_blocks"`
+	ResidentBitmapBlocks    int    `json:"resident_bitmap_blocks"`
+	ResidentComponentBlocks int    `json:"resident_component_blocks"`
+	ResidentBytes           int64  `json:"resident_bytes"`
+	BlockWorlds             int    `json:"block_worlds"`
+	Hits                    uint64 `json:"hits"`
+	Materializations        uint64 `json:"materializations"`
+	Recomputes              uint64 `json:"recomputes"`
+	ColdRecomputes          uint64 `json:"cold_recomputes"`
+	PostSpillRecomputes     uint64 `json:"post_spill_recomputes"`
+	Evictions               uint64 `json:"evictions"`
+	DiskHits                uint64 `json:"disk_hits"`
+	DiskBytes               int64  `json:"disk_bytes"`
+	SpillWrites             uint64 `json:"spill_writes"`
+	CorruptDropped          uint64 `json:"corrupt_dropped"`
+	AccumWorlds             uint64 `json:"accum_worlds"`
+	AccumFlushes            uint64 `json:"accum_flushes"`
+	DirectWorlds            uint64 `json:"direct_worlds"`
+	CacheDir                string `json:"cache_dir,omitempty"`
 }
 
 type shardStats struct {
@@ -199,6 +200,7 @@ var legacyFamilies = map[string]string{
 var tableFamilies = map[string]string{
 	"ucgraph_store_resident_label_blocks":          "gauge graph",
 	"ucgraph_store_resident_bitmap_blocks":         "gauge graph",
+	"ucgraph_store_resident_component_blocks":      "gauge graph",
 	"ucgraph_store_block_worlds":                   "gauge graph",
 	"ucgraph_store_cold_recomputes_total":          "counter graph",
 	"ucgraph_store_post_spill_recomputes_total":    "counter graph",
@@ -311,8 +313,8 @@ func TestStatszAndMetricszAgree(t *testing.T) {
 		ws := w.(map[string]any)
 		agree("ucgraph_shard_worker_", ws, map[string]string{"graph": "ring", "worker": ws["addr"].(string)})
 	}
-	if len(checked) != 19+8+10 {
-		t.Errorf("compared %d families, want 37 (19 store, 8 fabric, 10 worker): %v", len(checked), checked)
+	if len(checked) != 20+8+10 {
+		t.Errorf("compared %d families, want 38 (20 store, 8 fabric, 10 worker): %v", len(checked), checked)
 	}
 
 	doc := readDocs(t, "OPERATIONS.md", "SERVER.md")

@@ -1,6 +1,8 @@
 package worldstore
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -152,14 +154,15 @@ func TestCountConnectedFromMatchesScan(t *testing.T) {
 			s := New(sh.g, seed)
 			checkCases(t, "unbounded", s, ref, randomCases(s, 1, 16, 3))
 
-			// Bounded, with a disk tier: room for two label blocks, so the
-			// cases evict, spill and reload blocks, and every reloaded block
-			// reads its index from its disk record.
+			// Bounded, with a disk tier: room for two index blocks and no
+			// label block, so the cases evict, spill and reload index
+			// blocks, and every label block an index build or a walk's
+			// fallback reads is evicted again right after.
 			tiered := New(sh.g, seed)
 			if err := tiered.AttachCache(t.TempDir()); err != nil {
 				t.Fatal(err)
 			}
-			budget := 2 * (tiered.blockBytes(famLabels) + tiered.indexBytes(famLabels))
+			budget := 2 * tiered.blockBytes(famComponents)
 			tiered.SetBudget(budget)
 			cases := randomCases(tiered, 2, 12, 4)
 			for pass := 0; pass < 2; pass++ {
@@ -211,9 +214,9 @@ func TestCountConnectedFromGrowingStream(t *testing.T) {
 }
 
 // TestCountConnectedFromConcurrent has many callers race on the first
-// block of fresh stores — unbounded and with a one-block budget — so they
-// grow its prefix, build and rebuild its index and evict it at once. Run
-// it under -race.
+// block of fresh stores — unbounded and with a budget of one label block
+// and one index block — so they build and rebuild its index and evict it
+// at once. Run it under -race.
 func TestCountConnectedFromConcurrent(t *testing.T) {
 	const seed, workers, calls = 21, 8, 12
 	g := indexShapes(t)[0].g
@@ -231,7 +234,7 @@ func TestCountConnectedFromConcurrent(t *testing.T) {
 		want[i] = make([]int32, g.NumNodes())
 		scanConnectedFrom(ref, cc.c, cc.lo, cc.hi, want[i])
 	}
-	oneBlock := probe.blockBytes(famLabels) + probe.indexBytes(famLabels)
+	oneBlock := probe.blockBytes(famLabels) + probe.blockBytes(famComponents)
 	for _, budget := range []int64{0, oneBlock} {
 		s := New(g, seed)
 		s.SetBudget(budget)
@@ -262,49 +265,53 @@ func TestCountConnectedFromConcurrent(t *testing.T) {
 }
 
 // TestCountConnectedFromChargesIndex checks the index's byte accounting:
-// a label block counts its index in ResidentBytes from insertion, whether
-// a tally or a scan reads it first, a second tally over it charges
-// nothing more, and eviction frees both.
+// an index block is charged 8·ceil(bw/64)·n bytes and a label block
+// 4·bw·n; the first tally over a block charges its index block and the
+// label block the build read, a scan charges the label block alone, a
+// second tally over an indexed block charges nothing more, eviction frees
+// everything, and a batch over two blocks charges two of each.
 func TestCountConnectedFromChargesIndex(t *testing.T) {
 	g := indexShapes(t)[0].g
 	s := New(g, 3)
-	bw := s.BlockWorlds()
-	index := s.indexBytes(famLabels)
-	if want := int64(8 * ((bw + 63) / 64) * g.NumNodes()); index != want {
-		t.Fatalf("index bytes %d, want 8*ceil(bw/64)*n = %d", index, want)
+	n, bw := g.NumNodes(), s.BlockWorlds()
+	index := s.blockBytes(famComponents)
+	if want := int64(8 * ((bw + 63) / 64) * n); index != want {
+		t.Fatalf("index block bytes %d, want 8*ceil(bw/64)*n = %d", index, want)
 	}
-	block := s.blockBytes(famLabels)
-	if want := int64(4*bw*g.NumNodes()) + index; block != want {
-		t.Fatalf("label block bytes %d, want labels 4*bw*n plus index = %d", block, want)
+	labels := s.blockBytes(famLabels)
+	if want := int64(4 * bw * n); labels != want {
+		t.Fatalf("label block bytes %d, want 4*bw*n = %d", labels, want)
 	}
-	s.CountConnectedFrom(0, 0, bw/2, make([]int32, g.NumNodes()))
-	if st := s.Stats(); st.ResidentBytes != block {
-		t.Fatalf("tallied block: ResidentBytes %d, want labels and index %d", st.ResidentBytes, block)
+	s.CountConnectedFrom(0, 0, bw/2, make([]int32, n))
+	if st := s.Stats(); st.ResidentBytes != labels+index || st.ResidentComponentBlocks != 1 {
+		t.Fatalf("tallied block: %+v, want one index block and its labels, %d bytes", st, labels+index)
 	}
-	s.CountConnectedFrom(0, bw/2, bw, make([]int32, g.NumNodes()))
+	s.CountConnectedFrom(0, bw/2, bw, make([]int32, n))
 	s.Scan(bw, 2*bw, func(int, []int32) {})
-	if st := s.Stats(); st.ResidentBytes != 2*block {
-		t.Fatalf("one tallied and one scanned block: ResidentBytes %d, want %d", st.ResidentBytes, 2*block)
+	if st := s.Stats(); st.ResidentBytes != 2*labels+index || st.ResidentBlocks != 3 {
+		t.Fatalf("one tallied and one scanned block: %+v, want %d bytes in 3 blocks", st, 2*labels+index)
 	}
 	s.SetBudget(1)
 	if st := s.Stats(); st.ResidentBytes != 0 || st.ResidentBlocks != 0 {
 		t.Fatalf("eviction left %d bytes in %d blocks", st.ResidentBytes, st.ResidentBlocks)
 	}
-	// A batch charges every label block it reads once.
+	// A batch charges every index block it reads once, and the label
+	// block each one is built from.
 	s.SetBudget(0)
 	s.CountConnectedFromMulti([]graph.NodeID{0, 1}, []int{0, bw}, 2*bw,
-		[][]int32{make([]int32, g.NumNodes()), make([]int32, g.NumNodes())})
-	if st := s.Stats(); st.ResidentBytes != 2*block {
-		t.Fatalf("batch over two blocks: ResidentBytes %d, want 2 blocks of %d", st.ResidentBytes, block)
+		[][]int32{make([]int32, n), make([]int32, n)})
+	if st := s.Stats(); st.ResidentBytes != 2*(labels+index) || st.ResidentComponentBlocks != 2 {
+		t.Fatalf("batch over two blocks: %+v, want 2 blocks of each family, %d bytes", st, 2*(labels+index))
 	}
 }
 
-// TestCountConnectedFromIndexNotLargest builds worlds whose indexed
-// component is not the largest: the probed nodes i*n/componentProbes are
-// joined by p = 1 edges into one small component, and every other node
-// lies on one longer p = 1 path. Centers on both sides, single and
-// batched, must still count exactly.
-func TestCountConnectedFromIndexNotLargest(t *testing.T) {
+// notLargestGraph builds worlds whose indexed component is not the
+// largest: the probed nodes i*n/componentProbes are joined by p = 1 edges
+// into one small component of 64 nodes, and every other node lies on one
+// p = 1 path of 448 nodes. Every world is the same, and a coin walk from
+// the path outgrows walkBudget (n/8 = 64 adjacency entries).
+func notLargestGraph(t testing.TB) *graph.Uncertain {
+	t.Helper()
 	const n, stride = 8 * componentProbes, 8
 	var edges []graph.Edge
 	for u := int32(stride); u < n; u += stride {
@@ -317,16 +324,24 @@ func TestCountConnectedFromIndexNotLargest(t *testing.T) {
 			prev = u
 		}
 	}
-	g := mustGraph(t, n, edges)
+	return mustGraph(t, n, edges)
+}
+
+// TestCountConnectedFromIndexNotLargest tallies on notLargestGraph: the
+// index holds the small probed component, and centers on both sides,
+// single and batched, must still count exactly.
+func TestCountConnectedFromIndexNotLargest(t *testing.T) {
+	g := notLargestGraph(t)
+	n := g.NumNodes()
 	ref, s := New(g, 3), New(g, 3)
 	bw := s.BlockWorlds()
 	s.CountConnectedFrom(0, 0, 1, make([]int32, n))
-	index := s.blocks[famLabels][0].index
-	probe, path := index[0]&1, index[1]&1
+	comps := s.blocks[famComponents][0].comps
+	probe, path := comps[0]&1, comps[1]&1
 	if probe != 1 || path != 0 {
 		t.Fatalf("world 0 indexes node 0: %d, node 1: %d; want the probed component", probe, path)
 	}
-	cs := []graph.NodeID{0, 1, n - stride, n - 1}
+	cs := []graph.NodeID{0, 1, graph.NodeID(n - 8), graph.NodeID(n - 1)}
 	lo := []int{0, 3, bw - 1, bw + 7}
 	hi := 2*bw + 5
 	got, want := make([][]int32, len(cs)), make([][]int32, len(cs))
@@ -339,6 +354,191 @@ func TestCountConnectedFromIndexNotLargest(t *testing.T) {
 	}
 	s.CountConnectedFromMulti(cs, lo, hi, got)
 	sameCounts(t, "batch", want, got)
+}
+
+// scanPair is the reference pair kernel CountPairCtx must reproduce: one
+// label compare per world, aborting at a block boundary like the kernel.
+func scanPair(ctx context.Context, s *Store, u, v graph.NodeID, lo, hi int) (int64, error) {
+	var cnt int64
+	err := s.ScanCtx(ctx, lo, hi, func(_ int, lab []int32) {
+		if lab[u] == lab[v] {
+			cnt++
+		}
+	})
+	return cnt, err
+}
+
+// withIsolated returns g with one more node, n, that has no edge.
+func withIsolated(t testing.TB, g *graph.Uncertain) *graph.Uncertain {
+	t.Helper()
+	return mustGraph(t, g.NumNodes()+1, g.Edges())
+}
+
+// TestCountPairMatchesLabels compares CountPairCtx with the reference
+// label compare on the three index shapes, on notLargestGraph (whose walks
+// from the path outgrow walkBudget) and on Krogan with an isolated node:
+// random pairs, neighbor pairs (both endpoints off the index and joined by
+// a present edge in some worlds), u == v, the last node (the isolated one
+// on the last shape), ranges that start or end mid-block, and a cancelled
+// context. The first count on a fresh store builds the index blocks of
+// its range: pairs read the index family.
+func TestCountPairMatchesLabels(t *testing.T) {
+	const seed = 31
+	shapes := indexShapes(t)
+	shapes = append(shapes,
+		indexShape{"not-largest", notLargestGraph(t)},
+		indexShape{"krogan+isolated", withIsolated(t, shapes[0].g)})
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ref, s := New(sh.g, seed), New(sh.g, seed)
+			n, bw := s.NumNodes(), s.BlockWorlds()
+			last := graph.NodeID(n - 1)
+			x := rng.NewXoshiro256(6)
+			pairs := [][2]graph.NodeID{{0, 0}, {last, last}, {0, last}, {last, 1}, {1, last - 1}}
+			for range 6 {
+				u := graph.NodeID(x.Intn(n))
+				pairs = append(pairs, [2]graph.NodeID{u, graph.NodeID(x.Intn(n))})
+				if nodes, _, _ := sh.g.NeighborSlices(u); len(nodes) > 0 {
+					pairs = append(pairs, [2]graph.NodeID{u, nodes[x.Intn(len(nodes))]})
+				}
+			}
+			ranges := [][2]int{{0, 3 * bw}, {bw / 2, bw/2 + 1}, {5, 2*bw - 3}, {bw - 1, 2*bw + bw/2}, {-4, bw}}
+			ctx := context.Background()
+			s.CountPairCtx(ctx, 0, 1, 0, 3*bw)
+			if st := s.Stats(); st.ResidentComponentBlocks != 3 {
+				t.Fatalf("a pair count over 3 blocks left %d index blocks resident, want 3", st.ResidentComponentBlocks)
+			}
+			for _, p := range pairs {
+				for _, rg := range ranges {
+					got, err := s.CountPairCtx(ctx, p[0], p[1], rg[0], rg[1])
+					want, _ := scanPair(ctx, ref, p[0], p[1], rg[0], rg[1])
+					if err != nil || got != want {
+						t.Fatalf("pair %v worlds [%d,%d): %d (err %v), want %d", p, rg[0], rg[1], got, err, want)
+					}
+				}
+			}
+			cancelled, cancel := context.WithCancel(ctx)
+			cancel()
+			got, err := s.CountPairCtx(cancelled, 0, 1, 0, 2*bw)
+			want, werr := scanPair(cancelled, ref, 0, 1, 0, 2*bw)
+			if got != want || !errors.Is(err, context.Canceled) || !errors.Is(werr, context.Canceled) {
+				t.Fatalf("cancelled context: %d (err %v), want %d (err %v)", got, err, want, werr)
+			}
+		})
+	}
+}
+
+// TestIndexedCountsReadNoLabels: under a budget that holds the index
+// blocks of a store's worlds and one label block for their builds, a tally
+// builds every index block and keeps them all, because each build releases
+// its label block as the least recently used block and the next build
+// evicts that one instead of an index block. Once the budget shrinks to
+// the index blocks (the shape of dblp-tiered's store), unlimited-depth
+// pairs and a 2-center tally materialize no block, so they read no label:
+// on Krogan and on DBLP at 6,000 authors every world has a giant
+// component, and the walks off the index stay within walkBudget.
+func TestIndexedCountsReadNoLabels(t *testing.T) {
+	shapes := []indexShape{indexShapes(t)[0], {"dblp-6k", dblpGraph(t, 6000)}}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			const seed, blocks = 7, 3
+			ref, s := New(sh.g, seed), New(sh.g, seed)
+			n, bw := s.NumNodes(), s.BlockWorlds()
+			r := blocks * bw
+			cs := []graph.NodeID{0, graph.NodeID(n / 2)}
+			lo := []int{0, bw / 2}
+			indexBlocks := blocks * s.blockBytes(famComponents)
+			s.SetBudget(indexBlocks + s.blockBytes(famLabels))
+			s.CountConnectedFromMulti(cs, lo, r, [][]int32{make([]int32, n), make([]int32, n)})
+			if st := s.Stats(); st.ResidentComponentBlocks != blocks {
+				t.Fatalf("building %d index blocks left %d resident: %+v", blocks, st.ResidentComponentBlocks, st)
+			}
+			s.SetBudget(indexBlocks)
+			before := s.Stats()
+			if before.ResidentComponentBlocks != blocks || before.ResidentLabelBlocks != 0 {
+				t.Fatalf("%+v, want %d index blocks and no label block", before, blocks)
+			}
+			ctx := context.Background()
+			nodes, _, _ := sh.g.NeighborSlices(cs[1])
+			for _, p := range [][2]graph.NodeID{{0, graph.NodeID(n - 1)}, {cs[1], nodes[0]}, {3, 3}} {
+				got, _ := s.CountPairCtx(ctx, p[0], p[1], 1, r)
+				if want, _ := scanPair(ctx, ref, p[0], p[1], 1, r); got != want {
+					t.Fatalf("pair %v: %d, want %d", p, got, want)
+				}
+			}
+			got, want := make([][]int32, len(cs)), make([][]int32, len(cs))
+			for j, c := range cs {
+				got[j], want[j] = make([]int32, n), make([]int32, n)
+				scanConnectedFrom(ref, c, lo[j], r, want[j])
+			}
+			s.CountConnectedFromMulti(cs, lo, r, got)
+			sameCounts(t, "indexed tally", want, got)
+			if after := s.Stats(); after.Materializations != before.Materializations || after.ResidentLabelBlocks != 0 {
+				t.Fatalf("pairs and a tally over resident index blocks materialized %d blocks: %+v",
+					after.Materializations-before.Materializations, after)
+			}
+		})
+	}
+}
+
+// TestCoinWalkOverBudgetReadsLabels: on notLargestGraph a center on the
+// long path lies off the index in a component that a coin walk cannot
+// finish within walkBudget. Such a tally and a pair along the path fall
+// back to the labels — the label block is materialized again under a
+// budget that holds only the index block — and count exactly.
+func TestCoinWalkOverBudgetReadsLabels(t *testing.T) {
+	g := notLargestGraph(t)
+	n := g.NumNodes()
+	ref, s := New(g, 5), New(g, 5)
+	bw := s.BlockWorlds()
+	s.SetBudget(s.blockBytes(famComponents))
+	s.CountConnectedFrom(0, 0, bw, make([]int32, n))
+	before := s.Stats()
+	if before.ResidentComponentBlocks != 1 || before.ResidentLabelBlocks != 0 {
+		t.Fatalf("%+v, want the index block resident and the label block evicted", before)
+	}
+	got, want := make([]int32, n), make([]int32, n)
+	s.CountConnectedFrom(1, 0, bw, got)
+	scanConnectedFrom(ref, 1, 0, bw, want)
+	sameCounts(t, "over-budget walk", [][]int32{want}, [][]int32{got})
+	ctx := context.Background()
+	pair, _ := s.CountPairCtx(ctx, 1, graph.NodeID(n-1), 0, bw)
+	if wantPair, _ := scanPair(ctx, ref, 1, graph.NodeID(n-1), 0, bw); pair != wantPair || pair != int64(bw) {
+		t.Fatalf("pair along the path: %d, want %d (every world)", pair, wantPair)
+	}
+	if d := s.Stats().Materializations - before.Materializations; d != 2 {
+		t.Fatalf("the tally and the pair materialized %d blocks, want their label block twice", d)
+	}
+}
+
+// TestCountOutOfRangeNodePanics: a pair endpoint or a center outside the
+// graph panics, as a label compare does, instead of reading the next
+// index row. Krogan's blocks hold more than 64 worlds, so node n would
+// fall inside the second row of a flat read.
+func TestCountOutOfRangeNodePanics(t *testing.T) {
+	s := New(indexShapes(t)[0].g, 3)
+	n := graph.NodeID(s.NumNodes())
+	if s.BlockWorlds() <= 64 {
+		t.Fatalf("blocks of %d worlds have one index row; the test needs two", s.BlockWorlds())
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		count func()
+	}{
+		{"pair (n, 0)", func() { s.CountPairCtx(ctx, n, 0, 0, 1) }},
+		{"pair (0, n)", func() { s.CountPairCtx(ctx, 0, n, 0, 1) }},
+		{"center n", func() { s.CountConnectedFrom(n, 0, 1, make([]int32, n)) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a graph of %d nodes did not panic", tc.name, n)
+				}
+			}()
+			tc.count()
+		}()
+	}
 }
 
 // BenchmarkCountConnectedFrom times center tallies over the first r worlds
@@ -378,4 +578,45 @@ func BenchmarkCountConnectedFrom(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkCountPair times one unlimited-depth pair count, CountPairCtx,
+// in two cache states. Warm: 1,024 worlds of a store whose blocks are all
+// resident, on the three shapes of indexShapes. Disk: 64 worlds of DBLP at
+// 40,000 authors (8-world blocks) on a store with a disk tier that has
+// spilled every block, under a budget that holds the 8 index blocks of
+// those worlds but no label block, after one count has reloaded them;
+// loads/op counts the blocks each count reloads from the disk tier.
+func BenchmarkCountPair(b *testing.B) {
+	ctx := context.Background()
+	for _, sh := range indexShapes(b) {
+		const r = 1024
+		s := New(sh.g, 7)
+		u, v := graph.NodeID(0), graph.NodeID(s.NumNodes()/2)
+		s.CountPairCtx(ctx, u, v, 0, r)
+		b.Run(fmt.Sprintf("%s/r=%d", sh.name, r), func(b *testing.B) {
+			for b.Loop() {
+				s.CountPairCtx(ctx, u, v, 0, r)
+			}
+			b.ReportMetric(r, "worlds/op")
+		})
+	}
+	const worlds = 64
+	s := New(dblpGraph(b, 40000), 7)
+	if err := s.AttachCache(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	u, v := graph.NodeID(0), graph.NodeID(s.NumNodes()/2)
+	s.CountPairCtx(ctx, u, v, 0, worlds)
+	s.SetBudget(1) // spill every block
+	s.SetBudget(int64(worlds/s.BlockWorlds()) * s.blockBytes(famComponents))
+	s.CountPairCtx(ctx, u, v, 0, worlds)
+	b.Run("dblp-40k/spilled", func(b *testing.B) {
+		before := s.Stats()
+		for b.Loop() {
+			s.CountPairCtx(ctx, u, v, 0, worlds)
+		}
+		b.ReportMetric(float64(s.Stats().DiskHits-before.DiskHits)/float64(b.N), "loads/op")
+		b.ReportMetric(worlds, "worlds/op")
+	})
 }

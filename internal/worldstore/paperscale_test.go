@@ -60,9 +60,10 @@ func TestPaperScaleTieredSmoke(t *testing.T) {
 	if err := tiered.AttachCache(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	// Two blocks' worth of budget: the scan constantly evicts, spills and
-	// reloads instead of settling into residency.
-	tiered.SetBudget(2 * int64(g.NumNodes()) * 4 * int64(tiered.BlockWorlds()))
+	// Two label blocks' worth of budget, the largest family: the scan
+	// constantly evicts, spills and reloads instead of settling into
+	// residency.
+	tiered.SetBudget(2 * tiered.blockBytes(famLabels))
 	for pass := 0; pass < 2; pass++ {
 		i := 0
 		tiered.Scan(0, worlds, func(_ int, labels []int32) {
@@ -121,11 +122,11 @@ func BenchmarkDBLPPaperScale(b *testing.B) {
 	if err := s.AttachCache(b.TempDir()); err != nil {
 		b.Fatal(err)
 	}
-	bw := s.BlockWorlds()
-	s.SetBudget(int64(g.NumNodes()) * 4 * int64(bw))
+	bw, block := s.BlockWorlds(), s.blockBytes(famLabels)
+	s.SetBudget(block)
 	s.Scan(0, bw, func(int, []int32) {}) // materialize block 0...
 	s.SetBudget(1)                       // ...and force it through the spill path
-	s.SetBudget(int64(g.NumNodes()) * 4 * int64(bw))
+	s.SetBudget(block)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := (i + 1) * bw

@@ -16,8 +16,9 @@ import (
 // present and v is newly reached. Once the traversal stops, every reached
 // node adds the popcount of its reach mask. Each bit follows exactly its
 // own world's traversal, so the counts are the integers a per-world BFS
-// adds. Unlike the largest-component index, which is materialized and
-// spilled with its label block, the presence index of a block is lazy:
+// adds. Unlike the largest-component index, a block family of its own
+// that is spilled and reloaded like any block, the presence index of a
+// block is lazy:
 // built once, by the first depth-limited count that reads the block,
 // charged to the block's bytes then (chargeIndex), dropped with it and
 // never spilled.

@@ -1,4 +1,5 @@
-// Disk tier of the world store: spilled label and edge-bitmap blocks.
+// Disk tier of the world store: spilled label, edge-bitmap and
+// largest-component index blocks.
 //
 // A Store with an attached cache directory (AttachCache) gains a tier
 // between residency and recompute: blocks dropped by the evictor are
@@ -10,9 +11,9 @@
 //
 // On-disk layout (one directory per store):
 //
-//	labels.seg   label block payloads (labels, then the block's
-//	             largest-component index), append-only
+//	labels.seg   label block payloads, append-only
 //	bits.seg     edge-bitmap block payloads, append-only
+//	index.seg    largest-component index block payloads, append-only
 //	cache.dir    directory log: one header + fixed-size entry records
 //
 // The directory log starts with a header binding the cache to its store —
@@ -34,13 +35,15 @@
 // or bit-flipped payload is dropped (Stats.CorruptDropped) and the block
 // is recomputed, never served wrong.
 //
-// A label block's payload is its labels followed by its largest-component
-// index, both under the one payload CRC, so a reload needs no index
-// rebuild. That is format version 4. A directory of an older version is
-// refused at attach like any other header mismatch — a version-3
-// directory holds label records without the index, a version-2 one may
-// hold partial-prefix records, a version-1 one unseeded payload CRCs — so
-// delete it before starting a binary that writes version 4.
+// A label record holds the labels alone; the largest-component index of
+// the same worlds is a block of its own family with its own records in
+// index.seg, so an unlimited-depth count reloads the index without the
+// labels. That is format version 5. A directory of an older version is
+// refused at attach like any other header mismatch — a version-4
+// directory holds label records that carry their index, a version-3 one
+// label records without any index, a version-2 one may hold
+// partial-prefix records, a version-1 one unseeded payload CRCs — so
+// delete it before starting a binary that writes version 5.
 //
 // Segment reads go through a lazily grown read-only mmap of the segment
 // file where the platform supports it (falling back to pread elsewhere), so
@@ -67,7 +70,7 @@ import (
 
 const (
 	spillMagic   = "UCWSPILL"
-	spillVersion = 4
+	spillVersion = 5
 
 	spillHeaderSize = 64
 	spillRecordSize = 32
@@ -75,6 +78,7 @@ const (
 	spillDirName    = "cache.dir"
 	spillLabelsName = "labels.seg"
 	spillBitsName   = "bits.seg"
+	spillIndexName  = "index.seg"
 )
 
 // crcTable is the CRC32-C (Castagnoli) table shared by header, record and
@@ -113,30 +117,29 @@ type spillEntry struct {
 	crc uint32 // payloadCRC of the payload bytes
 }
 
-// payloadCRC is the CRC32-C of a block payload, the concatenation of
-// parts, seeded with the block's identity, so a payload verifies only as
-// the (family, block index, worlds) it was spilled as. With no parts it
-// is the seed a chunked checksum continues from.
-func payloadCRC(fam family, idx, worlds int, parts ...[]byte) uint32 {
+// payloadCRC is the CRC32-C of block payload p, seeded with the block's
+// identity, so a payload verifies only as the (family, block index,
+// worlds) it was spilled as. With p nil it is the seed a chunked checksum
+// continues from.
+func payloadCRC(fam family, idx, worlds int, p []byte) uint32 {
 	var id [12]byte
 	binary.LittleEndian.PutUint32(id[0:4], uint32(fam))
 	binary.LittleEndian.PutUint32(id[4:8], uint32(idx))
 	binary.LittleEndian.PutUint32(id[8:12], uint32(worlds))
-	crc := crc32.Checksum(id[:], crcTable)
-	for _, p := range parts {
-		crc = crc32.Update(crc, crcTable, p)
-	}
-	return crc
+	return crc32.Update(crc32.Checksum(id[:], crcTable), crcTable, p)
 }
 
-// payload returns the byte views of block b's record payload, in record
-// order: the labels and then the largest-component index of a label
-// block, the bitmaps of a bitmap block.
-func (b *block) payload() [][]byte {
-	if b.fam == famLabels {
-		return [][]byte{int32Bytes(b.labels), uint64Bytes(b.index)}
+// payload returns the byte view of block b's record payload: the labels
+// of a label block, the bitmaps of a bitmap block, the index words of an
+// index block. A bitmap block's presence index is never spilled.
+func (b *block) payload() []byte {
+	switch b.fam {
+	case famLabels:
+		return int32Bytes(b.labels)
+	case famBits:
+		return uint64Bytes(b.bits)
 	}
-	return [][]byte{uint64Bytes(b.bits)}
+	return uint64Bytes(b.comps)
 }
 
 // loadChunk is how much of a payload a load copies out of the segment
@@ -151,16 +154,13 @@ type segment struct {
 	mapped mmapView // read view of [0, len(mapped.data)); grown on demand
 }
 
-// append writes parts one after another at the segment tail, returning
-// the offset of the first.
-func (sg *segment) append(parts ...[]byte) (int64, error) {
+// append writes p at the segment tail, returning its offset.
+func (sg *segment) append(p []byte) (int64, error) {
 	off := sg.size
-	for _, p := range parts {
-		if _, err := sg.f.WriteAt(p, sg.size); err != nil {
-			return 0, err
-		}
-		sg.size += int64(len(p))
+	if _, err := sg.f.WriteAt(p, off); err != nil {
+		return 0, err
 	}
+	sg.size += int64(len(p))
 	return off, nil
 }
 
@@ -308,7 +308,7 @@ func openSpillCache(dir string, h spillHeader, blockBytes [numFamilies]int64) (c
 			c.close()
 		}
 	}()
-	for f, name := range map[family]string{famLabels: spillLabelsName, famBits: spillBitsName} {
+	for f, name := range [numFamilies]string{famLabels: spillLabelsName, famBits: spillBitsName, famComponents: spillIndexName} {
 		fh, ferr := os.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE, 0o644)
 		if ferr != nil {
 			return nil, 0, ferr
@@ -400,18 +400,18 @@ func (c *spillCache) close() {
 // happened. The caller guarantees b is unreachable by readers (evicted,
 // zero pins), so its payload is stable without holding block locks.
 func (c *spillCache) store(b *block) bool {
-	parts := b.payload()
+	p := b.payload()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[b.fam][b.idx]; ok || c.broken {
 		return false
 	}
-	off, err := c.segs[b.fam].append(parts...)
+	off, err := c.segs[b.fam].append(p)
 	if err != nil {
 		c.broken = true
 		return false
 	}
-	crc := payloadCRC(b.fam, b.idx, c.bw, parts...)
+	crc := payloadCRC(b.fam, b.idx, c.bw, p)
 	rec := encodeRecord(b.fam, b.idx, c.bw, off, crc)
 	if _, err := c.dirf.WriteAt(rec, c.dirSize); err != nil {
 		c.broken = true
@@ -441,14 +441,12 @@ func (c *spillCache) load(b *block) (loaded, hadEntry bool) {
 	length := c.blockBytes[b.fam]
 	data, err := c.segs[b.fam].read(e.off, length)
 	if err == nil {
-		crc := payloadCRC(b.fam, b.idx, c.bw)
-		for _, dst := range b.payload() {
-			for i := 0; i < len(dst); i += loadChunk {
-				chunk := dst[i:min(i+loadChunk, len(dst))]
-				copy(chunk, data[i:])
-				crc = crc32.Update(crc, crcTable, chunk)
-			}
-			data = data[len(dst):]
+		crc := payloadCRC(b.fam, b.idx, c.bw, nil)
+		dst := b.payload()
+		for i := 0; i < len(dst); i += loadChunk {
+			chunk := dst[i:min(i+loadChunk, len(dst))]
+			copy(chunk, data[i:])
+			crc = crc32.Update(crc, crcTable, chunk)
 		}
 		if crc != e.crc {
 			err = errors.New("worldstore: spill payload checksum mismatch")

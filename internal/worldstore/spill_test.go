@@ -1,6 +1,7 @@
 package worldstore
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -114,14 +115,17 @@ func TestSpillBitIdenticalAcrossTiers(t *testing.T) {
 }
 
 // TestBatchLoadsEachBlockOnce: a center batch reads each block once,
-// whatever its center count. Four centers over four spilled Krogan blocks
-// of either family, under a budget of one indexed block, load four blocks
-// from the disk tier, not one per center and block.
+// whatever its center count. Four centers over four spilled Krogan blocks,
+// under a budget of one block of the family read, load four blocks from
+// the disk tier, not one per center and block: bitmap blocks for a
+// depth-limited batch, index blocks for an unlimited one, and, when no
+// index block was ever built, the label blocks the index blocks are built
+// from.
 func TestBatchLoadsEachBlockOnce(t *testing.T) {
 	g := packedShapes(t)[0].g
 	const depth = 2
 	cs := []graph.NodeID{0, 7, 300, 1500}
-	for _, f := range []family{famLabels, famBits} {
+	for _, f := range []family{famLabels, famBits, famComponents} {
 		s := New(g, 8)
 		if err := s.AttachCache(t.TempDir()); err != nil {
 			t.Fatal(err)
@@ -131,13 +135,17 @@ func TestBatchLoadsEachBlockOnce(t *testing.T) {
 		for j := range cs {
 			got[j], want[j] = make([]int32, n), make([]int32, n)
 		}
-		if f == famLabels {
+		switch f {
+		case famLabels, famComponents:
 			ref := New(g, 8)
 			for j, c := range cs {
 				scanConnectedFrom(ref, c, 0, r, want[j])
 			}
 			snapshotLabels(s, r)
-		} else {
+			if f == famComponents {
+				s.CountConnectedFrom(0, 0, r, make([]int32, n))
+			}
+		default:
 			for j, c := range cs {
 				want[j] = reachWithin(s, c, depth, 0, r)
 			}
@@ -146,10 +154,10 @@ func TestBatchLoadsEachBlockOnce(t *testing.T) {
 		s.SetBudget(1) // spill every block
 		s.SetBudget(s.blockBytes(f) + s.indexBytes(f))
 		before := s.Stats()
-		if f == famLabels {
-			s.CountConnectedFromMulti(cs, make([]int, len(cs)), r, got)
-		} else {
+		if f == famBits {
 			s.CountWithinMulti(cs, depth, make([]int, len(cs)), r, got)
+		} else {
+			s.CountConnectedFromMulti(cs, make([]int, len(cs)), r, got)
 		}
 		sameCounts(t, fmt.Sprintf("family %d", f), want, got)
 		if d := s.Stats().DiskHits - before.DiskHits; d != 4 {
@@ -158,12 +166,13 @@ func TestBatchLoadsEachBlockOnce(t *testing.T) {
 	}
 }
 
-// spillAll materializes worlds [0, r) of both families and then forces
+// spillAll materializes worlds [0, r) of every family and then forces
 // every block out to the disk tier via a degenerate budget.
 func spillAll(t testing.TB, s *Store, r int) {
 	t.Helper()
 	snapshotLabels(s, r)
 	snapshotBits(s, r)
+	s.CountConnectedFrom(0, 0, r, make([]int32, s.NumNodes()))
 	s.SetBudget(1)
 	if st := s.Stats(); st.SpillWrites == 0 {
 		t.Fatalf("nothing spilled: %+v", st)
@@ -459,8 +468,8 @@ func TestSpillHostileRecordOffset(t *testing.T) {
 
 // TestSpillRefusesOlderVersions: a directory whose header names an older
 // format is refused at attach like any other header mismatch: version 2
-// may hold partial-prefix records, version 3 label records without their
-// index.
+// may hold partial-prefix records, version 3 label records without any
+// index, version 4 label records that carry their index.
 func TestSpillRefusesOlderVersions(t *testing.T) {
 	g := ringGraph(t, 60, 14)
 	const seed, r = 23, 300
@@ -476,24 +485,24 @@ func TestSpillRefusesOlderVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint32{2, 3} {
+	for _, v := range []uint32{2, 3, 4} {
 		binary.LittleEndian.PutUint32(raw[8:12], v)
 		binary.LittleEndian.PutUint32(raw[48:52], crc32.Checksum(raw[:48], crcTable))
 		if err := os.WriteFile(log, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := fmt.Sprintf("spill-cache format version %d, want 4", v)
+		want := fmt.Sprintf("spill-cache format version %d, want 5", v)
 		if err := New(g, seed).AttachCache(dir); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version-%d directory: AttachCache error %v, want %q", v, err, want)
 		}
 	}
 }
 
-// TestSpillCorruptIndexRecomputed flips one byte in the index part of a
-// spilled label record. The store's budget holds one label block, so the
-// reload of that block goes into the buffers of the block it evicts. The
-// load fails its checksum, the entry is dropped and the block recomputed:
-// every label and index word equals a fresh store's, and tallies stay
+// TestSpillCorruptIndexRecomputed flips one byte of a spilled index
+// record. The store's budget holds one index block, so the reload of that
+// block goes into the buffers of the index block it evicts. The load fails
+// its checksum, the entry is dropped and the block rebuilt from its label
+// block: every index word equals a fresh store's, and tallies stay
 // bit-identical.
 func TestSpillCorruptIndexRecomputed(t *testing.T) {
 	g := ringGraph(t, 60, 16)
@@ -503,42 +512,41 @@ func TestSpillCorruptIndexRecomputed(t *testing.T) {
 	if err := s.AttachCache(dir); err != nil {
 		t.Fatal(err)
 	}
-	s.SetBudget(s.blockBytes(famLabels))
+	s.SetBudget(s.blockBytes(famComponents))
 	n, bw := s.NumNodes(), s.BlockWorlds()
-	snapshotLabels(s, bw)   // block 0, computed
-	snapshotLabels(s, 2*bw) // block 1 evicts and spills block 0
-	donor := s.blocks[famLabels][1].labels
+	s.release(s.acquire(famComponents, 0, false)) // index block 0, built
+	s.release(s.acquire(famComponents, 1, false)) // index block 1 evicts and spills block 0
+	donor := s.blocks[famComponents][1].comps
 
-	// Flip a byte of block 0's index that has a clear bit, so a rebuild
-	// that ORed into the stale copy would keep a wrong bit.
-	e := s.spill.Load().entries[famLabels][0]
-	f, err := os.OpenFile(filepath.Join(dir, spillLabelsName), os.O_RDWR, 0)
+	// Flip a byte of block 0's index record that has a clear bit, so a
+	// rebuild that ORed into the stale copy would keep a wrong bit.
+	e := s.spill.Load().entries[famComponents][0]
+	f, err := os.OpenFile(filepath.Join(dir, spillIndexName), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	idx := make([]byte, s.indexBytes(famLabels))
-	at := e.off + int64(4*n*bw)
-	if _, err := f.ReadAt(idx, at); err != nil {
+	rec := make([]byte, s.blockBytes(famComponents))
+	if _, err := f.ReadAt(rec, e.off); err != nil {
 		t.Fatal(err)
 	}
-	k := slices.IndexFunc(idx, func(x byte) bool { return x != 0xff })
+	k := slices.IndexFunc(rec, func(x byte) bool { return x != 0xff })
 	if k < 0 {
 		t.Fatal("block 0's index has no clear bit")
 	}
-	if _, err := f.WriteAt([]byte{idx[k] ^ 0xff}, at+int64(k)); err != nil {
+	if _, err := f.WriteAt([]byte{rec[k] ^ 0xff}, e.off+int64(k)); err != nil {
 		t.Fatal(err)
 	}
 
 	before := s.Stats()
-	b := s.acquire(famLabels, 0, false) // evicts block 1 and takes its buffers
+	b := s.acquire(famComponents, 0, false) // evicts block 1 and takes its buffers
 	ref := New(g, seed)
-	want := ref.acquire(famLabels, 0, false)
-	if &b.labels[0] != &donor[0] {
+	want := ref.acquire(famComponents, 0, false)
+	if &b.comps[0] != &donor[0] {
 		t.Fatal("the reload did not reuse the evicted block's buffers")
 	}
-	if !slices.Equal(b.labels, want.labels) || !slices.Equal(b.index, want.index) {
-		t.Fatal("a failed load into a reused buffer left entries that differ from a fresh store's")
+	if !slices.Equal(b.comps, want.comps) {
+		t.Fatal("a failed load into a reused buffer left words that differ from a fresh store's")
 	}
 	ref.release(want)
 	s.release(b)
@@ -606,13 +614,13 @@ func TestSpillDropsPartialRecord(t *testing.T) {
 }
 
 // FuzzSpillReplay attaches fresh stores to hostile disk tiers. It starts
-// from a real spilled cache of both families, fuzzes the raw directory
-// log and appends one more record built from fuzzed fields through
+// from a real spilled cache of every family, fuzzes the raw directory log
+// and appends one more record built from fuzzed fields through
 // encodeRecord, so its record CRC is valid and replay gets past the CRC
-// gate. Whatever the log says, a center tally over every label block (the
-// reader of their indexes) and a scan of every block of both families
-// must run without a panic and bit-identically to an uncached store: a
-// bad entry is dropped and recomputed, never served.
+// gate. Whatever the log says, a center tally and pair counts over every
+// index block (their readers), and a scan of every label and bitmap
+// block, must run without a panic and bit-identically to an uncached
+// store: a bad entry is dropped and recomputed, never served.
 func FuzzSpillReplay(f *testing.F) {
 	g := ringGraph(f, 40, 2)
 	const seed, worlds = 7, 600
@@ -625,6 +633,12 @@ func FuzzSpillReplay(f *testing.F) {
 		wantCounts[j] = make([]int32, g.NumNodes())
 		scanConnectedFrom(ref, c, 0, worlds, wantCounts[j])
 	}
+	ctx := context.Background()
+	pairs := [][2]graph.NodeID{{0, 13}, {5, 6}, {27, 27}, {39, 1}}
+	wantPairs := make([]int64, len(pairs))
+	for i, p := range pairs {
+		wantPairs[i], _ = scanPair(ctx, ref, p[0], p[1], 0, worlds)
+	}
 
 	base := f.TempDir()
 	spilled := New(g, seed)
@@ -633,7 +647,7 @@ func FuzzSpillReplay(f *testing.F) {
 	}
 	spillAll(f, spilled, worlds)
 	files := map[string][]byte{}
-	for _, name := range []string{spillDirName, spillLabelsName, spillBitsName} {
+	for _, name := range []string{spillDirName, spillLabelsName, spillBitsName, spillIndexName} {
 		raw, err := os.ReadFile(filepath.Join(base, name))
 		if err != nil {
 			f.Fatal(err)
@@ -647,10 +661,12 @@ func FuzzSpillReplay(f *testing.F) {
 	f.Add(log, uint8(famBits), uint32(0), uint32(1), uint64(8), uint32(0))
 	f.Add(log[:len(log)-spillRecordSize/2], uint8(numFamilies), uint32(0), uint32(1), uint64(0), uint32(0))
 	f.Add(log[:spillHeaderSize], uint8(famLabels), uint32(1), uint32(bw), uint64(0), uint32(0))
-	// Block 0's label entry renamed to block 1: a genuine offset and
-	// payload CRC under another block's name.
-	e0 := spilled.spill.Load().entries[famLabels][0]
-	f.Add(log, uint8(famLabels), uint32(1), uint32(bw), uint64(e0.off), e0.crc)
+	// Block 0's label and index entries renamed to block 1: a genuine
+	// offset and payload CRC under another block's name.
+	for _, fam := range []family{famLabels, famComponents} {
+		e0 := spilled.spill.Load().entries[fam][0]
+		f.Add(log, uint8(fam), uint32(1), uint32(bw), uint64(e0.off), e0.crc)
+	}
 
 	f.Fuzz(func(t *testing.T, log []byte, fam uint8, idx, done uint32, off uint64, crc uint32) {
 		dir := t.TempDir()
@@ -673,6 +689,11 @@ func FuzzSpillReplay(f *testing.F) {
 		}
 		s.CountConnectedFromMulti(cs, make([]int, len(cs)), worlds, counts)
 		sameCounts(t, "replayed tallies", wantCounts, counts)
+		for i, p := range pairs {
+			if got, _ := s.CountPairCtx(ctx, p[0], p[1], 0, worlds); got != wantPairs[i] {
+				t.Fatalf("replayed pair %v: %d, want %d", p, got, wantPairs[i])
+			}
+		}
 		sameLabels(t, "replayed labels", wantLabels, snapshotLabels(s, worlds))
 		gotBits := snapshotBits(s, worlds)
 		for i := range wantBits {

@@ -15,9 +15,9 @@ import (
 // re-evaluate one hash per edge per world — which is why a warm restart
 // from -worldcache beats recomputation by well over the 5x target. Two
 // more rows price single paths: an unlimited-depth tally whose every
-// label block reloads from the disk tier (cache state: disk), and a fresh
+// index block reloads from the disk tier (cache state: disk), and a fresh
 // store's first small label read (cache state: cold), which materializes
-// a whole block and its largest-component index.
+// a whole label block.
 
 const (
 	benchNodes  = 4000
@@ -79,8 +79,9 @@ func BenchmarkBlockMaterializeSpilledWarm(b *testing.B) {
 
 // BenchmarkCountConnectedFromSpilled times a 2-center unlimited-depth
 // tally over 64 worlds of DBLP at 40,000 authors (8-world blocks) on a
-// store with a disk tier and a budget of one label block, so each op
-// reloads all 8 label blocks from the disk tier (cache state: disk).
+// store with a disk tier and a budget of one label block, which holds four
+// of the eight index blocks the tally reads, so each op reloads all 8
+// index blocks from the disk tier (cache state: disk).
 func BenchmarkCountConnectedFromSpilled(b *testing.B) {
 	const worlds = 64
 	g := dblpGraph(b, 40000)
@@ -109,8 +110,8 @@ func BenchmarkCountConnectedFromSpilled(b *testing.B) {
 
 // BenchmarkFirstLabelRead times a fresh store's first read of 16 worlds'
 // labels (cache state: cold) on Krogan (100-world blocks) and on DBLP at
-// 40,000 authors (8-world blocks): the read materializes the whole block
-// that holds them, labels and largest-component index.
+// 40,000 authors (8-world blocks): the read materializes the whole label
+// block that holds them.
 func BenchmarkFirstLabelRead(b *testing.B) {
 	ds, err := datasets.Krogan(1)
 	if err != nil {

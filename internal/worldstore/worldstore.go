@@ -8,35 +8,38 @@
 // A Store owns the implicit world stream of its (graph, seed) pair: world i
 // is defined by stateless hash coins (see internal/rng and sampler.World),
 // so any world can be re-materialized at any time. On top of the stream the
-// store lazily materializes two per-world artifacts into block/columnar
-// storage: connected-component labels (the unlimited-depth connectivity
-// index) and present-edge bitmaps (one bit per edge, the substrate of
-// batched depth-limited BFS — every edge coin of a world is evaluated once,
-// then a whole center batch traverses bitmap tests). Worlds are grouped
-// into fixed-size blocks, and the block is the unit of materialization:
-// the first reader of a block computes (or loads from the disk tier) all
-// of its worlds, stored world-major in one contiguous slice, so scanning a
-// block touches memory sequentially, and the block never changes after.
-// A label block carries a largest-component index derived from its
-// labels (see buildComponents), materialized with the labels and part of
-// the block in every tier: counted in its bytes, spilled after the labels
-// in the same disk record and loaded back with them. On graphs of up to
-// 4,096 nodes a bitmap block read by a depth-limited tally carries a
-// presence index derived from its bitmaps (see buildPresence), which lets
-// one BFS answer 64 worlds; that index is lazy, built once, charged to the
-// byte budget, evicted with its block and never spilled. Blocks of both
-// families are materialized on first access and, in bounded-memory mode,
-// evicted least-recently-used — under one shared byte budget — and
-// recomputed or reloaded on the next access, into the buffers of a block
-// of the same family that the access evicted when there is one. Because
-// labels and bitmaps are pure functions of (graph, seed, world index),
-// eviction and recomputation never change an estimate: bounded and
-// unbounded runs are bit-identical.
+// store lazily materializes three block families: connected-component
+// labels, present-edge bitmaps (one bit per edge, the substrate of batched
+// depth-limited BFS — every edge coin of a world is evaluated once, then a
+// whole center batch traverses bitmap tests) and largest-component indexes
+// (one membership bit per node and world, the substrate of unlimited-depth
+// pairs and center tallies; see buildComponents). Worlds are grouped into
+// fixed-size blocks, and the block is the unit of materialization: the
+// first reader of a block computes (or loads from the disk tier) all of its
+// worlds, stored in one contiguous slice, so scanning a block touches
+// memory sequentially, and the block never changes after. A label block
+// holds labels alone. An index block is built from the label block of the
+// same worlds, which it acquires and releases while it builds, and from
+// then on it lives on its own: counted in its own bytes, evicted, spilled
+// and reloaded like any block, so unlimited-depth counts read the index
+// without the labels. On graphs of up to 4,096 nodes a bitmap block read
+// by a depth-limited tally carries a presence index derived from its
+// bitmaps (see buildPresence), which lets one BFS answer 64 worlds; that
+// index is lazy, built once, charged to the byte budget, evicted with its
+// block and never spilled. Blocks of every family are materialized on
+// first access and, in bounded-memory mode, evicted least-recently-used —
+// under one shared byte budget — and recomputed or reloaded on the next
+// access, into the buffers of a block of the same family that the access
+// evicted when there is one. Because every family is a pure function of
+// (graph, seed, world index), eviction and recomputation never change an
+// estimate: bounded and unbounded runs are bit-identical.
 //
 // Stores are safe for concurrent use by multiple consumers: block
 // materialization is coordinated so exactly one goroutine computes a block
 // while others wait, readers pin blocks against eviction for the duration
-// of a scan, and the logical stream length only grows.
+// of a scan, and the logical stream length only grows. An index block's
+// mutex is held while its label block is acquired; no path acquires an
+// index block while holding a label block's mutex.
 //
 // The package-level Shared registry hands out one Store per (graph, seed)
 // so independent consumers — built at different layers of the library —
@@ -60,41 +63,44 @@ import (
 
 // targetBlockBytes sizes label blocks: blocks hold as many worlds as fit in
 // roughly this many bytes of labels, clamped to [minBlockWorlds,
-// maxBlockWorlds]. Edge-bitmap blocks cover the same world ranges (same
-// worlds-per-block), so one block index addresses both artifacts of a run
-// of worlds. Block size is a performance knob only — estimates never
-// depend on it, because each world's artifacts are computed independently.
+// maxBlockWorlds]. Edge-bitmap and index blocks cover the same world
+// ranges (same worlds-per-block), so one block index addresses every
+// artifact of a run of worlds. Block size is a performance knob only —
+// estimates never depend on it, because each world's artifacts are
+// computed independently.
 const (
 	targetBlockBytes = 1 << 20
 	minBlockWorlds   = 8
 	maxBlockWorlds   = 256
 )
 
-// family distinguishes the two block-cached per-world artifacts.
+// family distinguishes the three block-cached per-world artifacts.
 type family int
 
 const (
-	famLabels family = iota // component labels, []int32, n per world
-	famBits                 // present-edge bitmaps, []uint64, wpw per world
+	famLabels     family = iota // component labels, []int32, n per world
+	famBits                     // present-edge bitmaps, []uint64, wpw per world
+	famComponents               // largest-component index, []uint64, n per 64 worlds
 	numFamilies
 )
 
 // Store is a memory-bounded cache of per-world artifacts — component
-// labels and present-edge bitmaps — over the deterministic world stream of
-// one (graph, seed) pair. The zero value is invalid; use New or Shared.
+// labels, present-edge bitmaps and largest-component indexes — over the
+// deterministic world stream of one (graph, seed) pair. The zero value is
+// invalid; use New or Shared.
 type Store struct {
 	g    *graph.Uncertain
 	seed uint64
 	n    int
 	wpw  int // uint64 words per world edge bitmap
-	bw   int // worlds per block (both families)
+	bw   int // worlds per block (every family)
 
 	length atomic.Int64 // logical stream length: max world count requested
 
 	mu            sync.Mutex
 	blocks        [numFamilies]map[int]*block
 	built         [numFamilies]map[int]bool // block indices ever materialized (recompute detection)
-	budget        int64                     // byte budget across both families; <= 0 means unbounded
+	budget        int64                     // byte budget across all families; <= 0 means unbounded
 	residentBytes int64                     // nominal bytes of resident blocks
 	clock         uint64
 	hits          uint64
@@ -127,7 +133,7 @@ type Store struct {
 	// depth-limited path (sampler.MultiReachCounter), implicitPool the
 	// implicit-stream BFS (sampler.ReachCounter), packPool the packed
 	// traversal of the presence-index path and walkPool the component
-	// walks of CountConnectedFromMulti.
+	// walks of CountConnectedFromMulti and CountPairCtx.
 	reachPool    sync.Pool
 	implicitPool sync.Pool
 	packPool     sync.Pool
@@ -137,11 +143,13 @@ type Store struct {
 // block is one run of bw consecutive worlds of one artifact family.
 // labels (famLabels) holds component labels world-major: world (base + i)
 // occupies labels[i*n : (i+1)*n]; bits (famBits) holds edge bitmaps
-// world-major: world (base + i) occupies bits[i*wpw : (i+1)*wpw]. The
-// first reader materializes every world of the block under mu (see
-// acquire); from then on the payload and the index are immutable, and
-// readers holding a pin read them directly. Once the block is evicted
-// and unpinned, its buffers may be handed to another block of its family.
+// world-major: world (base + i) occupies bits[i*wpw : (i+1)*wpw]; comps
+// (famComponents) holds the largest-component index of the block's worlds
+// (see buildComponents). The first reader materializes every world of the
+// block under mu (see acquire); from then on the payload and the presence
+// index are immutable, and readers holding a pin read them directly. Once
+// the block is evicted and unpinned, its buffers may be handed to another
+// block of its family.
 type block struct {
 	fam     family
 	idx     int
@@ -149,13 +157,12 @@ type block struct {
 	mu      sync.Mutex // serializes materialization and the presence index build
 	labels  []int32    // famLabels payload, bw*n; nil until materialized
 	bits    []uint64   // famBits payload, bw*wpw; nil until materialized
+	comps   []uint64   // famComponents payload, ceil(bw/64)*n; nil until materialized
 	pins    int        // readers currently holding the block; guarded by Store.mu
 	lastUse uint64
 	rebuilt bool // this block index was materialized before in this process; set at insertion
-	// index is the block's derived index: the largest-component index of
-	// a label block (buildComponents), materialized with its labels, or
-	// the presence index of a bitmap block (buildPresence), nil until a
-	// depth-limited count first needs it.
+	// index is the presence index of a bitmap block (buildPresence), nil
+	// until a depth-limited count first needs it.
 	index []uint64
 }
 
@@ -165,16 +172,18 @@ type Stats struct {
 	// Worlds is the logical stream length (max worlds any consumer asked for).
 	Worlds int
 	// ResidentBlocks is the number of blocks currently materialized across
-	// both artifact families (labels + edge bitmaps).
+	// all three artifact families (labels, edge bitmaps and
+	// largest-component indexes).
 	ResidentBlocks int
-	// ResidentLabelBlocks / ResidentBitmapBlocks split ResidentBlocks by
-	// artifact family.
-	ResidentLabelBlocks  int
-	ResidentBitmapBlocks int
+	// ResidentLabelBlocks, ResidentBitmapBlocks and ResidentComponentBlocks
+	// split ResidentBlocks by artifact family.
+	ResidentLabelBlocks     int
+	ResidentBitmapBlocks    int
+	ResidentComponentBlocks int
 	// ResidentBytes is the nominal memory of the resident blocks,
-	// including the largest-component index of every label block and the
-	// presence indexes of bitmap blocks that a depth-limited count has
-	// read — the quantity the SetBudget byte budget bounds.
+	// including the presence indexes of bitmap blocks that a
+	// depth-limited count has read — the quantity the SetBudget byte
+	// budget bounds.
 	ResidentBytes int64
 	// BlockWorlds is the number of worlds per block.
 	BlockWorlds int
@@ -277,27 +286,30 @@ func New(g *graph.Uncertain, seed uint64) *Store {
 
 // blockBytes returns the nominal full-block byte size of one family's
 // block — the unit the byte budget is accounted in, and the length of the
-// block's disk record. A label block's size includes its
-// largest-component index.
+// block's disk record: 4·n·bw for labels, 8·wpw·bw for bitmaps and
+// 8·indexWords·n for a largest-component index (one membership word per
+// node and 64 worlds).
 func (s *Store) blockBytes(f family) int64 {
-	if f == famBits {
+	switch f {
+	case famLabels:
+		return int64(4 * s.n * s.bw)
+	case famBits:
 		return int64(8 * s.wpw * s.bw)
 	}
-	return int64(4*s.n*s.bw) + s.indexBytes(famLabels)
+	return int64(8 * s.indexWords() * s.n)
 }
 
 // indexWords is the number of index words per row: ceil(bw/64).
 func (s *Store) indexWords() int { return (s.bw + 63) / 64 }
 
-// indexBytes is the nominal size of one block's derived index:
-// indexWords words per node for a label block's largest-component index,
-// per edge for a bitmap block's presence index.
+// indexBytes is the nominal size of a block's lazily built derived index:
+// indexWords words per edge for a bitmap block's presence index. Blocks of
+// the other families carry none.
 func (s *Store) indexBytes(f family) int64 {
-	rows := s.n
-	if f == famBits {
-		rows = s.g.NumEdges()
+	if f != famBits {
+		return 0
 	}
-	return int64(8 * s.indexWords() * rows)
+	return int64(8 * s.indexWords() * s.g.NumEdges())
 }
 
 // registryKey identifies a shared store. The graph is held weakly so the
@@ -411,10 +423,11 @@ func (s *Store) BitsWarm(lo, hi int) bool {
 	return true
 }
 
-// SetBudget bounds the memory spent on materialized blocks — label and
-// edge-bitmap families together, label blocks with their largest-component
-// indexes — to roughly bytes (a block being acquired is always allowed in
-// even when it alone overshoots, so scans make progress). bytes <= 0 removes the bound. Shrinking evicts immediately.
+// SetBudget bounds the memory spent on materialized blocks — label,
+// edge-bitmap and largest-component index families together — to roughly
+// bytes (a block being acquired is always allowed in even when it alone
+// overshoots, so scans make progress). bytes <= 0 removes the bound.
+// Shrinking evicts immediately.
 // Estimates are identical in bounded and unbounded mode: evicted blocks
 // are recomputed, not approximated.
 func (s *Store) SetBudget(bytes int64) {
@@ -434,17 +447,18 @@ func (s *Store) SetBudget(bytes int64) {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
-		Worlds:               int(s.length.Load()),
-		ResidentBlocks:       len(s.blocks[famLabels]) + len(s.blocks[famBits]),
-		ResidentLabelBlocks:  len(s.blocks[famLabels]),
-		ResidentBitmapBlocks: len(s.blocks[famBits]),
-		ResidentBytes:        s.residentBytes,
-		BlockWorlds:          s.bw,
-		Hits:                 s.hits,
-		Materializations:     s.materialized,
-		Recomputes:           s.recomputed,
-		Evictions:            s.evicted,
+		Worlds:                  int(s.length.Load()),
+		ResidentLabelBlocks:     len(s.blocks[famLabels]),
+		ResidentBitmapBlocks:    len(s.blocks[famBits]),
+		ResidentComponentBlocks: len(s.blocks[famComponents]),
+		ResidentBytes:           s.residentBytes,
+		BlockWorlds:             s.bw,
+		Hits:                    s.hits,
+		Materializations:        s.materialized,
+		Recomputes:              s.recomputed,
+		Evictions:               s.evicted,
 	}
+	st.ResidentBlocks = st.ResidentLabelBlocks + st.ResidentBitmapBlocks + st.ResidentComponentBlocks
 	s.mu.Unlock()
 	st.DiskHits = s.diskHits.Load()
 	st.SpillWrites = s.spillWrites.Load()
@@ -502,7 +516,11 @@ func (s *Store) AttachCache(dir string) error {
 		wpw:    s.wpw,
 		bw:     s.bw,
 	}
-	c, dropped, err := openSpillCache(dir, h, [numFamilies]int64{s.blockBytes(famLabels), s.blockBytes(famBits)})
+	var sizes [numFamilies]int64
+	for f := range sizes {
+		sizes[f] = s.blockBytes(family(f))
+	}
+	c, dropped, err := openSpillCache(dir, h, sizes)
 	if err != nil {
 		return err
 	}
@@ -526,19 +544,18 @@ func (s *Store) CacheDir() string {
 }
 
 // acquire returns family f's block bi, pinned against eviction, with all
-// of its worlds materialized — a label block with its largest-component
-// index — and, for a bitmap block when indexed is set, its presence index
-// built. A missing block is inserted and budget-accounted first: enough
-// LRU unpinned blocks of either family are evicted to make room under the
-// byte budget, and the new block is admitted even when the budget cannot
-// be met, so progress never blocks on memory pressure. The victims are
-// spilled before the new block is materialized, so one of b's own family
-// can hand its buffers over (see materialize). Materialization and the
-// presence index build serialize on the block's mutex, so exactly one
-// goroutine computes each while later arrivals reuse the result; the
-// first presence index of a block is charged to the byte budget. Callers
-// read b.labels, b.bits and b.index directly and must release the block.
-// Caller must not hold s.mu.
+// of its worlds materialized and, for a bitmap block when indexed is set,
+// its presence index built. A missing block is inserted and
+// budget-accounted first: enough LRU unpinned blocks of any family are
+// evicted to make room under the byte budget, and the new block is
+// admitted even when the budget cannot be met, so progress never blocks
+// on memory pressure. The victims are spilled before the new block is
+// materialized, so one of b's own family can hand its buffers over (see
+// materialize). Materialization and the presence index build serialize on
+// the block's mutex, so exactly one goroutine computes each while later
+// arrivals reuse the result; the first presence index of a block is
+// charged to the byte budget. Callers read b.labels, b.bits, b.comps and
+// b.index directly and must release the block. Caller must not hold s.mu.
 func (s *Store) acquire(f family, bi int, indexed bool) *block {
 	s.mu.Lock()
 	b, ok := s.blocks[f][bi]
@@ -562,7 +579,7 @@ func (s *Store) acquire(f family, bi int, indexed bool) *block {
 	s.writeSpills(victims)
 
 	b.mu.Lock()
-	if b.labels == nil && b.bits == nil {
+	if b.labels == nil && b.bits == nil && b.comps == nil {
 		var donor *block
 		for _, v := range victims {
 			if v.fam == f {
@@ -582,27 +599,29 @@ func (s *Store) acquire(f family, bi int, indexed bool) *block {
 	return b
 }
 
-// materialize fills block b with all of its worlds, and a label block
-// with its largest-component index: loaded from the disk tier when that
-// holds a valid copy (a disk hit), computed from the stream otherwise. A
-// spilled copy that fails validation is dropped and counted, and a
-// recompute is classified by whether a spilled copy existed or this block
-// index was materialized before. The buffers are donor's when donor is
-// not nil — an evicted, unpinned block of b's family whose spill write
-// has finished — and fresh otherwise; either way the load or the
-// computation overwrites every entry of them, also after a load that
+// materialize fills block b with all of its worlds: loaded from the disk
+// tier when that holds a valid copy (a disk hit), computed otherwise — a
+// label or bitmap block from the stream, an index block from the label
+// block of its worlds, which it acquires (from RAM, disk or the stream)
+// and releases. A spilled copy that fails validation is dropped and
+// counted, and a recompute is classified by whether a spilled copy existed
+// or this block index was materialized before. The buffers are donor's
+// when donor is not nil — an evicted, unpinned block of b's family whose
+// spill write has finished — and fresh otherwise; either way the load or
+// the computation overwrites every entry of them, also after a load that
 // copied a record in and then failed its checksum. The caller holds b.mu
 // and a pin on b.
 func (s *Store) materialize(b, donor *block) {
 	switch {
-	case donor == nil && b.fam == famLabels:
-		b.labels, b.index = make([]int32, s.bw*s.n), make([]uint64, s.indexWords()*s.n)
-	case donor == nil:
-		b.bits = make([]uint64, s.bw*s.wpw)
+	case donor != nil:
+		// A presence index is built lazily, never handed over.
+		b.labels, b.bits, b.comps = donor.labels, donor.bits, donor.comps
 	case b.fam == famLabels:
-		b.labels, b.index = donor.labels, donor.index
+		b.labels = make([]int32, s.bw*s.n)
+	case b.fam == famBits:
+		b.bits = make([]uint64, s.bw*s.wpw)
 	default:
-		b.bits = donor.bits // a presence index is built lazily, never handed over
+		b.comps = make([]uint64, s.blockBytes(famComponents)/8)
 	}
 	var loaded, hadEntry bool
 	if c := s.spill.Load(); c != nil {
@@ -618,11 +637,21 @@ func (s *Store) materialize(b, donor *block) {
 	case b.rebuilt:
 		s.noteRecompute(false)
 	}
-	if b.fam == famLabels {
+	switch b.fam {
+	case famLabels:
 		s.computeLabels(b.idx, b.labels)
-		s.buildComponents(b.labels, b.index)
-	} else {
+	case famBits:
 		s.computeBitmaps(b.idx, b.bits)
+	default:
+		lb := s.acquire(famLabels, b.idx, false)
+		s.buildComponents(lb.labels, b.comps)
+		// The build is not a use of the labels: the label block goes back
+		// as the least recently used block, so the next eviction takes it
+		// before the index blocks built so far.
+		s.mu.Lock()
+		lb.lastUse = 0
+		s.mu.Unlock()
+		s.release(lb)
 	}
 }
 
@@ -716,7 +745,7 @@ func (s *Store) release(b *block) {
 	s.writeSpills(victims)
 }
 
-// evictLocked drops least-recently-used unpinned blocks — across both
+// evictLocked drops least-recently-used unpinned blocks — across all
 // artifact families — until at most maxBytes of nominal block memory
 // remain, and returns them. Blocks still being materialized or pinned by
 // readers are never dropped; if everything is pinned the budget is
@@ -738,7 +767,12 @@ func (s *Store) evictLocked(maxBytes int64) []*block {
 				if b.pins > 0 {
 					continue
 				}
-				if victim == nil || b.lastUse < victim.lastUse {
+				// Label blocks released by index builds share lastUse 0;
+				// the lower block index goes first, so the eviction order,
+				// and with it the disk tier's layout, never depends on
+				// map order.
+				if victim == nil || b.lastUse < victim.lastUse ||
+					b.lastUse == victim.lastUse && b.idx < victim.idx {
 					victim = b
 				}
 			}
@@ -977,17 +1011,4 @@ func (s *Store) EstimatePairCtx(ctx context.Context, u, v graph.NodeID, r int) (
 		return 0, err
 	}
 	return float64(cnt) / float64(r), nil
-}
-
-// CountPairCtx returns the number of worlds in [lo, hi) where u and v
-// share a component. The scan aborts at the next block boundary once ctx
-// is done, returning ctx's error.
-func (s *Store) CountPairCtx(ctx context.Context, u, v graph.NodeID, lo, hi int) (int64, error) {
-	var cnt int64
-	err := s.ScanCtx(ctx, lo, hi, func(_ int, lab []int32) {
-		if lab[u] == lab[v] {
-			cnt++
-		}
-	})
-	return cnt, err
 }

@@ -560,9 +560,9 @@ func TestScanMaterializesWholeBlocks(t *testing.T) {
 // CountConnectedFromMulti and CountWithinMulti readers at once on stores
 // whose budget holds about one block per family, with and without a disk
 // tier, so nearly every acquisition evicts a block and materializes into
-// its buffers. Every count must be bit-identical to an unbounded store's:
-// a buffer is handed over only once no reader holds its block and its
-// spill write has finished. Both block shapes run: 256-world blocks with
+// its buffers, index blocks included. Every count must be bit-identical
+// to an unbounded store's: a buffer is handed over only once no reader
+// holds its block and its spill write has finished. Both block shapes run: 256-world blocks with
 // presence indexes, and 62-world blocks on the per-world kernels. Run it
 // under -race.
 func TestReusedBuffersConcurrentReaders(t *testing.T) {
@@ -608,7 +608,7 @@ func TestReusedBuffersConcurrentReaders(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			budget := s.blockBytes(famLabels) + s.blockBytes(famBits)
+			budget := s.blockBytes(famLabels) + s.blockBytes(famBits) + s.blockBytes(famComponents)
 			if s.packed() {
 				budget += s.indexBytes(famBits)
 			}
