@@ -86,10 +86,13 @@ bench-smoke:
 # 16-center batch on the same index, a 2-center tally whose every index
 # block reloads from the disk tier, an unlimited-depth pair count warm
 # and on a spilled DBLP store whose budget holds its index blocks, a
-# fresh store's first 16-world label read, the single-center
-# depth-limited count on the presence index next to the reference
-# per-world BFS, the bit-sliced accumulate kernel at full and depth-2
-# reach) -> BENCH_store.json, merged in place.
+# fresh store's first 16-world label read, depth-limited counts on the
+# bitmap blocks' lanes — one center on Krogan, one center and a
+# 16-center batch on 8-world DBLP lanes — next to the reference
+# per-world BFS, and the sampler's bit-sliced accumulate kernel at full
+# and depth-2 reach, which no store path runs any more: its rows price
+# the end-to-end benchmark's sampler rung) -> BENCH_store.json, merged
+# in place.
 bench-store:
 	$(GO) test -bench='BlockMaterialize|CountConnectedFrom|CountPair|FirstLabelRead|CountWithinFrom' -benchmem -run='^$$' ./internal/worldstore | tee bench-store.out
 	$(GO) test -bench='Accum' -benchmem -run='^$$' ./internal/sampler | tee -a bench-store.out

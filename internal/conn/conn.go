@@ -82,9 +82,8 @@ var (
 // MonteCarlo estimates connection probabilities by sampling possible
 // worlds. Unlimited-depth queries are answered from the per-world component
 // labels of the shared world store; depth-limited queries run depth-bounded
-// BFS over the store's edge bitmaps of the same world stream, through the
-// kernel the store picks for its block width (one traversal per 64 worlds
-// on graphs of up to 4,096 nodes; see worldstore.CountWithinFrom). Limited
+// BFS over the store's edge-bitmap blocks of the same world stream, one
+// traversal per lane of up to 64 worlds (see worldstore.CountWithinFrom). Limited
 // and unlimited views are mutually consistent — and consistent with every
 // other consumer of the same (graph, seed) store (k-NN, influence,
 // metrics, ...).
@@ -282,11 +281,10 @@ const ctxChunk = 1024
 // handing its whole center subset to one store call, which reads each
 // block once for the subset — the label blocks' largest-component indexes
 // (worldstore.CountConnectedFromMulti) for unlimited depth, edge-bitmap
-// blocks (worldstore.CountWithinMulti, whose kernel the store picks for
-// its block width) for depth-limited queries. A lone pending center has
-// its world range split across goroutines instead. Workers write into
-// disjoint tallies, so the counts — and the estimates — are bit-identical
-// to a serial per-center loop for any worker count.
+// blocks (worldstore.CountWithinMulti) for depth-limited queries. A lone
+// pending center has its world range split across goroutines instead.
+// Workers write into disjoint tallies, so the counts — and the estimates —
+// are bit-identical to a serial per-center loop for any worker count.
 func (mc *MonteCarlo) FromCenters(cs []graph.NodeID, depth int, r int) [][]float64 {
 	out, _ := mc.FromCentersCtx(context.Background(), cs, depth, r)
 	return out
@@ -491,7 +489,7 @@ const minShardSpan = 16
 //
 // Chunks are cut at block boundaries: within one block the store answers
 // from the block's index (the largest-component index for unlimited depth,
-// the presence index for depth-limited queries) in microseconds, less than
+// the bitmap block's lanes for depth-limited queries) in microseconds, less than
 // a goroutine, an n-entry scratch buffer and an n-long merge cost, so a
 // range inside one block is counted serially. The caller holds tally.mu.
 func (mc *MonteCarlo) extend(key cacheKey, tally *centerTally, r int) {
@@ -533,9 +531,10 @@ func (mc *MonteCarlo) extend(key cacheKey, tally *centerTally, r int) {
 // countRange adds the connection counts of worlds [lo, hi) into counts
 // from the shared store: CountConnectedFrom for unlimited depth,
 // CountWithinFrom for depth-limited queries. The store picks the kernel
-// for its block width and warm state; every kernel adds the same
-// integers. Safe to call from multiple goroutines as long as each call
-// owns its counts buffer.
+// for its block width and warm state (bitmap lanes, or the implicit
+// stream for a cold narrow block); every kernel adds the same integers.
+// Safe to call from multiple goroutines as long as each call owns its
+// counts buffer.
 func (mc *MonteCarlo) countRange(key cacheKey, lo, hi int, counts []int32) {
 	if key.depth < 0 {
 		mc.store.CountConnectedFrom(key.c, lo, hi, counts)

@@ -12,9 +12,11 @@
 // A world can also be materialized as an edge bitmap (FillEdgeBitmap): one
 // bit per edge ID, so every coin of the world is evaluated exactly once
 // and later traversals test bits instead of re-hashing.
-// MultiReachCounter exploits that: given one world's bitmap it runs the
-// depth-bounded BFS for a whole batch of centers, paying the edge-coin
-// hashing bill once per world instead of once per (world, center).
+// MultiReachCounter runs the depth-bounded BFS of a whole batch of centers
+// over one world's bitmap. No store path runs it: the world store counts
+// depth-limited tallies over its own edge-major bitmap blocks, and the
+// counter stays as the sampler rung of the end-to-end benchmark's
+// per-layer replay.
 //
 // Materialized per-world artifacts — component labels (the connectivity
 // index that answers "is u connected to v in world i" in O(1)) and edge

@@ -244,9 +244,6 @@ var storeTable = []stat[worldstore.Stats]{
 	{"disk_bytes", "ucgraph_store_disk_bytes", gauge, "Live payload bytes of the disk tier.", func(st worldstore.Stats) any { return st.DiskBytes }},
 	{"spill_writes", "ucgraph_store_spill_writes_total", counter, "Blocks spilled to the disk tier.", func(st worldstore.Stats) any { return st.SpillWrites }},
 	{"corrupt_dropped", "ucgraph_store_corrupt_dropped_total", counter, "Disk-tier blocks dropped on checksum mismatch.", func(st worldstore.Stats) any { return st.CorruptDropped }},
-	{"accum_worlds", "ucgraph_store_accum_worlds_total", counter, "Worlds tallied by the accumulate-mode depth-limited kernel.", func(st worldstore.Stats) any { return st.AccumWorlds }},
-	{"accum_flushes", "ucgraph_store_accum_flushes_total", counter, "Flushes of the depth-limited kernel's bit-sliced accumulator.", func(st worldstore.Stats) any { return st.AccumFlushes }},
-	{"direct_worlds", "ucgraph_store_direct_worlds_total", counter, "Worlds tallied by the per-world direct depth-limited kernel.", func(st worldstore.Stats) any { return st.DirectWorlds }},
 	{"cache_dir", "", "", "", func(st worldstore.Stats) any { return st.CacheDir }},
 }
 

@@ -41,9 +41,6 @@ type storeStats struct {
 	DiskBytes               int64  `json:"disk_bytes"`
 	SpillWrites             uint64 `json:"spill_writes"`
 	CorruptDropped          uint64 `json:"corrupt_dropped"`
-	AccumWorlds             uint64 `json:"accum_worlds"`
-	AccumFlushes            uint64 `json:"accum_flushes"`
-	DirectWorlds            uint64 `json:"direct_worlds"`
 	CacheDir                string `json:"cache_dir,omitempty"`
 }
 
@@ -205,9 +202,6 @@ var tableFamilies = map[string]string{
 	"ucgraph_store_cold_recomputes_total":          "counter graph",
 	"ucgraph_store_post_spill_recomputes_total":    "counter graph",
 	"ucgraph_store_disk_bytes":                     "gauge graph",
-	"ucgraph_store_accum_worlds_total":             "counter graph",
-	"ucgraph_store_accum_flushes_total":            "counter graph",
-	"ucgraph_store_direct_worlds_total":            "counter graph",
 	"ucgraph_shard_worker_duplicates_total":        "counter graph,worker",
 	"ucgraph_shard_worker_ranges_served_total":     "counter graph,worker",
 	"ucgraph_shard_worker_breaker_trips_total":     "counter graph,worker",
@@ -313,8 +307,8 @@ func TestStatszAndMetricszAgree(t *testing.T) {
 		ws := w.(map[string]any)
 		agree("ucgraph_shard_worker_", ws, map[string]string{"graph": "ring", "worker": ws["addr"].(string)})
 	}
-	if len(checked) != 20+8+10 {
-		t.Errorf("compared %d families, want 38 (20 store, 8 fabric, 10 worker): %v", len(checked), checked)
+	if len(checked) != 17+8+10 {
+		t.Errorf("compared %d families, want 35 (17 store, 8 fabric, 10 worker): %v", len(checked), checked)
 	}
 
 	doc := readDocs(t, "OPERATIONS.md", "SERVER.md")

@@ -157,7 +157,7 @@ func (s *Store) CountConnectedFromMulti(cs []graph.NodeID, lo []int, hi int, cou
 	var wk *componentWalk
 	for bi := first / s.bw; bi*s.bw < hi; bi++ {
 		base := bi * s.bw
-		b := s.acquire(famComponents, bi, false)
+		b := s.acquire(famComponents, bi)
 		var lb *block // b's label block, acquired when a world first needs it
 		for j, c := range cs {
 			start, end := max(lo[j], base)-base, min(hi, base+s.bw)-base
@@ -224,7 +224,7 @@ func (s *Store) CountPairCtx(ctx context.Context, u, v graph.NodeID, lo, hi int)
 			return cnt, err
 		}
 		base := bi * s.bw
-		b := s.acquire(famComponents, bi, false)
+		b := s.acquire(famComponents, bi)
 		var lb *block
 		start, end := max(lo, base)-base, min(hi, base+s.bw)-base
 		for k := start / 64; k*64 < end; k++ {
@@ -280,7 +280,7 @@ func addLabel(cnt, lab []int32, c graph.NodeID) {
 // the label block.
 func (s *Store) labelBlock(lb *block, bi int) *block {
 	if lb == nil {
-		lb = s.acquire(famLabels, bi, false)
+		lb = s.acquire(famLabels, bi)
 	}
 	return lb
 }

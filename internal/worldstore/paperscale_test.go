@@ -34,7 +34,9 @@ func dblpGraph(tb testing.TB, authors int) *graph.Uncertain {
 // tier order — spill on eviction, reload from disk, recompute on miss —
 // and checks the worlds, and batched tallies over them, stay bit-identical
 // to an unbounded RAM store. Both sizes give blocks narrower than one
-// 64-world index word (about 13 and 44 worlds), as on paper-scale graphs.
+// 64-world row (8 and 32 worlds), as on paper-scale graphs. A one-center
+// depth-limited count on a fresh store, whose bitmaps are cold, runs on
+// the implicit stream and still grows the stream to its range.
 func TestPaperScaleTieredSmoke(t *testing.T) {
 	authors := 20000
 	if testing.Short() {
@@ -44,6 +46,12 @@ func TestPaperScaleTieredSmoke(t *testing.T) {
 	const seed = 23
 
 	ref := New(g, seed)
+	cold := make([]int32, g.NumNodes())
+	ref.CountWithinFrom(0, 2, 0, 40, cold)
+	if st := ref.Stats(); st.Worlds != 40 || st.Materializations != 0 {
+		t.Fatalf("cold CountWithinFrom over 40 worlds: Worlds %d, %d materializations; want 40, 0", st.Worlds, st.Materializations)
+	}
+	sameCounts(t, "cold CountWithinFrom", [][]int32{reachWithin(ref, 0, 2, 0, 40)}, [][]int32{cold})
 	// Span several blocks (plus a partial tail) so a two-block budget has
 	// to evict, spill and reload no matter how many worlds fit per block.
 	worlds := 4*ref.BlockWorlds() + 3

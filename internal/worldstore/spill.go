@@ -12,7 +12,7 @@
 // On-disk layout (one directory per store):
 //
 //	labels.seg   label block payloads, append-only
-//	bits.seg     edge-bitmap block payloads, append-only
+//	bits.seg     edge-bitmap block payloads (lanes), append-only
 //	index.seg    largest-component index block payloads, append-only
 //	cache.dir    directory log: one header + fixed-size entry records
 //
@@ -38,12 +38,15 @@
 // A label record holds the labels alone; the largest-component index of
 // the same worlds is a block of its own family with its own records in
 // index.seg, so an unlimited-depth count reloads the index without the
-// labels. That is format version 5. A directory of an older version is
-// refused at attach like any other header mismatch — a version-4
-// directory holds label records that carry their index, a version-3 one
-// label records without any index, a version-2 one may hold
-// partial-prefix records, a version-1 one unseeded payload CRCs — so
-// delete it before starting a binary that writes version 5.
+// labels. A bitmap record holds the block's lanes (see presence.go), the
+// layout its depth-limited counts read, so a reloaded block is used as it
+// is loaded. That is format version 6. A directory of an older version is
+// refused at attach like any other header mismatch — a version-5 directory
+// holds world-major bitmap records, a version-4 one label records that
+// carry their index, a version-3 one label records without any index, a
+// version-2 one may hold partial-prefix records, a version-1 one unseeded
+// payload CRCs — so delete it before starting a binary that writes
+// version 6.
 //
 // Segment reads go through a lazily grown read-only mmap of the segment
 // file where the platform supports it (falling back to pread elsewhere), so
@@ -70,7 +73,7 @@ import (
 
 const (
 	spillMagic   = "UCWSPILL"
-	spillVersion = 5
+	spillVersion = 6
 
 	spillHeaderSize = 64
 	spillRecordSize = 32
@@ -130,8 +133,8 @@ func payloadCRC(fam family, idx, worlds int, p []byte) uint32 {
 }
 
 // payload returns the byte view of block b's record payload: the labels
-// of a label block, the bitmaps of a bitmap block, the index words of an
-// index block. A bitmap block's presence index is never spilled.
+// of a label block, the lanes of a bitmap block, the index words of an
+// index block.
 func (b *block) payload() []byte {
 	switch b.fam {
 	case famLabels:

@@ -122,7 +122,7 @@ func TestSpillBitIdenticalAcrossTiers(t *testing.T) {
 // index block was ever built, the label blocks the index blocks are built
 // from.
 func TestBatchLoadsEachBlockOnce(t *testing.T) {
-	g := packedShapes(t)[0].g
+	g := laneShapes(t, false)[0].g
 	const depth = 2
 	cs := []graph.NodeID{0, 7, 300, 1500}
 	for _, f := range []family{famLabels, famBits, famComponents} {
@@ -152,7 +152,7 @@ func TestBatchLoadsEachBlockOnce(t *testing.T) {
 			snapshotBits(s, r)
 		}
 		s.SetBudget(1) // spill every block
-		s.SetBudget(s.blockBytes(f) + s.indexBytes(f))
+		s.SetBudget(s.blockBytes(f))
 		before := s.Stats()
 		if f == famBits {
 			s.CountWithinMulti(cs, depth, make([]int, len(cs)), r, got)
@@ -372,7 +372,7 @@ func TestReleaseAfterShrinkRestoresBudget(t *testing.T) {
 	bw := s.BlockWorlds()
 	snapshotLabels(s, 3*bw) // several resident blocks
 
-	b := s.acquire(famLabels, 0, false) // pin block 0
+	b := s.acquire(famLabels, 0) // pin block 0
 	budget := s.blockBytes(famLabels) / 2
 	s.SetBudget(budget)
 	if st := s.Stats(); st.ResidentBytes <= budget {
@@ -469,7 +469,8 @@ func TestSpillHostileRecordOffset(t *testing.T) {
 // TestSpillRefusesOlderVersions: a directory whose header names an older
 // format is refused at attach like any other header mismatch: version 2
 // may hold partial-prefix records, version 3 label records without any
-// index, version 4 label records that carry their index.
+// index, version 4 label records that carry their index, version 5
+// world-major bitmap records.
 func TestSpillRefusesOlderVersions(t *testing.T) {
 	g := ringGraph(t, 60, 14)
 	const seed, r = 23, 300
@@ -485,13 +486,13 @@ func TestSpillRefusesOlderVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint32{2, 3, 4} {
+	for _, v := range []uint32{2, 3, 4, 5} {
 		binary.LittleEndian.PutUint32(raw[8:12], v)
 		binary.LittleEndian.PutUint32(raw[48:52], crc32.Checksum(raw[:48], crcTable))
 		if err := os.WriteFile(log, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := fmt.Sprintf("spill-cache format version %d, want 5", v)
+		want := fmt.Sprintf("spill-cache format version %d, want 6", v)
 		if err := New(g, seed).AttachCache(dir); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version-%d directory: AttachCache error %v, want %q", v, err, want)
 		}
@@ -514,8 +515,8 @@ func TestSpillCorruptIndexRecomputed(t *testing.T) {
 	}
 	s.SetBudget(s.blockBytes(famComponents))
 	n, bw := s.NumNodes(), s.BlockWorlds()
-	s.release(s.acquire(famComponents, 0, false)) // index block 0, built
-	s.release(s.acquire(famComponents, 1, false)) // index block 1 evicts and spills block 0
+	s.release(s.acquire(famComponents, 0)) // index block 0, built
+	s.release(s.acquire(famComponents, 1)) // index block 1 evicts and spills block 0
 	donor := s.blocks[famComponents][1].comps
 
 	// Flip a byte of block 0's index record that has a clear bit, so a
@@ -539,9 +540,9 @@ func TestSpillCorruptIndexRecomputed(t *testing.T) {
 	}
 
 	before := s.Stats()
-	b := s.acquire(famComponents, 0, false) // evicts block 1 and takes its buffers
+	b := s.acquire(famComponents, 0) // evicts block 1 and takes its buffers
 	ref := New(g, seed)
-	want := ref.acquire(famComponents, 0, false)
+	want := ref.acquire(famComponents, 0)
 	if &b.comps[0] != &donor[0] {
 		t.Fatal("the reload did not reuse the evicted block's buffers")
 	}
@@ -618,7 +619,8 @@ func TestSpillDropsPartialRecord(t *testing.T) {
 // and appends one more record built from fuzzed fields through
 // encodeRecord, so its record CRC is valid and replay gets past the CRC
 // gate. Whatever the log says, a center tally and pair counts over every
-// index block (their readers), and a scan of every label and bitmap
+// index block (their readers), a depth-2 tally over every bitmap block
+// (against sampler.ReachCounter), and a scan of every label and bitmap
 // block, must run without a panic and bit-identically to an uncached
 // store: a bad entry is dropped and recomputed, never served.
 func FuzzSpillReplay(f *testing.F) {
@@ -628,10 +630,11 @@ func FuzzSpillReplay(f *testing.F) {
 	bw := ref.BlockWorlds()
 	wantLabels, wantBits := snapshotLabels(ref, worlds), snapshotBits(ref, worlds)
 	cs := []graph.NodeID{0, 13, 27}
-	wantCounts := make([][]int32, len(cs))
+	wantCounts, wantWithin := make([][]int32, len(cs)), make([][]int32, len(cs))
 	for j, c := range cs {
 		wantCounts[j] = make([]int32, g.NumNodes())
 		scanConnectedFrom(ref, c, 0, worlds, wantCounts[j])
+		wantWithin[j] = reachWithin(ref, c, 2, 0, worlds)
 	}
 	ctx := context.Background()
 	pairs := [][2]graph.NodeID{{0, 13}, {5, 6}, {27, 27}, {39, 1}}
@@ -689,6 +692,7 @@ func FuzzSpillReplay(f *testing.F) {
 		}
 		s.CountConnectedFromMulti(cs, make([]int, len(cs)), worlds, counts)
 		sameCounts(t, "replayed tallies", wantCounts, counts)
+		sameCounts(t, "replayed depth-2 tallies", wantWithin, countsWithin(s, cs, 2, worlds))
 		for i, p := range pairs {
 			if got, _ := s.CountPairCtx(ctx, p[0], p[1], 0, worlds); got != wantPairs[i] {
 				t.Fatalf("replayed pair %v: %d, want %d", p, got, wantPairs[i])

@@ -9,30 +9,27 @@
 // is defined by stateless hash coins (see internal/rng and sampler.World),
 // so any world can be re-materialized at any time. On top of the stream the
 // store lazily materializes three block families: connected-component
-// labels, present-edge bitmaps (one bit per edge, the substrate of batched
-// depth-limited BFS — every edge coin of a world is evaluated once, then a
-// whole center batch traverses bitmap tests) and largest-component indexes
-// (one membership bit per node and world, the substrate of unlimited-depth
-// pairs and center tallies; see buildComponents). Worlds are grouped into
-// fixed-size blocks, and the block is the unit of materialization: the
-// first reader of a block computes (or loads from the disk tier) all of its
-// worlds, stored in one contiguous slice, so scanning a block touches
-// memory sequentially, and the block never changes after. A label block
-// holds labels alone. An index block is built from the label block of the
-// same worlds, which it acquires and releases while it builds, and from
-// then on it lives on its own: counted in its own bytes, evicted, spilled
-// and reloaded like any block, so unlimited-depth counts read the index
-// without the labels. On graphs of up to 4,096 nodes a bitmap block read
-// by a depth-limited tally carries a presence index derived from its
-// bitmaps (see buildPresence), which lets one BFS answer 64 worlds; that
-// index is lazy, built once, charged to the byte budget, evicted with its
-// block and never spilled. Blocks of every family are materialized on
-// first access and, in bounded-memory mode, evicted least-recently-used —
-// under one shared byte budget — and recomputed or reloaded on the next
-// access, into the buffers of a block of the same family that the access
-// evicted when there is one. Because every family is a pure function of
-// (graph, seed, world index), eviction and recomputation never change an
-// estimate: bounded and unbounded runs are bit-identical.
+// labels, present-edge bitmaps (every edge coin of a world evaluated once,
+// stored edge-major in lanes of up to 64 worlds, so one depth-limited
+// traversal from a center advances a lane of worlds at once; see
+// presence.go) and largest-component indexes (one membership bit per node
+// and world, the substrate of unlimited-depth pairs and center tallies;
+// see buildComponents). Worlds are grouped into fixed-size blocks, and the
+// block is the unit of materialization: the first reader of a block
+// computes (or loads from the disk tier) all of its worlds, stored in one
+// contiguous slice, so scanning a block touches memory sequentially, and
+// the block never changes after. A label block holds labels alone. An
+// index block is built from the label block of the same worlds, which it
+// acquires and releases while it builds, and from then on it lives on its
+// own: counted in its own bytes, evicted, spilled and reloaded like any
+// block, so unlimited-depth counts read the index without the labels.
+// Blocks of every family are materialized on first access, charged their
+// full size to one shared byte budget at insertion and, in bounded-memory
+// mode, evicted least-recently-used and recomputed or reloaded whole on
+// the next access, into the buffers of a block of the same family that
+// the access evicted when there is one. Because every family is a pure
+// function of (graph, seed, world index), eviction and recomputation never
+// change an estimate: bounded and unbounded runs are bit-identical.
 //
 // Stores are safe for concurrent use by multiple consumers: block
 // materialization is coordinated so exactly one goroutine computes a block
@@ -50,8 +47,8 @@ package worldstore
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"weak"
@@ -63,11 +60,12 @@ import (
 
 // targetBlockBytes sizes label blocks: blocks hold as many worlds as fit in
 // roughly this many bytes of labels, clamped to [minBlockWorlds,
-// maxBlockWorlds]. Edge-bitmap and index blocks cover the same world
-// ranges (same worlds-per-block), so one block index addresses every
-// artifact of a run of worlds. Block size is a performance knob only —
-// estimates never depend on it, because each world's artifacts are
-// computed independently.
+// maxBlockWorlds], and a width under 64 is rounded down to a power of two,
+// so a bitmap block's lanes tile a word (see presence.go). Edge-bitmap and
+// index blocks cover the same world ranges (same worlds-per-block), so one
+// block index addresses every artifact of a run of worlds. Block size is a
+// performance knob only — estimates never depend on it, because each
+// world's artifacts are computed independently.
 const (
 	targetBlockBytes = 1 << 20
 	minBlockWorlds   = 8
@@ -79,7 +77,7 @@ type family int
 
 const (
 	famLabels     family = iota // component labels, []int32, n per world
-	famBits                     // present-edge bitmaps, []uint64, wpw per world
+	famBits                     // present-edge lanes, []uint64, rowWords per 64 worlds
 	famComponents               // largest-component index, []uint64, n per 64 worlds
 	numFamilies
 )
@@ -89,11 +87,13 @@ const (
 // deterministic world stream of one (graph, seed) pair. The zero value is
 // invalid; use New or Shared.
 type Store struct {
-	g    *graph.Uncertain
-	seed uint64
-	n    int
-	wpw  int // uint64 words per world edge bitmap
-	bw   int // worlds per block (every family)
+	g        *graph.Uncertain
+	seed     uint64
+	n        int
+	wpw      int  // uint64 words per world-major edge bitmap (ScanBits)
+	bw       int  // worlds per block (every family)
+	lg       uint // log2 of the lane width min(bw, 64) of a bitmap block
+	rowWords int  // words per 64-world row of a bitmap block: ceil(m·lane/64)
 
 	length atomic.Int64 // logical stream length: max world count requested
 
@@ -121,20 +121,11 @@ type Store struct {
 	coldRecomputes  atomic.Uint64
 	spillRecomputes atomic.Uint64
 
-	// Batched depth-limited kernel counters (atomic: bumped outside mu on
-	// the CountWithinMulti path): which mode tallied how many worlds, and
-	// how many bit-sliced plane flushes the accumulate mode performed.
-	accumWorlds  atomic.Uint64
-	accumFlushes atomic.Uint64
-	directWorlds atomic.Uint64
-
 	// Kernel scratch, recycled per store; each call checks one out for its
-	// duration. reachPool holds the batched BFS of the per-world
-	// depth-limited path (sampler.MultiReachCounter), implicitPool the
-	// implicit-stream BFS (sampler.ReachCounter), packPool the packed
-	// traversal of the presence-index path and walkPool the component
-	// walks of CountConnectedFromMulti and CountPairCtx.
-	reachPool    sync.Pool
+	// duration. implicitPool holds the implicit-stream BFS
+	// (sampler.ReachCounter), packPool the lane traversal of depth-limited
+	// counts and walkPool the component walks of CountConnectedFromMulti
+	// and CountPairCtx.
 	implicitPool sync.Pool
 	packPool     sync.Pool
 	walkPool     sync.Pool
@@ -142,28 +133,23 @@ type Store struct {
 
 // block is one run of bw consecutive worlds of one artifact family.
 // labels (famLabels) holds component labels world-major: world (base + i)
-// occupies labels[i*n : (i+1)*n]; bits (famBits) holds edge bitmaps
-// world-major: world (base + i) occupies bits[i*wpw : (i+1)*wpw]; comps
-// (famComponents) holds the largest-component index of the block's worlds
-// (see buildComponents). The first reader materializes every world of the
-// block under mu (see acquire); from then on the payload and the presence
-// index are immutable, and readers holding a pin read them directly. Once
-// the block is evicted and unpinned, its buffers may be handed to another
-// block of its family.
+// occupies labels[i*n : (i+1)*n]; bits (famBits) holds the worlds' edge
+// coins edge-major, in lanes (see presence.go); comps (famComponents) holds
+// the largest-component index of the block's worlds (see
+// buildComponents). The first reader materializes every world of the block
+// under mu (see acquire); from then on the payload is immutable, and
+// readers holding a pin read it directly. Once the block is evicted and
+// unpinned, its buffers may be handed to another block of its family.
 type block struct {
 	fam     family
 	idx     int
-	bytes   int64      // nominal full-block bytes plus any presence index, accounted in residentBytes; guarded by Store.mu
-	mu      sync.Mutex // serializes materialization and the presence index build
+	mu      sync.Mutex // serializes materialization
 	labels  []int32    // famLabels payload, bw*n; nil until materialized
-	bits    []uint64   // famBits payload, bw*wpw; nil until materialized
+	bits    []uint64   // famBits payload, ceil(bw/64)*rowWords; nil until materialized
 	comps   []uint64   // famComponents payload, ceil(bw/64)*n; nil until materialized
 	pins    int        // readers currently holding the block; guarded by Store.mu
 	lastUse uint64
 	rebuilt bool // this block index was materialized before in this process; set at insertion
-	// index is the presence index of a bitmap block (buildPresence), nil
-	// until a depth-limited count first needs it.
-	index []uint64
 }
 
 // Stats reports store observability counters. It is the snapshot the
@@ -180,10 +166,9 @@ type Stats struct {
 	ResidentLabelBlocks     int
 	ResidentBitmapBlocks    int
 	ResidentComponentBlocks int
-	// ResidentBytes is the nominal memory of the resident blocks,
-	// including the presence indexes of bitmap blocks that a
-	// depth-limited count has read — the quantity the SetBudget byte
-	// budget bounds.
+	// ResidentBytes is the nominal memory of the resident blocks, each
+	// charged its full size (blockBytes) at insertion — the quantity the
+	// SetBudget byte budget bounds.
 	ResidentBytes int64
 	// BlockWorlds is the number of worlds per block.
 	BlockWorlds int
@@ -223,20 +208,14 @@ type Stats struct {
 	// extent validation failure — at attach (truncated segments) or on
 	// load (bit rot). Dropped entries are recomputed, never served.
 	CorruptDropped uint64
-	// AccumWorlds counts worlds tallied by the accumulate-mode bit-sliced
-	// reach kernel on the per-world batched depth-limited path
-	// (CountWithinMulti on graphs above 4,096 nodes, whose blocks are too
-	// narrow for the presence index); DirectWorlds counts worlds the same
-	// path tallied through the per-world direct fallback (graphs too large
-	// for the flat accumulator). Both stay zero on stores that answer
-	// from presence indexes. Every kernel adds identical per-world reach
-	// indicators, so the split is an observability fact, never a results
-	// fact.
+	// AccumWorlds and DirectWorlds always read 0. They counted the worlds
+	// tallied by the per-world depth-limited kernels, which no store path
+	// runs any more: every depth-limited count traverses bitmap lanes, or
+	// the implicit stream for a cold narrow block. They stay in the
+	// snapshot because the end-to-end benchmark's per-layer replay
+	// (perfbench) still reports their deltas.
 	AccumWorlds  uint64
 	DirectWorlds uint64
-	// AccumFlushes counts bit-sliced plane flushes (one per
-	// capacity-sized sub-range per active segment).
-	AccumFlushes uint64
 	// CacheDir is the attached disk-tier directory ("" when the store has
 	// no disk tier).
 	CacheDir string
@@ -256,25 +235,24 @@ func SetDefaultBudget(bytes int64) { defaultBudget.Store(bytes) }
 // converge on the same materialized worlds.
 func New(g *graph.Uncertain, seed uint64) *Store {
 	n := g.NumNodes()
-	bw := targetBlockBytes / (4 * n)
-	if bw < minBlockWorlds {
-		bw = minBlockWorlds
+	bw := min(max(targetBlockBytes/(4*n), minBlockWorlds), maxBlockWorlds)
+	if bw < 64 {
+		bw = 1 << (bits.Len(uint(bw)) - 1)
 	}
-	if bw > maxBlockWorlds {
-		bw = maxBlockWorlds
-	}
+	lane := min(bw, 64)
 	s := &Store{
-		g:    g,
-		seed: seed,
-		n:    n,
-		wpw:  sampler.EdgeBitmapWords(g.NumEdges()),
-		bw:   bw,
+		g:        g,
+		seed:     seed,
+		n:        n,
+		wpw:      sampler.EdgeBitmapWords(g.NumEdges()),
+		bw:       bw,
+		lg:       uint(bits.TrailingZeros(uint(lane))),
+		rowWords: (g.NumEdges()*lane + 63) / 64,
 	}
 	for f := range s.blocks {
 		s.blocks[f] = make(map[int]*block)
 		s.built[f] = make(map[int]bool)
 	}
-	s.reachPool.New = func() any { return sampler.NewMultiReachCounter(g) }
 	s.implicitPool.New = func() any { return sampler.NewReachCounter(g, seed) }
 	s.packPool.New = func() any { return newPackedBFS(n) }
 	s.walkPool.New = func() any { return &componentWalk{seen: make([]uint32, n)} }
@@ -286,31 +264,22 @@ func New(g *graph.Uncertain, seed uint64) *Store {
 
 // blockBytes returns the nominal full-block byte size of one family's
 // block — the unit the byte budget is accounted in, and the length of the
-// block's disk record: 4·n·bw for labels, 8·wpw·bw for bitmaps and
-// 8·indexWords·n for a largest-component index (one membership word per
-// node and 64 worlds).
+// block's disk record: 4·n·bw for labels, 8·indexWords·rowWords for the
+// lanes of a bitmap block (m·bw/8 under 64 worlds, 8·m·ceil(bw/64) from 64
+// up) and 8·indexWords·n for a largest-component index (one membership word
+// per node and 64 worlds).
 func (s *Store) blockBytes(f family) int64 {
 	switch f {
 	case famLabels:
 		return int64(4 * s.n * s.bw)
 	case famBits:
-		return int64(8 * s.wpw * s.bw)
+		return int64(8 * s.indexWords() * s.rowWords)
 	}
 	return int64(8 * s.indexWords() * s.n)
 }
 
-// indexWords is the number of index words per row: ceil(bw/64).
+// indexWords is the number of 64-world rows of a block: ceil(bw/64).
 func (s *Store) indexWords() int { return (s.bw + 63) / 64 }
-
-// indexBytes is the nominal size of a block's lazily built derived index:
-// indexWords words per edge for a bitmap block's presence index. Blocks of
-// the other families carry none.
-func (s *Store) indexBytes(f family) int64 {
-	if f != famBits {
-		return 0
-	}
-	return int64(8 * s.indexWords() * s.g.NumEdges())
-}
 
 // registryKey identifies a shared store. The graph is held weakly so the
 // registry does not extend its lifetime.
@@ -465,9 +434,6 @@ func (s *Store) Stats() Stats {
 	st.CorruptDropped = s.corruptDropped.Load()
 	st.ColdRecomputes = s.coldRecomputes.Load()
 	st.PostSpillRecomputes = s.spillRecomputes.Load()
-	st.AccumWorlds = s.accumWorlds.Load()
-	st.AccumFlushes = s.accumFlushes.Load()
-	st.DirectWorlds = s.directWorlds.Load()
 	if c := s.spill.Load(); c != nil {
 		st.DiskBytes = c.bytes()
 		st.CacheDir = c.dir
@@ -544,29 +510,27 @@ func (s *Store) CacheDir() string {
 }
 
 // acquire returns family f's block bi, pinned against eviction, with all
-// of its worlds materialized and, for a bitmap block when indexed is set,
-// its presence index built. A missing block is inserted and
-// budget-accounted first: enough LRU unpinned blocks of any family are
-// evicted to make room under the byte budget, and the new block is
-// admitted even when the budget cannot be met, so progress never blocks
-// on memory pressure. The victims are spilled before the new block is
-// materialized, so one of b's own family can hand its buffers over (see
-// materialize). Materialization and the presence index build serialize on
-// the block's mutex, so exactly one goroutine computes each while later
-// arrivals reuse the result; the first presence index of a block is
-// charged to the byte budget. Callers read b.labels, b.bits, b.comps and
-// b.index directly and must release the block. Caller must not hold s.mu.
-func (s *Store) acquire(f family, bi int, indexed bool) *block {
+// of its worlds materialized. A missing block is inserted and charged its
+// full size first: enough LRU unpinned blocks of any family are evicted to
+// make room under the byte budget, and the new block is admitted even when
+// the budget cannot be met, so progress never blocks on memory pressure.
+// The victims are spilled before the new block is materialized, so one of
+// b's own family can hand its buffers over (see materialize).
+// Materialization serializes on the block's mutex, so exactly one
+// goroutine computes the block while later arrivals reuse the result.
+// Callers read b.labels, b.bits and b.comps directly and must release the
+// block. Caller must not hold s.mu.
+func (s *Store) acquire(f family, bi int) *block {
 	s.mu.Lock()
 	b, ok := s.blocks[f][bi]
 	var victims []*block
 	if !ok {
-		b = &block{fam: f, idx: bi, bytes: s.blockBytes(f), rebuilt: s.built[f][bi]}
+		b = &block{fam: f, idx: bi, rebuilt: s.built[f][bi]}
 		if s.budget > 0 {
-			victims = s.evictLocked(s.budget - b.bytes)
+			victims = s.evictLocked(s.budget - s.blockBytes(f))
 		}
 		s.blocks[f][bi] = b
-		s.residentBytes += b.bytes
+		s.residentBytes += s.blockBytes(f)
 		s.materialized++
 		s.built[f][bi] = true
 	} else {
@@ -588,14 +552,7 @@ func (s *Store) acquire(f family, bi int, indexed bool) *block {
 		}
 		s.materialize(b, donor)
 	}
-	first := indexed && b.index == nil
-	if first {
-		b.index = s.buildPresence(b.bits)
-	}
 	b.mu.Unlock()
-	if first {
-		s.chargeIndex(b, s.indexBytes(famBits))
-	}
 	return b
 }
 
@@ -614,12 +571,11 @@ func (s *Store) acquire(f family, bi int, indexed bool) *block {
 func (s *Store) materialize(b, donor *block) {
 	switch {
 	case donor != nil:
-		// A presence index is built lazily, never handed over.
 		b.labels, b.bits, b.comps = donor.labels, donor.bits, donor.comps
 	case b.fam == famLabels:
 		b.labels = make([]int32, s.bw*s.n)
 	case b.fam == famBits:
-		b.bits = make([]uint64, s.bw*s.wpw)
+		b.bits = make([]uint64, s.blockBytes(famBits)/8)
 	default:
 		b.comps = make([]uint64, s.blockBytes(famComponents)/8)
 	}
@@ -643,7 +599,7 @@ func (s *Store) materialize(b, donor *block) {
 	case famBits:
 		s.computeBitmaps(b.idx, b.bits)
 	default:
-		lb := s.acquire(famLabels, b.idx, false)
+		lb := s.acquire(famLabels, b.idx)
 		s.buildComponents(lb.labels, b.comps)
 		// The build is not a use of the labels: the label block goes back
 		// as the least recently used block, so the next eviction takes it
@@ -686,17 +642,17 @@ func (s *Store) writeSpills(victims []*block) {
 	}
 }
 
-// fanOutWorlds runs a per-world computation for every world of a block,
-// split across goroutines by par.Split. Each share calls worker() once to
-// bind its private scratch and then invokes the returned function for the
-// world indices it steals off a shared cursor. Stealing only changes which
-// share computes a world, never the result: every world writes a disjoint
-// slice of the output.
-func (s *Store) fanOutWorlds(worker func() func(i int)) {
+// fanOut runs a computation for every item i in [0, items), split across
+// goroutines by par.Split. Each share calls worker() once to bind its
+// private scratch and then invokes the returned function for the items it
+// steals off a shared cursor. Stealing only changes which share computes
+// an item, never the result: every item writes a disjoint slice of the
+// output.
+func fanOut(items int, worker func() func(i int)) {
 	var next atomic.Int64
-	par.Split(s.bw, func(int, int) {
+	par.Split(items, func(int, int) {
 		compute := worker()
-		for i := int(next.Add(1)) - 1; i < s.bw; i = int(next.Add(1)) - 1 {
+		for i := int(next.Add(1)) - 1; i < items; i = int(next.Add(1)) - 1 {
 			compute(i)
 		}
 	})
@@ -708,23 +664,10 @@ func (s *Store) fanOutWorlds(worker func() func(i int)) {
 // depend on the worker count.
 func (s *Store) computeLabels(bi int, labels []int32) {
 	base := bi * s.bw
-	s.fanOutWorlds(func() func(int) {
+	fanOut(s.bw, func() func(int) {
 		uf := graph.NewUnionFind(s.n)
 		return func(i int) {
 			s.World(base+i).ComponentLabels(uf, labels[i*s.n:(i+1)*s.n])
-		}
-	})
-}
-
-// computeBitmaps writes the edge bitmaps of every world of block bi into
-// bits, overwriting every word. Each world's bitmap is filled
-// independently into a disjoint slice of the buffer, so the bits do not
-// depend on the worker count.
-func (s *Store) computeBitmaps(bi int, bits []uint64) {
-	base := bi * s.bw
-	s.fanOutWorlds(func() func(int) {
-		return func(i int) {
-			s.World(base + i).FillEdgeBitmap(bits[i*s.wpw : (i+1)*s.wpw])
 		}
 	})
 }
@@ -781,7 +724,7 @@ func (s *Store) evictLocked(maxBytes int64) []*block {
 			break
 		}
 		delete(s.blocks[victim.fam], victim.idx)
-		s.residentBytes -= victim.bytes
+		s.residentBytes -= s.blockBytes(victim.fam)
 		s.evicted++
 		victims = append(victims, victim)
 	}
@@ -816,7 +759,7 @@ func (s *Store) ScanCtx(ctx context.Context, lo, hi int, fn func(i int, labels [
 			return err
 		}
 		base := bi * s.bw
-		b := s.acquire(famLabels, bi, false)
+		b := s.acquire(famLabels, bi)
 		for i := max(lo, base); i < min(hi, base+s.bw); i++ {
 			off := (i - base) * s.n
 			fn(i, b.labels[off:off+s.n:off+s.n])
@@ -824,175 +767,6 @@ func (s *Store) ScanCtx(ctx context.Context, lo, hi int, fn func(i int, labels [
 		s.release(b)
 	}
 	return nil
-}
-
-// ScanBits calls fn(i, bits) for every world i in [lo, hi), in increasing
-// order, where bits is the world's present-edge bitmap (length
-// sampler.EdgeBitmapWords(NumEdges); bit e set iff edge e is present —
-// test with sampler.BitmapContains). The slice is only valid during the
-// callback and must not be modified. Bitmap blocks are pinned one at a
-// time, exactly like label blocks in Scan, and count against the same
-// byte budget. ScanBits grows the logical stream to hi.
-func (s *Store) ScanBits(lo, hi int, fn func(i int, bits []uint64)) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi <= lo {
-		return
-	}
-	s.Grow(hi)
-	for bi := lo / s.bw; bi*s.bw < hi; bi++ {
-		base := bi * s.bw
-		b := s.acquire(famBits, bi, false)
-		for i := max(lo, base); i < min(hi, base+s.bw); i++ {
-			off := (i - base) * s.wpw
-			fn(i, b.bits[off:off+s.wpw:off+s.wpw])
-		}
-		s.release(b)
-	}
-}
-
-// CountWithinMulti is the depth-limited mirror of CountConnectedFromMulti:
-// for each center cs[j] it adds, into counts[j] (length NumNodes, not
-// cleared), the number of worlds in [lo[j], hi) where each node is within
-// depth hops of cs[j]. depth < 0 means unconstrained reachability (callers
-// with unlimited depth should prefer the label paths, which need no BFS).
-//
-// The store picks the kernel by its block width. On blocks of at least 64
-// worlds each bitmap block covering [min lo, hi) is acquired once and
-// answers every center from its presence index, one packed traversal per
-// center per 64 worlds (see countPacked), which costs less than sharing a
-// per-world pass. Narrower blocks answer all centers in one pass over
-// each world's edge bitmap (see countWithinUnpacked): the world's edge
-// coins are evaluated once, when its bitmap block is materialized, and
-// every center's depth-bounded BFS tests bits instead of re-hashing.
-//
-// Each (world, center) BFS visit set is a pure function of the world's
-// edge set, so the result is bit-identical to looping a per-center
-// sampler.ReachCounter over the same ranges, whichever kernel runs.
-func (s *Store) CountWithinMulti(cs []graph.NodeID, depth int, lo []int, hi int, counts [][]int32) {
-	if !s.packed() {
-		s.countWithinUnpacked(cs, depth, lo, hi, counts)
-		return
-	}
-	first := batchStart(lo, hi)
-	if len(cs) == 0 || first >= hi {
-		return
-	}
-	s.Grow(hi)
-	n, m := s.n, s.g.NumEdges()
-	p := s.packPool.Get().(*packedBFS)
-	for bi := first / s.bw; bi*s.bw < hi; bi++ {
-		base := bi * s.bw
-		b := s.acquire(famBits, bi, true)
-		for j, c := range cs {
-			start, end := max(lo[j], base)-base, min(hi, base+s.bw)-base
-			if start >= end {
-				continue
-			}
-			cnt := counts[j][:n:n]
-			for k := start / 64; k*64 < end; k++ {
-				s.countPacked(p, b.index[k*m:(k+1)*m], c, depth, worldMask(k, start, end), cnt)
-			}
-		}
-		s.release(b)
-	}
-	s.packPool.Put(p)
-}
-
-// countWithinUnpacked is CountWithinMulti on world-major bitmaps, for
-// stores whose blocks are too narrow for the presence index: a multi-center
-// frontier BFS per world, centers packed 64 to a mask.
-func (s *Store) countWithinUnpacked(cs []graph.NodeID, depth int, lo []int, hi int, counts [][]int32) {
-	if len(cs) == 0 {
-		return
-	}
-	mrc := s.reachPool.Get().(*sampler.MultiReachCounter)
-	defer s.reachPool.Put(mrc)
-	// Mask groups of <= 64 centers, each answered over the same bitmap
-	// blocks (re-acquisitions after the first group are cache hits).
-	for base := 0; base < len(cs); base += 64 {
-		end := base + 64
-		if end > len(cs) {
-			end = len(cs)
-		}
-		s.countWithinGroup(mrc, cs[base:end], depth, lo[base:end], hi, counts[base:end])
-	}
-}
-
-// countWithinGroup answers one <= 64-center group. The world range is split
-// at the distinct lo values into segments on which the active center set
-// is constant, so the counter's accumulate mode (one flat add per reach,
-// flushed per segment) keeps a stable bit-to-center mapping; graphs too
-// large for the flat accumulator fall back to per-world direct counting.
-// Either mode adds the same per-world reach indicators, so the counts are
-// bit-identical regardless of mode, segmentation, or group split.
-func (s *Store) countWithinGroup(mrc *sampler.MultiReachCounter, cs []graph.NodeID, depth int, lo []int, hi int, counts [][]int32) {
-	// Distinct segment starts: every lo value below hi, ascending.
-	starts := make([]int, 0, len(lo))
-	for _, l := range lo {
-		if l < 0 {
-			l = 0
-		}
-		if l >= hi {
-			continue
-		}
-		starts = append(starts, l)
-	}
-	if len(starts) == 0 {
-		return
-	}
-	sort.Ints(starts)
-	accum := mrc.BeginAccum()
-	activeCs := make([]graph.NodeID, 0, len(cs))
-	activeCounts := make([][]int32, 0, len(cs))
-	for k := 0; k < len(starts); k++ {
-		a := starts[k]
-		if k > 0 && a == starts[k-1] {
-			continue // duplicate lo value
-		}
-		b := hi
-		for _, nl := range starts[k+1:] {
-			if nl > a {
-				b = nl
-				break
-			}
-		}
-		activeCs = activeCs[:0]
-		activeCounts = activeCounts[:0]
-		for j, c := range cs {
-			if lo[j] > a {
-				continue
-			}
-			activeCs = append(activeCs, c)
-			activeCounts = append(activeCounts, counts[j])
-		}
-		if accum {
-			// Flush on the accumulator's capacity cadence: the bit-sliced
-			// planes hold at most AccumCapacity worlds of counts, so long
-			// segments accumulate in capacity-sized sub-ranges. Flushing
-			// more often only regroups exact integer additions — the counts
-			// are bit-identical for any cadence.
-			capacity := mrc.AccumCapacity()
-			for x := a; x < b; x += capacity {
-				y := x + capacity
-				if y > b {
-					y = b
-				}
-				s.ScanBits(x, y, func(_ int, bits []uint64) {
-					mrc.AccumWorld(bits, activeCs, depth)
-				})
-				mrc.FlushAccum(activeCounts)
-				s.accumWorlds.Add(uint64(y - x))
-				s.accumFlushes.Add(1)
-			}
-		} else {
-			s.ScanBits(a, b, func(_ int, bits []uint64) {
-				mrc.CountWithinWorld(bits, activeCs, depth, activeCounts)
-			})
-			s.directWorlds.Add(uint64(b - a))
-		}
-	}
 }
 
 // EstimatePair returns the Monte Carlo estimate of Pr(u ~ v) over the

@@ -323,47 +323,40 @@ func TestCountWithinMultiMatchesReachCounter(t *testing.T) {
 	}
 }
 
-// TestCountWithinMultiUsesAccumKernel pins the kernel routing of the
-// production batched depth-limited path. On a graph small enough for
-// 64-world blocks the presence index answers every center, so neither
-// per-world mode tallies a world. Above 4,096 nodes the blocks are
-// narrower, and on a graph small enough for the flat accumulator
-// CountWithinMulti tallies every world through accumulate mode — the
-// Stats counters prove it, and the direct fallback stays untouched. A
-// regression here (a kernel silently unhooked) would cost the batched
-// path its main speedup without failing any correctness test, since every
-// kernel produces bit-identical counts.
-func TestCountWithinMultiUsesAccumKernel(t *testing.T) {
+// TestCountWithinMultiReadsLaneBlocks pins the routing of the batched
+// depth-limited path: on 256-world blocks and on 32-world lanes (a graph
+// above 4,096 nodes) CountWithinMulti reads each bitmap block of its range
+// once, materializing it on the first call and hitting it on the second,
+// and touches no other family. AccumWorlds and DirectWorlds, the counters
+// of the per-world kernel the lanes replaced, stay 0.
+func TestCountWithinMultiReadsLaneBlocks(t *testing.T) {
 	const seed, hi = 17, 300
 	centers := []graph.NodeID{0, 5, 12}
 	lo := []int{0, 40, 0}
-	count := func(g *graph.Uncertain) Stats {
-		s := New(g, seed)
-		counts := make([][]int32, len(centers))
-		for j := range counts {
-			counts[j] = make([]int32, g.NumNodes())
+	for _, tc := range []struct {
+		g  *graph.Uncertain
+		bw int
+	}{{ringGraph(t, 35, 13), 256}, {ringGraph(t, 4200, 13), 32}} {
+		s := New(tc.g, seed)
+		if s.BlockWorlds() != tc.bw {
+			t.Fatalf("BlockWorlds = %d on %d nodes, want %d", s.BlockWorlds(), tc.g.NumNodes(), tc.bw)
 		}
-		s.CountWithinMulti(centers, 2, lo, hi, counts)
-		return s.Stats()
-	}
-	if st := count(ringGraph(t, 35, 13)); st.BlockWorlds < 64 || st.AccumWorlds != 0 || st.DirectWorlds != 0 {
-		t.Fatalf("packed store: BlockWorlds %d, AccumWorlds %d, DirectWorlds %d; want >= 64, 0, 0",
-			st.BlockWorlds, st.AccumWorlds, st.DirectWorlds)
-	}
-	st := count(ringGraph(t, 4200, 13))
-	if st.BlockWorlds >= 64 {
-		t.Fatalf("BlockWorlds = %d on 4,200 nodes, want < 64", st.BlockWorlds)
-	}
-	// The distinct-lo segments partition [0, hi) and each world is
-	// accumulated exactly once, so the counter equals the range length.
-	if st.AccumWorlds != hi {
-		t.Fatalf("AccumWorlds = %d, want %d (accumulate-mode kernel not driving the batched path)", st.AccumWorlds, hi)
-	}
-	if st.AccumFlushes == 0 {
-		t.Fatal("AccumFlushes = 0: accumulate mode never flushed its planes")
-	}
-	if st.DirectWorlds != 0 {
-		t.Fatalf("DirectWorlds = %d: direct fallback used on an accumulator-sized graph", st.DirectWorlds)
+		blocks := uint64((hi + tc.bw - 1) / tc.bw)
+		for pass := uint64(0); pass < 2; pass++ {
+			counts := make([][]int32, len(centers))
+			for j := range counts {
+				counts[j] = make([]int32, tc.g.NumNodes())
+			}
+			s.CountWithinMulti(centers, 2, lo, hi, counts)
+			st := s.Stats()
+			if st.Materializations != blocks || st.Hits != pass*blocks || st.ResidentBitmapBlocks != int(blocks) ||
+				st.ResidentLabelBlocks+st.ResidentComponentBlocks != 0 {
+				t.Fatalf("%d-world blocks, pass %d: %+v, want %d bitmap blocks read once each", tc.bw, pass, st, blocks)
+			}
+			if st.AccumWorlds != 0 || st.DirectWorlds != 0 {
+				t.Fatalf("%d-world blocks: AccumWorlds %d, DirectWorlds %d, want 0", tc.bw, st.AccumWorlds, st.DirectWorlds)
+			}
+		}
 	}
 }
 
@@ -562,9 +555,8 @@ func TestScanMaterializesWholeBlocks(t *testing.T) {
 // tier, so nearly every acquisition evicts a block and materializes into
 // its buffers, index blocks included. Every count must be bit-identical
 // to an unbounded store's: a buffer is handed over only once no reader
-// holds its block and its spill write has finished. Both block shapes run: 256-world blocks with
-// presence indexes, and 62-world blocks on the per-world kernels. Run it
-// under -race.
+// holds its block and its spill write has finished. Both block shapes
+// run: 256-world blocks and 32-world lanes. Run it under -race.
 func TestReusedBuffersConcurrentReaders(t *testing.T) {
 	for _, g := range []*graph.Uncertain{ringGraph(t, 60, 3), ringGraph(t, 4200, 13)} {
 		const seed, depth, readers = 19, 2, 2
@@ -608,11 +600,7 @@ func TestReusedBuffersConcurrentReaders(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			budget := s.blockBytes(famLabels) + s.blockBytes(famBits) + s.blockBytes(famComponents)
-			if s.packed() {
-				budget += s.indexBytes(famBits)
-			}
-			s.SetBudget(budget)
+			s.SetBudget(s.blockBytes(famLabels) + s.blockBytes(famBits) + s.blockBytes(famComponents))
 			tag := fmt.Sprintf("%d-world blocks, disk tier %v", bw, disk)
 			work := []func(){
 				func() {
