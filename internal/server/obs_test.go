@@ -134,10 +134,8 @@ func TestExplainShardedConnTrace(t *testing.T) {
 			t.Fatalf("worker span missing wire-carried worlds-scanned: %+v", sp.Attrs)
 		}
 		scanned += n
-		for _, key := range []string{"worker_cache_hits", "worker_cache_miss", "store_ram_hits"} {
-			if _, ok := sp.Attrs[key]; !ok {
-				t.Fatalf("worker span missing wire-carried %q: %+v", key, sp.Attrs)
-			}
+		if _, ok := sp.Attrs["store_ram_hits"]; !ok {
+			t.Fatalf("worker span missing wire-carried store_ram_hits: %+v", sp.Attrs)
 		}
 	}
 	if workers == 0 {

@@ -13,11 +13,12 @@ import (
 // The scatter benchmarks time the scatter/gather overhead of the
 // coordinator against in-process execution over the same (warm) world
 // stream: each iteration answers a fresh 32-center batch (a private tally
-// cache, like one clustering run's scoring query), so the measured cost is
-// per-query — partition, HTTP round-trips, JSON tallies, merge — not
-// amortized cache hits. Workers run in-process over loopback HTTP, so the
-// measured overhead is a floor: real deployments add network latency but
-// also real parallel hardware.
+// cache, like one clustering run's scoring query), and workers hold no
+// tally state, so the measured cost is per-query — partition, wire
+// round-trips, the workers' counts, merge — not amortized cache hits.
+// Workers run in-process over loopback, so the measured overhead is a
+// floor: real deployments add network latency but also real parallel
+// hardware.
 
 func benchCenters(n int) []graph.NodeID {
 	cs := make([]graph.NodeID, 32)
@@ -83,5 +84,47 @@ func BenchmarkScatterWorkersTraced(b *testing.B) {
 			b.Fatal(err)
 		}
 		tr.Finish()
+	}
+}
+
+// BenchmarkScatterRepeat repeats one identical DistancesCtx and one
+// identical GreedyCtx call, on the local path and over 2 loopback
+// workers. Workers hold no tally state, so a sharded repeat recomputes
+// every tally it scatters; the local greedy run keeps per-world component
+// sizes across its CELF rounds, which the sharded marginal tallies rebuild
+// on the workers for every evaluation.
+func BenchmarkScatterRepeat(b *testing.B) {
+	g := testGraph(b, benchNodes, 2)
+	ctx := context.Background()
+	for _, nw := range []int{0, 2} {
+		var addrs []string
+		if nw > 0 {
+			addrs = startWorkers(b, "bg", g, benchSeed, nw)
+		}
+		coord := NewCoordinator("bg", g, benchSeed, addrs, CoordinatorOptions{})
+		path := "local"
+		if nw > 0 {
+			path = fmt.Sprintf("workers=%d", nw)
+		}
+		queries := []struct {
+			name string
+			run  func() error
+		}{
+			{"distances", func() error { _, err := coord.DistancesCtx(ctx, 5, benchWorlds); return err }},
+			{"greedy", func() error { _, err := coord.GreedyCtx(ctx, 3, 64); return err }},
+		}
+		for _, q := range queries {
+			b.Run(q.name+"/"+path, func(b *testing.B) {
+				if err := q.run(); err != nil { // warm the stores
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := q.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

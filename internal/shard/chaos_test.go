@@ -237,6 +237,43 @@ func TestAuditCleanRunNoDivergence(t *testing.T) {
 	}
 }
 
+// TestAuditRefereeQuarantinesWrongSeed pairs an honest worker with one
+// started under the same graph name but another seed, so its tallies are
+// well-formed and wrong. With every group audited, each group that the
+// two workers both answer diverges; the coordinator's referee recomputes
+// it locally, its answer is merged, and the wrong-seed worker is
+// quarantined. The answer stays bit-identical to local.
+func TestAuditRefereeQuarantinesWrongSeed(t *testing.T) {
+	g := testGraph(t, 64, 51)
+	const seed = 37
+	honest := startWorkers(t, "tg", g, seed, 1)[0]
+	wrong := startWorkers(t, "tg", g, seed+1, 1)[0]
+
+	local := conn.NewMonteCarlo(g, seed)
+	coord := NewCoordinator("tg", g, seed, []string{honest, wrong}, CoordinatorOptions{
+		RequestTimeout: 5 * time.Second,
+		AuditFraction:  1,
+	})
+	centers := []graph.NodeID{4, 19, 60}
+	want := local.FromCenters(centers, conn.Unlimited, 700)
+	got, err := coord.FromCentersCtx(context.Background(), centers, conn.Unlimited, 700)
+	if err != nil {
+		t.Fatalf("audited query: %v", err)
+	}
+	for i := range want {
+		sameFloats(t, "refereed query", got[i], want[i])
+	}
+	if fs := coord.FabricStats(); fs.AuditDivergences == 0 {
+		t.Fatalf("a wrong-seed worker caused no audit divergence: %+v", fs)
+	}
+	if st := statsFor(t, coord, wrong); st.State != "quarantined" {
+		t.Fatalf("wrong-seed worker state = %q, want quarantined", st.State)
+	}
+	if st := statsFor(t, coord, honest); st.State != "up" {
+		t.Fatalf("honest worker state = %q, want up", st.State)
+	}
+}
+
 // TestChaosSeededScheduleBitIdentical is the nightly chaos suite: a
 // seeded schedule of connection kills, delays and bit corruption plays
 // against every worker of a 3-worker fleet while a query series runs.

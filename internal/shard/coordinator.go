@@ -267,7 +267,7 @@ func (wc *workerClient) call(ctx context.Context, timeout time.Duration, req *Ta
 	if tid, sid := sp.WireIDs(); tid != 0 {
 		ref = &traceRef{TraceID: tid, SpanID: sid}
 	}
-	resp, _, annot, err := wc.stream.call(ctx, req, ref)
+	resp, annot, err := wc.stream.call(ctx, req, ref)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -387,8 +387,9 @@ func (m *member) breakerSnapshot() (trips uint64, open bool) {
 // fleet is the membership table shared by a Coordinator and all its
 // forks: the member slots, the sticky block-ownership map, and the
 // fabric-level counters. Ownership is sticky on purpose — a block keeps
-// its worker (whose tally cache is warm for it) until that worker goes
-// down or leaves, and only then is it re-striped onto the survivors.
+// its worker (whose world store keeps the block's worlds warm) until that
+// worker goes down or leaves, and only then is it re-striped onto the
+// survivors.
 // Assignment never affects results, only which worker computes which
 // integer sums.
 type fleet struct {
@@ -508,14 +509,15 @@ func (f *fleet) availableSlotsLocked(now time.Time) []int {
 // (live[(bi+rot) % len(live)]; block bi holds worlds [bi*BlockWorlds,
 // (bi+1)*BlockWorlds)). Only unowned blocks are striped — blocks of new
 // stream growth, or blocks whose owner left or went down — so a block
-// keeps its worker, and the worker its warm block caches, across queries,
-// stream extensions and membership changes. exclude[bi] names a slot the
-// block must avoid when any alternative exists: retry rounds use it to
-// move a failed worker's blocks. Breaker-open members are skipped — their
-// blocks re-stripe onto healthy workers for the duration of the backoff —
-// unless every live member is open, in which case all of them are forced
-// half-open (a fleet must never starve itself on its own breakers; the
-// next attempt is the probe). Returns slot → ascending block indices.
+// keeps its worker, and the worker keeps the block's worlds warm in its
+// store, across queries, stream extensions and membership changes.
+// exclude[bi] names a slot the block must avoid when any alternative
+// exists: retry rounds use it to move a failed worker's blocks.
+// Breaker-open members are skipped — their blocks re-stripe onto healthy
+// workers for the duration of the backoff — unless every live member is
+// open, in which case all of them are forced half-open (a fleet must
+// never starve itself on its own breakers; the next attempt is the
+// probe). Returns slot → ascending block indices.
 func (f *fleet) assign(bis []int, exclude map[int]int, rot int) (map[int][]int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -815,7 +817,7 @@ func (c *Coordinator) auditGroup(ctx context.Context, base *TallyRequest, g *sca
 		c.recordFault(auditor, err)
 		return nil
 	}
-	canon := func(r *TallyResponse) []byte { return encodeResponseFrame(0, wreq.Kind, false, r) }
+	canon := func(r *TallyResponse) []byte { return encodeResponseFrame(0, wreq.Kind, r) }
 	ownerBytes, auditBytes := canon(resp), canon(aresp)
 	if bytes.Equal(ownerBytes, auditBytes) {
 		sp.Set("outcome", "agreement")
@@ -826,13 +828,9 @@ func (c *Coordinator) auditGroup(ctx context.Context, base *TallyRequest, g *sca
 	// Referee: recompute the disputed ranges locally from the shared
 	// (seed, index) world definition — the ground truth both workers
 	// were supposed to tally.
-	ref := &TallyResponse{}
-	for _, rg := range g.ranges {
-		rt, rerr := rangeTally(ctx, c.store, &wreq, rg)
-		if rerr != nil {
-			return nil // referee interrupted (ctx done); keep the original
-		}
-		mergeTally(ref, rt, wreq.Kind)
+	ref, err := tallyRanges(ctx, c.store, &wreq)
+	if err != nil {
+		return nil // referee interrupted (ctx done); keep the original
 	}
 	refBytes := canon(ref)
 	if !bytes.Equal(ownerBytes, refBytes) {
@@ -1161,7 +1159,7 @@ func (c *Coordinator) runGroup(ctx context.Context, base *TallyRequest, g *scatt
 // post-win error (the winner cancelled us) records nothing, and only a
 // genuine pre-win fault records a failure. On a traced query the attempt
 // is a child span of the scatter round, carrying the worker's wire-borne
-// annotation (cache hits, worlds scanned, store tier) — the span's own
+// annotation (worker time, worlds scanned, store tier) — the span's own
 // duration is the coordinator-observed RTT, so no clock agreement with
 // the worker is needed.
 func (c *Coordinator) attemptWorker(ctx context.Context, g *scatterGroup, m *member, req *TallyRequest, hedged bool) attemptResult {
@@ -1184,8 +1182,6 @@ func (c *Coordinator) attemptWorker(ctx context.Context, g *scatterGroup, m *mem
 		sp.SetAll(
 			obs.Attr{Key: "worker_elapsed_ms", Value: float64(annot.ElapsedNS) / 1e6},
 			obs.Attr{Key: "worker_worlds_scanned", Value: int64(annot.Worlds)},
-			obs.Attr{Key: "worker_cache_hits", Value: int64(annot.CacheHits)},
-			obs.Attr{Key: "worker_cache_miss", Value: int64(annot.CacheMiss)},
 			obs.Attr{Key: "store_ram_hits", Value: int64(annot.StoreHits)},
 			obs.Attr{Key: "store_disk_hits", Value: int64(annot.DiskHits)},
 			obs.Attr{Key: "store_recomputes", Value: int64(annot.Recomputes)},
@@ -1319,16 +1315,18 @@ func (c *Coordinator) extend(ctx context.Context, cs []graph.NodeID, depth int, 
 // gathered tally — and every estimate derived from it — is identical for
 // every worker count. The request is checked first, so a malformed one
 // fails here instead of failing on every worker. An empty range (r <= 0)
-// also stays local: it scans nothing, but still returns the kind's
-// payload shape, which a scatter with nothing to merge would not.
+// also stays local: it scans nothing, and tallyRanges still answers the
+// kind's payload shape for it.
 func (c *Coordinator) gather(ctx context.Context, req TallyRequest, r int) (*TallyResponse, error) {
 	if err := validTally(c.g, &req); err != nil {
 		return nil, err
 	}
 	if r <= 0 || !c.Sharded() {
-		return rangeTally(ctx, c.store, &req, Range{Lo: 0, Hi: r})
+		req.Ranges = []Range{{Lo: 0, Hi: r}}
+		return tallyRanges(ctx, c.store, &req)
 	}
-	acc := &TallyResponse{} // scatter calls merge serially: no lock
+	// scatter calls merge serially: no lock on acc.
+	acc := kindNamed(req.Kind).zero(c.g.NumNodes(), &req)
 	if err := c.scatter(ctx, req, 0, r, func(resp *TallyResponse) { mergeTally(acc, resp, req.Kind) }); err != nil {
 		return nil, err
 	}

@@ -2,11 +2,17 @@ package shard
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -283,88 +289,94 @@ func TestStreamReconnects(t *testing.T) {
 		local.FromCenter(2, conn.Unlimited, 300))
 }
 
-// ---- worker tally cache --------------------------------------------------
+// ---- stateless worker ----------------------------------------------------
 
-// TestWorkerTallyCache: repeated identical per-range tallies are served
-// from the worker cache — same bytes, no worlds rescanned.
-func TestWorkerTallyCache(t *testing.T) {
+// rawStream opens a v2 stream to the worker at base by hand, without a
+// checksum or trace negotiation, so a test can read the worker's RESP
+// frames byte for byte.
+func rawStream(t *testing.T, base string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	nc, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	fmt.Fprintf(nc, "POST %s HTTP/1.1\r\nHost: w\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", PathStream, StreamProtocol)
+	br := bufio.NewReader(nc)
+	resp, err := http.ReadResponse(br, &http.Request{Method: http.MethodPost})
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("stream upgrade: %v %v", resp, err)
+	}
+	return nc, br
+}
+
+// rawTally sends req as REQ frame id on a raw stream and returns the whole
+// frame the worker answers with.
+func rawTally(t *testing.T, nc net.Conn, br *bufio.Reader, id uint64, req *TallyRequest) []byte {
+	t.Helper()
+	frame, err := encodeRequestFrame(id, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	head := make([]byte, 4)
+	if _, err := io.ReadFull(br, head); err != nil {
+		t.Fatal(err)
+	}
+	out := append(head, make([]byte, binary.LittleEndian.Uint32(head))...)
+	if _, err := io.ReadFull(br, out[4:]); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestWorkerStatelessRepeat: a worker holds no tally state. Asked the same
+// two-range request twice, it recomputes both times — its Worlds counter
+// advances by the request's worlds on each call — and answers
+// byte-identical RESP frames, equal to the merge of its two single-range
+// answers.
+func TestWorkerStatelessRepeat(t *testing.T) {
 	g := testGraph(t, 32, 8)
 	w, err := NewWorker([]WorkerGraph{{Name: "tg", Graph: g, Seed: 2}}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := &TallyRequest{Graph: "tg", Kind: KindConnected, Centers: []int32{1, 5}, Ranges: []Range{{Lo: 0, Hi: 200}}}
-	first, cached, _, err := w.serveTallyAnnot(context.Background(), req, false)
-	if err != nil || cached {
-		t.Fatalf("first: cached=%v err=%v", cached, err)
-	}
-	worlds := w.Counters().Worlds
-	second, cached, _, err := w.serveTallyAnnot(context.Background(), req, false)
-	if err != nil || !cached {
-		t.Fatalf("second: cached=%v err=%v", cached, err)
-	}
-	if w.Counters().Worlds != worlds {
-		t.Fatal("cache hit rescanned worlds")
-	}
-	if c := w.Counters(); c.CacheHits == 0 || c.CacheMiss == 0 {
-		t.Fatalf("counters: %+v", c)
-	}
-	for j := range first.Counts {
-		for u := range first.Counts[j] {
-			if first.Counts[j][u] != second.Counts[j][u] {
-				t.Fatal("cached tally differs")
-			}
+	ts := httptest.NewServer(w)
+	t.Cleanup(ts.Close)
+	nc, br := rawStream(t, ts.URL)
+
+	ranges := []Range{{Lo: 0, Hi: 200}, {Lo: 200, Hi: 400}}
+	req := &TallyRequest{Graph: "tg", Kind: KindConnected, Centers: []int32{1, 5}, Ranges: ranges}
+	var frames [2][]byte
+	for i := range frames {
+		before := w.Counters().Worlds
+		frames[i] = rawTally(t, nc, br, 7, req)
+		if got := w.Counters().Worlds - before; got != 400 {
+			t.Fatalf("call %d advanced Worlds by %d, want 400", i+1, got)
 		}
 	}
-	// A partially-overlapping request hits only the warm range.
-	req2 := &TallyRequest{Graph: "tg", Kind: KindConnected, Centers: []int32{1, 5}, Ranges: []Range{{Lo: 0, Hi: 200}, {Lo: 200, Hi: 400}}}
-	_, cached, _, err = w.serveTallyAnnot(context.Background(), req2, false)
-	if err != nil || cached {
-		t.Fatalf("extension: cached=%v err=%v (only one range is warm)", cached, err)
+	if !bytes.Equal(frames[0], frames[1]) {
+		t.Fatalf("repeated request answered different frames:\n%x\n%x", frames[0], frames[1])
 	}
-}
 
-// TestWorkerTallyCacheDisabled: a negative budget turns the cache off.
-func TestWorkerTallyCacheDisabled(t *testing.T) {
-	g := testGraph(t, 24, 4)
-	w, err := NewWorker([]WorkerGraph{{Name: "tg", Graph: g, Seed: 2}}, WorkerOptions{TallyCacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := &TallyRequest{Graph: "tg", Kind: KindPair, U: 0, V: 5, Ranges: []Range{{Lo: 0, Hi: 100}}}
-	if _, cached, _, err := w.serveTallyAnnot(context.Background(), req, false); err != nil || cached {
-		t.Fatalf("cached=%v err=%v", cached, err)
-	}
-	if _, cached, _, err := w.serveTallyAnnot(context.Background(), req, false); err != nil || cached {
-		t.Fatalf("repeat with cache disabled: cached=%v err=%v", cached, err)
-	}
-	if c := w.Counters(); c.CacheHits != 0 {
-		t.Fatalf("counters: %+v", c)
-	}
-}
-
-// TestWorkerTallyCacheEviction: the FIFO ring respects its byte budget.
-func TestWorkerTallyCacheEviction(t *testing.T) {
-	g := testGraph(t, 64, 6)
-	// Budget fits roughly two single-center responses (64 nodes * 4B +
-	// overhead + key), so the third insert evicts the first.
-	w, err := NewWorker([]WorkerGraph{{Name: "tg", Graph: g, Seed: 2}}, WorkerOptions{TallyCacheBytes: 1100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(center int32) *TallyRequest {
-		return &TallyRequest{Graph: "tg", Kind: KindConnected, Centers: []int32{center}, Ranges: []Range{{Lo: 0, Hi: 128}}}
-	}
-	for _, ctr := range []int32{1, 2, 3} {
-		if _, _, _, err := w.serveTallyAnnot(context.Background(), mk(ctr), false); err != nil {
+	merged := kindNamed(KindConnected).zero(g.NumNodes(), req)
+	for _, rg := range ranges {
+		single := *req
+		single.Ranges = []Range{rg}
+		h, body, err := readFrame(bytes.NewReader(rawTally(t, nc, br, 8, &single)))
+		if err != nil || h.ftype != frameResp {
+			t.Fatalf("single-range answer: type %d, %v", h.ftype, err)
+		}
+		_, part, err := decodeResponseBody(body)
+		if err != nil {
 			t.Fatal(err)
 		}
+		mergeTally(merged, part, req.Kind)
 	}
-	if _, cached, _, _ := w.serveTallyAnnot(context.Background(), mk(1), false); cached {
-		t.Fatal("first entry should have been evicted")
-	}
-	if w.cache.bytes > 1100 {
-		t.Fatalf("cache over budget: %d", w.cache.bytes)
+	if want := encodeResponseFrame(7, req.Kind, merged); !bytes.Equal(frames[0], want) {
+		t.Fatalf("two-range answer differs from its merged single ranges:\n%x\n%x", frames[0], want)
 	}
 }
 
@@ -416,7 +428,7 @@ func malformedStreamWorker(t *testing.T) string {
 					}
 					// Right world count, wrong payload shape.
 					bad := &TallyResponse{Worlds: worlds, Counts: [][]int32{{1, 2, 3}}}
-					if _, err := nc.Write(encodeResponseFrame(h.id, req.Kind, false, bad)); err != nil {
+					if _, err := nc.Write(encodeResponseFrame(h.id, req.Kind, bad)); err != nil {
 						return
 					}
 				}

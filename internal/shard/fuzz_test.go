@@ -68,12 +68,13 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		f.Add(frame)
 	}
-	f.Add(encodeResponseFrame(3, KindConnected, true, &TallyResponse{
+	// The reserved flag bit 0, as a worker that kept a tally cache sets it.
+	f.Add(setFlag(encodeResponseFrame(3, KindConnected, &TallyResponse{
 		Worlds: 64, Counts: [][]int32{{1, 2, 3}, {4, 5, 6}},
-	}))
-	f.Add(encodeResponseFrame(4, KindPair, false, &TallyResponse{Worlds: 10, Count: 9}))
-	f.Add(encodeResponseFrame(5, KindSpread, false, &TallyResponse{Worlds: 8, Totals: []int64{40}}))
-	f.Add(encodeResponseFrame(6, KindDistances, false, &TallyResponse{
+	}), legacyCachedFlag))
+	f.Add(encodeResponseFrame(4, KindPair, &TallyResponse{Worlds: 10, Count: 9}))
+	f.Add(encodeResponseFrame(5, KindSpread, &TallyResponse{Worlds: 8, Totals: []int64{40}}))
+	f.Add(encodeResponseFrame(6, KindDistances, &TallyResponse{
 		Worlds:      4,
 		Hist:        [][]DistCount{{{D: 1, N: 3}, {D: 2, N: 1}}},
 		Unreachable: []int64{0},
@@ -95,7 +96,7 @@ func FuzzWireFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			re := encodeResponseFrame(h.id, kind, h.flags&flagCached != 0, resp)
+			re := encodeResponseFrame(h.id, kind, resp)
 			h2, body2, err := readFrame(bytes.NewReader(re))
 			if err != nil {
 				t.Fatalf("re-encoded response frame unreadable: %v", err)

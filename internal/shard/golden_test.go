@@ -3,11 +3,13 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,12 +30,12 @@ func TestWireFramesGolden(t *testing.T) {
 		}
 		line(fmt.Sprintf("REQ/%02d/%s", i, req.Kind), frame)
 	}
-	line("RESP/counts", encodeResponseFrame(3, KindWithin, true, &TallyResponse{
+	line("RESP/counts", encodeResponseFrame(3, KindWithin, &TallyResponse{
 		Worlds: 64, Counts: [][]int32{{64, 2, 3}, {4, 64, 6}},
 	}))
-	line("RESP/scalar", encodeResponseFrame(4, KindPair, false, &TallyResponse{Worlds: 100, Count: 77}))
-	line("RESP/totals", encodeResponseFrame(5, KindMarginal, false, &TallyResponse{Worlds: 16, Totals: []int64{40, 0, 1 << 40}}))
-	line("RESP/histograms", encodeResponseFrame(6, KindDistances, false, &TallyResponse{
+	line("RESP/scalar", encodeResponseFrame(4, KindPair, &TallyResponse{Worlds: 100, Count: 77}))
+	line("RESP/totals", encodeResponseFrame(5, KindMarginal, &TallyResponse{Worlds: 16, Totals: []int64{40, 0, 1 << 40}}))
+	line("RESP/histograms", encodeResponseFrame(6, KindDistances, &TallyResponse{
 		Worlds:      4,
 		Hist:        [][]DistCount{{{D: 0, N: 4}}, {{D: 1, N: 3}, {D: 2, N: 1}}, nil},
 		Unreachable: []int64{0, 0, 4},
@@ -53,6 +55,55 @@ func TestWireFramesGolden(t *testing.T) {
 	}
 }
 
+// legacyCachedFlag is RESP flag bit 0, reserved since workers stopped
+// keeping a tally cache: older workers set it on a response served wholly
+// from that cache.
+const legacyCachedFlag = 1 << 0
+
+// TestLegacyCachedResponseDecodes: a traced RESP frame as a worker with a
+// tally cache sends it — flag bit 0 set, hit and miss counts in the
+// annotation's bytes 16-23 — decodes to the same tallies and the same
+// remaining annotation fields as the frame a current worker sends, so
+// mixed-version fleets interoperate without a new version byte.
+func TestLegacyCachedResponseDecodes(t *testing.T) {
+	resp := &TallyResponse{Worlds: 64, Counts: [][]int32{{64, 2, 3}, {4, 64, 6}}}
+	annot := workerAnnot{ElapsedNS: 1234, Worlds: 64, StoreHits: 3, DiskHits: 1, Recomputes: 2, Materializations: 5}
+	current := setFlag(appendWorkerAnnot(encodeResponseFrame(3, KindWithin, resp), annot), flagTrace)
+	legacy := setFlag(bytes.Clone(current), legacyCachedFlag)
+	binary.LittleEndian.PutUint32(legacy[len(legacy)-workerAnnotLen+16:], 2) // cache hits
+	// Bytes 20-23, the misses, stay 0: bit 0 said every range hit.
+	if bytes.Equal(current, legacy) {
+		t.Fatal("legacy frame equals the current one")
+	}
+	decode := func(frame []byte) (string, *TallyResponse, *workerAnnot) {
+		t.Helper()
+		h, body, err := readFrame(bytes.NewReader(sealFrame(frame, true)))
+		if err == nil {
+			body, err = verifyBody(h, body)
+		}
+		var a *workerAnnot
+		if err == nil {
+			body, a, err = splitWorkerAnnot(h, body)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, r, err := decodeResponseBody(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kind, r, a
+	}
+	kind, got, gotAnnot := decode(legacy)
+	wantKind, want, wantAnnot := decode(current)
+	if kind != wantKind || !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy frame decodes to %s %+v, want %s %+v", kind, got, wantKind, want)
+	}
+	if *gotAnnot != *wantAnnot || *wantAnnot != annot {
+		t.Fatalf("legacy annotation %+v, current %+v, sent %+v", *gotAnnot, *wantAnnot, annot)
+	}
+}
+
 // TestWorkedExampleBytes checks the §12 worked example of
 // docs/SHARD_PROTOCOL.md against the codec: the hex dumps of the REQ,
 // RESP, ERR and CANCEL frames there must be exactly what the encoders
@@ -67,7 +118,7 @@ func TestWorkedExampleBytes(t *testing.T) {
 	}
 	want := [][]byte{
 		req,
-		encodeResponseFrame(7, KindConnected, false, &TallyResponse{
+		encodeResponseFrame(7, KindConnected, &TallyResponse{
 			Worlds: 256, Counts: [][]int32{{256, 231, 198}, {256, 244, 210}},
 		}),
 		encodeErrorFrame(9, errCodeUnknownGraph, `unknown graph "collins"`),

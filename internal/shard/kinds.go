@@ -64,7 +64,7 @@ const (
 
 // tallyKind declares one kind of integer tally. The kinds table is the
 // only place a kind is spelled out: the wire codec, the worker's request
-// validation and tally cache, the range kernel (shared by the worker, the
+// validation, the range kernel (run by tallyRanges for the worker, the
 // audit referee and the coordinator's local path), the merge and the
 // coordinator's response check all read it.
 type tallyKind struct {
@@ -76,8 +76,9 @@ type tallyKind struct {
 	// rows is the row count of a countMatrix or totals payload for req on
 	// an n-node graph.
 	rows func(n int, req *TallyRequest) int
-	// tally computes the payload over one world range of store.
-	tally func(ctx context.Context, store *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error)
+	// tally adds the payload over one world range of store into acc, a
+	// payload of the kind's shape (see zero).
+	tally func(ctx context.Context, store *worldstore.Store, req *TallyRequest, rg Range, acc *TallyResponse) error
 }
 
 // kinds is the tally-kind table. Adding a kind is one entry here (plus a
@@ -85,8 +86,8 @@ type tallyKind struct {
 // turns its tally into an estimate).
 var kinds = [...]tallyKind{
 	{name: KindConnected, code: 1, shape: countMatrix, check: checkCenters, rows: centerRows,
-		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {
-			return countTally(ctx, ws, req, rg, ws.CountConnectedFromMulti)
+		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range, acc *TallyResponse) error {
+			return countRange(ctx, req, rg, acc, ws.CountConnectedFromMulti)
 		}},
 	{name: KindWithin, code: 2, shape: countMatrix, rows: centerRows,
 		check: func(g *graph.Uncertain, req *TallyRequest) error {
@@ -95,8 +96,8 @@ var kinds = [...]tallyKind{
 			}
 			return checkCenters(g, req)
 		},
-		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {
-			return countTally(ctx, ws, req, rg, func(cs []graph.NodeID, lo []int, hi int, counts [][]int32) {
+		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range, acc *TallyResponse) error {
+			return countRange(ctx, req, rg, acc, func(cs []graph.NodeID, lo []int, hi int, counts [][]int32) {
 				ws.CountWithinMulti(cs, req.Depth, lo, hi, counts)
 			})
 		}},
@@ -104,15 +105,16 @@ var kinds = [...]tallyKind{
 		check: func(g *graph.Uncertain, req *TallyRequest) error {
 			return validNodes(g, "u/v", []int32{req.U, req.V})
 		},
-		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {
+		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range, acc *TallyResponse) error {
 			cnt, err := ws.CountPairCtx(ctx, req.U, req.V, rg.Lo, rg.Hi)
-			return &TallyResponse{Count: cnt}, err
+			acc.Count += cnt
+			return err
 		}},
 	{name: KindDistances, code: 4, shape: histograms,
 		check: func(g *graph.Uncertain, req *TallyRequest) error {
 			return validNodes(g, "source", []int32{req.Source})
 		},
-		tally: distancesTally},
+		tally: distancesRange},
 	{name: KindSpread, code: 5, shape: totals, rows: oneRow,
 		check: func(g *graph.Uncertain, req *TallyRequest) error {
 			if len(req.Seeds) == 0 {
@@ -120,8 +122,8 @@ var kinds = [...]tallyKind{
 			}
 			return checkSeedsCandidates(g, req)
 		},
-		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {
-			return total(influence.SpreadTallyCtx(ctx, ws, req.Seeds, rg.Lo, rg.Hi))
+		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range, acc *TallyResponse) error {
+			return acc.addTotal(influence.SpreadTallyCtx(ctx, ws, req.Seeds, rg.Lo, rg.Hi))
 		}},
 	{name: KindMarginal, code: 6, shape: totals, check: checkSeedsCandidates,
 		rows: func(n int, req *TallyRequest) int {
@@ -130,7 +132,7 @@ var kinds = [...]tallyKind{
 			}
 			return len(req.Candidates)
 		},
-		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {
+		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range, acc *TallyResponse) error {
 			candidates := req.Candidates
 			if len(candidates) == 0 {
 				candidates = make([]graph.NodeID, ws.NumNodes())
@@ -139,25 +141,28 @@ var kinds = [...]tallyKind{
 				}
 			}
 			t, err := influence.MarginalTallyCtx(ctx, ws, req.Seeds, candidates, rg.Lo, rg.Hi)
-			return &TallyResponse{Totals: t}, err
+			for i, v := range t {
+				acc.Totals[i] += v
+			}
+			return err
 		}},
 	{name: KindReliability, code: 7, shape: totals, rows: oneRow,
 		check: func(g *graph.Uncertain, req *TallyRequest) error {
 			return validNodes(g, "seeds", req.Seeds) // empty seeds = all-terminal
 		},
-		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {
+		tally: func(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range, acc *TallyResponse) error {
 			if len(req.Seeds) == 0 {
-				return total(metrics.AllTerminalReliabilityTallyCtx(ctx, ws, rg.Lo, rg.Hi))
+				return acc.addTotal(metrics.AllTerminalReliabilityTallyCtx(ctx, ws, rg.Lo, rg.Hi))
 			}
-			return total(metrics.SetReliabilityTallyCtx(ctx, ws, req.Seeds, rg.Lo, rg.Hi))
+			return acc.addTotal(metrics.SetReliabilityTallyCtx(ctx, ws, req.Seeds, rg.Lo, rg.Hi))
 		}},
 	{name: KindComponents, code: 8, shape: totals, rows: oneRow, check: checkNothing,
-		tally: func(ctx context.Context, ws *worldstore.Store, _ *TallyRequest, rg Range) (*TallyResponse, error) {
-			return total(metrics.ComponentsTallyCtx(ctx, ws, rg.Lo, rg.Hi))
+		tally: func(ctx context.Context, ws *worldstore.Store, _ *TallyRequest, rg Range, acc *TallyResponse) error {
+			return acc.addTotal(metrics.ComponentsTallyCtx(ctx, ws, rg.Lo, rg.Hi))
 		}},
 	{name: KindLargest, code: 9, shape: totals, rows: oneRow, check: checkNothing,
-		tally: func(ctx context.Context, ws *worldstore.Store, _ *TallyRequest, rg Range) (*TallyResponse, error) {
-			return total(metrics.LargestComponentTallyCtx(ctx, ws, rg.Lo, rg.Hi))
+		tally: func(ctx context.Context, ws *worldstore.Store, _ *TallyRequest, rg Range, acc *TallyResponse) error {
+			return acc.addTotal(metrics.LargestComponentTallyCtx(ctx, ws, rg.Lo, rg.Hi))
 		}},
 }
 
@@ -209,46 +214,44 @@ func validNodes(g *graph.Uncertain, field string, nodes []int32) error {
 	return nil
 }
 
-// total wraps a scalar kernel result as a one-row totals payload.
-func total(t int64, err error) (*TallyResponse, error) {
-	return &TallyResponse{Totals: []int64{t}}, err
+// addTotal adds a scalar kernel result into a one-row totals payload.
+func (r *TallyResponse) addTotal(t int64, err error) error {
+	r.Totals[0] += t
+	return err
 }
 
-// countTally runs a multi-center count kernel over one range: every
-// center starts at rg.Lo.
-func countTally(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range,
-	count func(cs []graph.NodeID, lo []int, hi int, counts [][]int32)) (*TallyResponse, error) {
+// countRange runs a multi-center count kernel over one range into acc's
+// count matrix: every center starts at rg.Lo.
+func countRange(ctx context.Context, req *TallyRequest, rg Range, acc *TallyResponse,
+	count func(cs []graph.NodeID, lo []int, hi int, counts [][]int32)) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	counts := newMatrix(len(req.Centers), ws.NumNodes())
 	lo := make([]int, len(req.Centers))
 	for j := range lo {
 		lo[j] = rg.Lo
 	}
-	count(req.Centers, lo, rg.Hi, counts)
-	return &TallyResponse{Counts: counts}, nil
+	count(req.Centers, lo, rg.Hi, acc.Counts)
+	return nil
 }
 
-// distancesTally converts knn's per-node distance maps into histograms
-// sorted by distance.
-func distancesTally(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {
+// distancesRange merges knn's per-node distance maps of one range into
+// acc's histograms, sorted by distance.
+func distancesRange(ctx context.Context, ws *worldstore.Store, req *TallyRequest, rg Range, acc *TallyResponse) error {
 	dd, err := knn.SampleRangeCtx(ctx, ws, req.Source, rg.Lo, rg.Hi)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := ws.NumNodes()
-	resp := &TallyResponse{Hist: make([][]DistCount, n), Unreachable: make([]int64, n)}
-	for v := 0; v < n; v++ {
+	for v := range acc.Hist {
 		buckets := make([]DistCount, 0, len(dd.Hist[v]))
 		for d, c := range dd.Hist[v] {
 			buckets = append(buckets, DistCount{D: d, N: int64(c)})
 		}
 		sort.Slice(buckets, func(i, j int) bool { return buckets[i].D < buckets[j].D })
-		resp.Hist[v] = buckets
-		resp.Unreachable[v] = int64(dd.Unreachable[v])
+		acc.Hist[v] = mergeBuckets(acc.Hist[v], buckets)
+		acc.Unreachable[v] += int64(dd.Unreachable[v])
 	}
-	return resp, nil
+	return nil
 }
 
 // newMatrix allocates a rows x cols int32 matrix over one backing array.
@@ -270,38 +273,53 @@ func validTally(g *graph.Uncertain, req *TallyRequest) error {
 	return k.check(g, req)
 }
 
-// rangeTally is the transport-free tally kernel: one kind over one world
-// range of the (graph, seed) stream behind store, for a request validTally
-// accepted. It is shared by the worker, by the coordinator's audit referee
-// (which recomputes a divergent group locally over the same stream — the
-// two sides agreeing byte-for-byte is the audit's ground truth) and by the
-// coordinator's local path. The result is immutable once returned (it may
-// be shared by the worker cache), and merging per-range results is plain
-// integer addition — the whole bit-identity argument: integer sums are
-// order-free, so any partitioning of [lo, hi) into ranges, workers,
-// retries and hedges folds to the same totals.
-func rangeTally(ctx context.Context, store *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {
-	resp, err := kindNamed(req.Kind).tally(ctx, store, req, rg)
-	if err != nil {
-		return nil, err
+// zero returns the empty payload of k's shape for req on an n-node graph:
+// what a request over no worlds answers, and the accumulator that
+// tallyRanges and the coordinator's gather add into.
+func (k *tallyKind) zero(n int, req *TallyRequest) *TallyResponse {
+	resp := &TallyResponse{}
+	switch k.shape {
+	case countMatrix:
+		resp.Counts = newMatrix(k.rows(n, req), n)
+	case totals:
+		resp.Totals = make([]int64, k.rows(n, req))
+	case histograms:
+		resp.Hist = make([][]DistCount, n)
+		resp.Unreachable = make([]int64, n)
 	}
-	resp.Worlds = rg.Worlds()
-	return resp, nil
+	return resp
 }
 
-// mergeTally folds one per-range result into the accumulator. dst starts
-// zero-valued; src is never mutated (it may live in the cache).
+// tallyRanges is the transport-free tally: one kind over every world
+// range of req on the (graph, seed) stream behind store, for a request
+// validTally accepted. The worker, the coordinator's audit referee (which
+// recomputes a divergent group locally over the same stream — the two
+// sides agreeing byte-for-byte is the audit's ground truth) and the
+// coordinator's local path all call it. Every range adds into one
+// payload, so a count-matrix request allocates one centers × n matrix
+// whatever its range count, and an empty range still answers the kind's
+// payload shape. Adding integers is order-free, so any partitioning of
+// [lo, hi) into ranges, workers, retries and hedges folds to the same
+// totals — the whole bit-identity argument.
+func tallyRanges(ctx context.Context, store *worldstore.Store, req *TallyRequest) (*TallyResponse, error) {
+	k := kindNamed(req.Kind)
+	acc := k.zero(store.NumNodes(), req)
+	for _, rg := range req.Ranges {
+		if err := k.tally(ctx, store, req, rg, acc); err != nil {
+			return nil, err
+		}
+		acc.Worlds += rg.Worlds()
+	}
+	return acc, nil
+}
+
+// mergeTally folds one worker's answer, shape-checked by checkTally, into
+// the coordinator's accumulator, a zero payload of the kind. dst may share
+// histogram buckets with src afterwards, so src must not be mutated.
 func mergeTally(dst, src *TallyResponse, kind string) {
 	dst.Worlds += src.Worlds
 	switch kindNamed(kind).shape {
 	case countMatrix:
-		if dst.Counts == nil {
-			cols := 0
-			if len(src.Counts) > 0 {
-				cols = len(src.Counts[0])
-			}
-			dst.Counts = newMatrix(len(src.Counts), cols)
-		}
 		for j, row := range src.Counts {
 			out := dst.Counts[j]
 			for i, c := range row {
@@ -311,17 +329,10 @@ func mergeTally(dst, src *TallyResponse, kind string) {
 	case scalar:
 		dst.Count += src.Count
 	case totals:
-		if dst.Totals == nil {
-			dst.Totals = make([]int64, len(src.Totals))
-		}
 		for i, t := range src.Totals {
 			dst.Totals[i] += t
 		}
 	case histograms:
-		if dst.Hist == nil {
-			dst.Hist = make([][]DistCount, len(src.Hist))
-			dst.Unreachable = make([]int64, len(src.Unreachable))
-		}
 		for v, buckets := range src.Hist {
 			dst.Hist[v] = mergeBuckets(dst.Hist[v], buckets)
 		}
@@ -331,10 +342,11 @@ func mergeTally(dst, src *TallyResponse, kind string) {
 	}
 }
 
-// mergeBuckets merges two distance histograms sorted ascending by D.
+// mergeBuckets merges two distance histograms sorted ascending by D. It
+// never writes to a or b, and returns b itself when a is empty.
 func mergeBuckets(a, b []DistCount) []DistCount {
 	if len(a) == 0 {
-		return append([]DistCount(nil), b...)
+		return b
 	}
 	out := make([]DistCount, 0, len(a)+len(b))
 	i, j := 0, 0

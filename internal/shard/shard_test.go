@@ -489,7 +489,7 @@ func TestWorkerValidation(t *testing.T) {
 	}
 	for i, req := range cases {
 		if kindNamed(req.Kind) != nil {
-			if _, _, _, err := sc.call(ctx, &req, nil); err == nil {
+			if _, _, err := sc.call(ctx, &req, nil); err == nil {
 				t.Fatalf("case %d: expected an error", i)
 			}
 			continue

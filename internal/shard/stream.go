@@ -53,11 +53,10 @@ const traceHeader = "X-Ucgraph-Trace"
 
 // streamResult is the outcome of one multiplexed request.
 type streamResult struct {
-	resp   *TallyResponse
-	kind   string
-	cached bool
-	annot  *workerAnnot // non-nil only on flagTrace responses
-	err    error
+	resp  *TallyResponse
+	kind  string
+	annot *workerAnnot // non-nil only on flagTrace responses
+	err   error
 }
 
 // streamConn is one live upgraded connection with its demultiplexer.
@@ -206,7 +205,7 @@ func (sc *streamClient) dial(ctx context.Context) (*streamConn, error) {
 					break
 				}
 				kind, resp, err := decodeResponseBody(body)
-				res = streamResult{resp: resp, kind: kind, cached: h.flags&flagCached != 0, annot: annot, err: err}
+				res = streamResult{resp: resp, kind: kind, annot: annot, err: err}
 			case frameErr:
 				code, msg, err := decodeErrorBody(body)
 				if err != nil {
@@ -309,50 +308,50 @@ func (c *streamConn) writeFrame(frame []byte) error {
 // expiry it sends a best-effort CANCEL so the worker can stop computing,
 // and returns ctx's error. Transport failures surface as
 // errStreamClosed-wrapped errors; the next call re-dials.
-func (sc *streamClient) call(ctx context.Context, req *TallyRequest, ref *traceRef) (*TallyResponse, bool, *workerAnnot, error) {
+func (sc *streamClient) call(ctx context.Context, req *TallyRequest, ref *traceRef) (*TallyResponse, *workerAnnot, error) {
 	conn, err := sc.get(ctx)
 	if err != nil {
-		return nil, false, nil, err
+		return nil, nil, err
 	}
 	id := sc.nextID.Add(1)
 	frame, err := encodeRequestFrame(id, req)
 	if err != nil {
-		return nil, false, nil, err
+		return nil, nil, err
 	}
 	if ref != nil && conn.trace {
 		// The trace ref is appended AFTER the canonical request bytes
-		// (which double as worker cache keys and must stay byte-identical
-		// for traced and untraced queries) and BEFORE the checksum
-		// trailer (sealFrame runs last, so the CRC covers it).
+		// (which stay byte-identical for traced and untraced queries)
+		// and BEFORE the checksum trailer (sealFrame runs last, so the
+		// CRC covers it).
 		frame = appendTraceRef(frame, *ref)
 		frame = setFlag(frame, flagTrace)
 	}
 	frame = sealFrame(frame, conn.sum)
 	ch, err := conn.register(id)
 	if err != nil {
-		return nil, false, nil, err
+		return nil, nil, err
 	}
 	if err := conn.writeFrame(frame); err != nil {
 		conn.fail(fmt.Errorf("%w: %v", errStreamClosed, err))
 		<-ch // fail delivered an error (or deliver raced; either way drain)
-		return nil, false, nil, err
+		return nil, nil, err
 	}
 	select {
 	case res := <-ch:
 		if res.err != nil {
-			return nil, false, nil, res.err
+			return nil, nil, res.err
 		}
 		if res.kind != req.Kind {
-			return nil, false, nil, fmt.Errorf("shard: response kind %q for a %q request", res.kind, req.Kind)
+			return nil, nil, fmt.Errorf("shard: response kind %q for a %q request", res.kind, req.Kind)
 		}
-		return res.resp, res.cached, res.annot, nil
+		return res.resp, res.annot, nil
 	case <-ctx.Done():
 		if conn.deregister(id) {
 			// Best effort: tell the worker to stop computing. A write
 			// failure just means the stream is already dead.
 			_ = conn.writeFrame(encodeCancelFrame(id))
 		}
-		return nil, false, nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 }
 
@@ -477,13 +476,13 @@ func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 					cancel()
 				}()
 				start := time.Now()
-				resp, cached, annot, err := w.serveTallyAnnot(rctx, req, traced)
+				resp, annot, err := w.serveTallyAnnot(rctx, req, traced)
 				w.noteSlowTally(req, ref, time.Since(start), err)
 				var frame []byte
 				if err != nil {
 					frame = encodeErrorFrame(id, errCode(err), err.Error())
 				} else {
-					frame = encodeResponseFrame(id, req.Kind, cached, resp)
+					frame = encodeResponseFrame(id, req.Kind, resp)
 					if traced {
 						// Annotation after the canonical body, before the
 						// seal — the mirror of the REQ layout.

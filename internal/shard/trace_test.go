@@ -34,7 +34,7 @@ func spanByID(v obs.TraceView) map[uint64]obs.SpanView {
 // workers and checks the coordinator's trace carries the full fabric
 // story: a scatter span, at least one scatter_round, one worker child
 // span per scatter group with the worker-side annotations (worlds
-// scanned, tally-cache and store-tier attribution) fetched over the v2
+// scanned, worker time and store-tier attribution) fetched over the v2
 // wire, and a merge span — while the traced answer stays bit-identical
 // to an untraced local run.
 func TestTraceWorkerAnnotationsOverWire(t *testing.T) {
@@ -101,8 +101,7 @@ func TestTraceWorkerAnnotationsOverWire(t *testing.T) {
 		}
 		scanned += n
 		for _, key := range []string{
-			"worker_elapsed_ms", "worker_cache_hits", "worker_cache_miss",
-			"store_ram_hits", "store_disk_hits", "store_recomputes",
+			"worker_elapsed_ms", "store_ram_hits", "store_disk_hits", "store_recomputes",
 			"store_materializations",
 		} {
 			if _, ok := ws.Attrs[key]; !ok {

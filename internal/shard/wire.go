@@ -155,11 +155,11 @@ const (
 	frameCancel = 4 // coordinator -> worker: abandon the request id
 )
 
-// Frame flags.
+// Frame flags. Bit 0 is reserved: workers that kept a tally cache set it
+// on a RESP served wholly from that cache. Current senders write it zero
+// and receivers ignore it, like every unknown bit, so mixed-version
+// fleets interoperate.
 const (
-	// flagCached marks a RESP frame whose every range was served from the
-	// worker's tally cache (no world was recomputed).
-	flagCached = 1 << 0
 	// flagChecksum marks a frame carrying a CRC32-C (Castagnoli) trailer:
 	// the last 4 bytes of the body are the little-endian checksum of every
 	// body byte before them. Flag-gated for version compat — the worker
@@ -171,12 +171,11 @@ const (
 	// like flagChecksum (the worker advertises X-Ucgraph-Trace on its 101
 	// upgrade response) so mixed fleets interoperate. On a REQ the body
 	// ends with a 16-byte trace ref (trace ID + parent span ID); on a RESP
-	// it ends with a fixed worker-annotation section (timing, cache and
+	// it ends with a fixed worker-annotation section (timing and
 	// world-store tier attribution). Both sections sit BEFORE the checksum
 	// trailer (sealFrame runs last, so the CRC covers them) and AFTER the
-	// canonical body — the canonical request bytes double as worker cache
-	// keys and must stay byte-identical whether or not a query is traced:
-	// tracing observes, never alters.
+	// canonical body, which stays byte-identical whether or not a query
+	// is traced: tracing observes, never alters.
 	flagTrace = 1 << 2
 )
 
@@ -252,8 +251,9 @@ func appendNodes(buf []byte, vs []int32) []byte {
 }
 
 // encodeRequestBody encodes req in the canonical v2 layout (without the
-// frame header). The canonical bytes double as the worker-side tally-cache
-// key, which is why the layout is fixed rather than field-tagged.
+// frame header). The layout is fixed rather than field-tagged, so equal
+// requests encode to equal bytes, and a response is a pure function of
+// those bytes and the world stream.
 func encodeRequestBody(buf []byte, req *TallyRequest) ([]byte, error) {
 	k := kindNamed(req.Kind)
 	if k == nil {
@@ -294,14 +294,10 @@ func encodeRequestFrame(id uint64, req *TallyRequest) ([]byte, error) {
 }
 
 // encodeResponseFrame encodes a RESP frame for a request of the given
-// (registered) kind. cached sets flagCached.
-func encodeResponseFrame(id uint64, kind string, cached bool, resp *TallyResponse) []byte {
-	var flags uint16
-	if cached {
-		flags |= flagCached
-	}
+// (registered) kind.
+func encodeResponseFrame(id uint64, kind string, resp *TallyResponse) []byte {
 	k := kindNamed(kind)
-	buf := appendHeader(nil, frameResp, flags, id)
+	buf := appendHeader(nil, frameResp, 0, id)
 	buf = append(buf, k.code, 0, 0, 0)
 	buf = appendU32(buf, uint32(resp.Worlds))
 	return finishFrame(k.shape.appendPayload(buf, resp), 0)
@@ -327,8 +323,8 @@ func encodeCancelFrame(id uint64) []byte {
 // sealFrame appends a CRC32-C trailer to a finished frame and sets
 // flagChecksum, when sum is true; otherwise it returns the frame
 // untouched. Sealing happens after encoding so every encoder keeps its
-// checksum-free signature (and the canonical request bytes used as cache
-// keys stay trailer-free on both sides).
+// checksum-free signature (and the canonical request and response bytes
+// stay trailer-free on both sides).
 func sealFrame(frame []byte, sum bool) []byte {
 	if !sum {
 		return frame
@@ -547,7 +543,9 @@ func decodeResponseBody(body []byte) (kind string, resp *TallyResponse, err erro
 const traceRefLen = 16
 
 // workerAnnotLen is the size of the RESP worker-annotation section; see
-// workerAnnot for the field layout.
+// workerAnnot for the field layout. Bytes 16-23 are reserved: workers that
+// kept a tally cache sent two u32 hit and miss counts there. Current
+// senders write zeros and receivers ignore them.
 const workerAnnotLen = 56
 
 // traceRef identifies, on the wire, which coordinator trace (and which
@@ -559,17 +557,15 @@ type traceRef struct {
 }
 
 // workerAnnot is the worker's self-reported execution annotation for one
-// traced request: wall time, worlds tallied, per-request tally-cache
-// hits/misses, and the world-store tier activity observed while serving
-// it (a Stats snapshot diff — approximate under concurrent requests on
-// the same store, and documented as such; the numbers inform operators,
-// never estimates). All fields are little-endian on the wire, in
-// declaration order.
+// traced request: wall time, worlds tallied, and the world-store tier
+// activity observed while serving it (a Stats snapshot diff — approximate
+// under concurrent requests on the same store, and documented as such;
+// the numbers inform operators, never estimates). All fields are
+// little-endian on the wire, in declaration order, with 8 reserved zero
+// bytes after Worlds.
 type workerAnnot struct {
 	ElapsedNS        uint64 // worker-side wall time for the request
 	Worlds           uint64 // worlds tallied (resp.Worlds)
-	CacheHits        uint32 // ranges served from the worker tally cache
-	CacheMiss        uint32 // ranges recomputed
 	StoreHits        uint64 // RAM-resident world-store block hits
 	DiskHits         uint64 // disk-tier block loads
 	Recomputes       uint64 // evicted blocks rebuilt from the stream
@@ -586,8 +582,7 @@ func appendTraceRef(buf []byte, ref traceRef) []byte {
 func appendWorkerAnnot(buf []byte, a workerAnnot) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, a.ElapsedNS)
 	buf = binary.LittleEndian.AppendUint64(buf, a.Worlds)
-	buf = binary.LittleEndian.AppendUint32(buf, a.CacheHits)
-	buf = binary.LittleEndian.AppendUint32(buf, a.CacheMiss)
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // reserved
 	buf = binary.LittleEndian.AppendUint64(buf, a.StoreHits)
 	buf = binary.LittleEndian.AppendUint64(buf, a.DiskHits)
 	buf = binary.LittleEndian.AppendUint64(buf, a.Recomputes)
@@ -632,8 +627,6 @@ func splitWorkerAnnot(h frameHeader, body []byte) ([]byte, *workerAnnot, error) 
 	return payload, &workerAnnot{
 		ElapsedNS:        binary.LittleEndian.Uint64(tr[0:8]),
 		Worlds:           binary.LittleEndian.Uint64(tr[8:16]),
-		CacheHits:        binary.LittleEndian.Uint32(tr[16:20]),
-		CacheMiss:        binary.LittleEndian.Uint32(tr[20:24]),
 		StoreHits:        binary.LittleEndian.Uint64(tr[24:32]),
 		DiskHits:         binary.LittleEndian.Uint64(tr[32:40]),
 		Recomputes:       binary.LittleEndian.Uint64(tr[40:48]),

@@ -35,11 +35,10 @@ type WorkerOptions struct {
 	// worker materialize an unbounded stream.
 	MaxWorlds int
 
-	// TallyCacheBytes budgets the worker's per-range tally cache
-	// (default 64 MiB; negative disables it). Repeated rounds over the
-	// same (kind, graph, centers, range) — min-partial scoring loops,
-	// greedy influence sweeps, hedged duplicates — are answered from
-	// warm int32s instead of rescanning worlds.
+	// TallyCacheBytes is ignored. Workers hold no tally state: a
+	// response is a pure function of its request and the world stream,
+	// recomputed on every request. The field stays only because the
+	// end-to-end benchmark in perfbench/ still sets it.
 	TallyCacheBytes int64
 
 	// WorldCacheDir, when non-empty, attaches a disk tier to every served
@@ -64,9 +63,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.MaxWorlds <= 0 {
 		o.MaxWorlds = 1 << 20
 	}
-	if o.TallyCacheBytes == 0 {
-		o.TallyCacheBytes = 64 << 20
-	}
 	return o
 }
 
@@ -88,19 +84,17 @@ type workerGraph struct {
 // liveness probes. It holds no assignment state — any worker can serve any
 // range of the stream — which is what lets the coordinator re-stripe a
 // departed worker's blocks onto the survivors and hedge stragglers without
-// coordination. Safe for concurrent use; the store coordinates concurrent
-// block materialization internally.
+// coordination — and no tally state: its memory is the world stores'
+// budget plus the requests in flight. Safe for concurrent use; the store
+// coordinates concurrent block materialization internally.
 type Worker struct {
 	opts   WorkerOptions
 	graphs map[string]*workerGraph
 	mux    *http.ServeMux
-	cache  *tallyCache
 
 	requests         atomic.Uint64
 	failures         atomic.Uint64
-	worlds           atomic.Uint64 // worlds actually tallied (cache hits excluded)
-	cacheHits        atomic.Uint64
-	cacheMiss        atomic.Uint64
+	worlds           atomic.Uint64 // worlds tallied by answered requests
 	integrityRejects atomic.Uint64 // REQ frames failing their CRC32-C check
 
 	// Drain state: once draining flips, new streams and new tally work are
@@ -126,9 +120,6 @@ func NewWorker(graphs []WorkerGraph, opts WorkerOptions) (*Worker, error) {
 		graphs:  make(map[string]*workerGraph, len(graphs)),
 		mux:     http.NewServeMux(),
 		streams: make(map[*streamConn]struct{}),
-	}
-	if w.opts.TallyCacheBytes > 0 {
-		w.cache = &tallyCache{max: w.opts.TallyCacheBytes, entries: make(map[string]*TallyResponse)}
 	}
 	for _, gc := range graphs {
 		if gc.Name == "" {
@@ -284,44 +275,44 @@ func badReq(format string, args ...any) error {
 	return &badRequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// serveTallyAnnot validates req and computes its tallies range by range,
-// consulting the per-range cache. The second result reports whether every
-// range was served from cache. Failure accounting of a decoded request
-// happens here exactly once. When traced, it also fills the worker-side execution
+// serveTallyAnnot validates req and tallies all of its ranges with
+// tallyRanges. Failure accounting of a decoded request happens here
+// exactly once. When traced, it also fills the worker-side execution
 // annotation shipped back on a flagTrace response: wall time, worlds
-// tallied, per-request cache hits/misses and the store tier activity
-// observed while serving the request. The annotation is pure observation
-// — traced and untraced requests run the identical code path and produce
-// byte-identical tallies.
-func (w *Worker) serveTallyAnnot(ctx context.Context, req *TallyRequest, traced bool) (*TallyResponse, bool, workerAnnot, error) {
+// tallied and the store tier activity observed while serving the
+// request. The annotation is pure observation — traced and untraced
+// requests run the identical code path and produce byte-identical
+// tallies.
+func (w *Worker) serveTallyAnnot(ctx context.Context, req *TallyRequest, traced bool) (*TallyResponse, workerAnnot, error) {
 	w.requests.Add(1)
 	var annot workerAnnot
 	var start time.Time
 	if traced {
 		start = time.Now()
 	}
-	resp, cached, err := w.tally(ctx, req, traced, &annot)
+	resp, err := w.tally(ctx, req, traced, &annot)
 	if err != nil {
 		w.failures.Add(1)
-		return nil, false, annot, err
+		return nil, annot, err
 	}
+	w.worlds.Add(uint64(resp.Worlds))
 	if traced {
 		annot.ElapsedNS = uint64(time.Since(start))
 		annot.Worlds = uint64(resp.Worlds)
 	}
-	return resp, cached, annot, nil
+	return resp, annot, nil
 }
 
-func (w *Worker) tally(ctx context.Context, req *TallyRequest, traced bool, annot *workerAnnot) (*TallyResponse, bool, error) {
+func (w *Worker) tally(ctx context.Context, req *TallyRequest, traced bool, annot *workerAnnot) (*TallyResponse, error) {
 	wg, ok := w.graphs[req.Graph]
 	if !ok {
-		return nil, false, fmt.Errorf("%w %q", errUnknownGraph, req.Graph)
+		return nil, fmt.Errorf("%w %q", errUnknownGraph, req.Graph)
 	}
 	if _, err := w.validRanges(req.Ranges); err != nil {
-		return nil, false, badReq("%s", err)
+		return nil, badReq("%s", err)
 	}
 	if err := validTally(wg.g, req); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if traced {
 		// Tier attribution by Stats snapshot diff. On a store shared by
@@ -338,42 +329,7 @@ func (w *Worker) tally(ctx context.Context, req *TallyRequest, traced bool, anno
 			annot.Materializations = d.Materializations
 		}()
 	}
-
-	resp := &TallyResponse{}
-	cached := true
-	var keyBuf []byte
-	single := *req // per-range copy for cache keys
-	for _, rg := range req.Ranges {
-		var key string
-		if w.cache != nil {
-			single.Ranges = []Range{rg}
-			kb, err := encodeRequestBody(keyBuf[:0], &single)
-			if err != nil {
-				return nil, false, badReq("%s", err)
-			}
-			keyBuf = kb
-			key = string(kb)
-			if part := w.cache.get(key); part != nil {
-				w.cacheHits.Add(1)
-				annot.CacheHits++
-				mergeTally(resp, part, req.Kind)
-				continue
-			}
-			w.cacheMiss.Add(1)
-			annot.CacheMiss++
-		}
-		cached = false
-		part, err := rangeTally(ctx, wg.store, req, rg)
-		if err != nil {
-			return nil, false, err
-		}
-		w.worlds.Add(uint64(rg.Worlds()))
-		if w.cache != nil {
-			w.cache.put(key, part)
-		}
-		mergeTally(resp, part, req.Kind)
-	}
-	return resp, cached, nil
+	return tallyRanges(ctx, wg.store, req)
 }
 
 // noteSlowTally emits the structured slow-tally record when the request
@@ -404,73 +360,17 @@ func (w *Worker) noteSlowTally(req *TallyRequest, ref traceRef, elapsed time.Dur
 	lg.Warn("slow tally", attrs...)
 }
 
-// tallyCache is the worker's per-range tally cache: FIFO eviction under a
-// byte budget, keyed by the canonical binary encoding of a single-range
-// request (so the key already covers kind, graph, centers/seeds, depth and
-// range — see encodeRequestBody). Values are immutable.
-type tallyCache struct {
-	mu      sync.Mutex
-	max     int64
-	bytes   int64
-	entries map[string]*TallyResponse
-	order   []string
-	head    int
-}
-
-func (c *tallyCache) get(key string) *TallyResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries[key]
-}
-
-func (c *tallyCache) put(key string, resp *TallyResponse) {
-	size := int64(len(key)) + respBytes(resp)
-	if size > c.max {
-		return // larger than the whole budget; never admit
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.entries[key]; dup {
-		return
-	}
-	for c.bytes+size > c.max && c.head < len(c.order) {
-		old := c.order[c.head]
-		c.head++
-		if ev, ok := c.entries[old]; ok {
-			delete(c.entries, old)
-			c.bytes -= int64(len(old)) + respBytes(ev)
-		}
-	}
-	if c.head > 1024 && c.head*2 > len(c.order) {
-		c.order = append(c.order[:0], c.order[c.head:]...)
-		c.head = 0
-	}
-	c.entries[key] = resp
-	c.order = append(c.order, key)
-	c.bytes += size
-}
-
-// respBytes approximates a response's resident size for the cache budget.
-func respBytes(r *TallyResponse) int64 {
-	var b int64 = 64
-	for _, row := range r.Counts {
-		b += int64(len(row))*4 + 24
-	}
-	b += int64(len(r.Totals)) * 8
-	for _, h := range r.Hist {
-		b += int64(len(h))*12 + 24
-	}
-	b += int64(len(r.Unreachable)) * 8
-	return b
-}
-
 // WorkerCounters are the worker's observability counters.
 type WorkerCounters struct {
-	Requests  uint64
-	Failures  uint64
-	Worlds    uint64 // worlds tallied by scanning (cache hits excluded)
-	CacheHits uint64
-	CacheMiss uint64
+	Requests uint64
+	Failures uint64
+	// Worlds counts the worlds of every answered request: a worker
+	// recomputes each request it answers, repeats included.
+	Worlds uint64
+	// CacheHits and CacheMiss always read 0: workers hold no tally
+	// cache. They stay only because the end-to-end benchmark in
+	// perfbench/ still reads them.
+	CacheHits, CacheMiss uint64
 	// IntegrityRejects counts REQ frames rejected for a CRC32-C mismatch
 	// before decoding (each was answered with an integrity error frame, so
 	// the coordinator re-sent rather than trusting mangled parameters).
@@ -483,8 +383,6 @@ func (w *Worker) Counters() WorkerCounters {
 		Requests:         w.requests.Load(),
 		Failures:         w.failures.Load(),
 		Worlds:           w.worlds.Load(),
-		CacheHits:        w.cacheHits.Load(),
-		CacheMiss:        w.cacheMiss.Load(),
 		IntegrityRejects: w.integrityRejects.Load(),
 	}
 }
